@@ -232,13 +232,6 @@ def _render(node: tuple, context: int) -> str:
     return text
 
 
-def _div(a, b):
-    bv = b.val if isinstance(b, Dual) else b
-    if bv == 0.0:
-        raise dual.DomainError("division by zero")
-    return a / b
-
-
 def _compile(node: tuple) -> Callable:
     """Turn an AST into nested closures over (t, y, dy).
 
@@ -275,7 +268,7 @@ def _compile(node: tuple) -> Callable:
     if tag == "mul":
         return lambda t, y, dy: left(t, y, dy) * right(t, y, dy)
     if tag == "div":
-        return lambda t, y, dy: _div(left(t, y, dy), right(t, y, dy))
+        return lambda t, y, dy: left(t, y, dy) / right(t, y, dy)
     raise AssertionError(f"unhandled node tag {tag!r}")
 
 
@@ -336,7 +329,13 @@ def _constant_argument(text: str, name: str) -> float:
     node = parse(text)
     if _contains_var(node):
         raise ValueError(f"catalog argument {text!r} must not reference variables")
-    return float(_compile(node)(0.0, 0.0, 0.0))
+    try:
+        value = float(_compile(node)(0.0, 0.0, 0.0))
+    except ArithmeticError as exc:
+        raise ValueError(f"catalog argument {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"catalog argument {text!r} is not finite")
+    return value
 
 
 def _build_const(arg: str | None, name: str) -> Lagrangian:
@@ -359,6 +358,8 @@ def _build_dy_squared(arg: str | None, name: str) -> Lagrangian:
 def _build_kinetic_minus_potential(arg: str | None, name: str) -> Lagrangian:
     omega = _constant_argument(arg, name)
     w2 = omega * omega
+    if not math.isfinite(w2):
+        raise ValueError(f"catalog argument {arg!r}: omega^2 overflows")
     return Lagrangian(
         lambda t, u, v: 0.5 * v * v - 0.5 * w2 * u * u,
         lambda t, u, v: -w2 * u,

@@ -4,7 +4,9 @@ Plain gradient descent on the interior value vector, with Armijo
 backtracking on each step.  The search direction is the exact first
 variation, so no step-size tuning enters the gradient itself.  Everything
 is deterministic: same problem, same configuration, same start, same
-result, bit for bit.
+result, bit for bit.  Each iterate evaluates its partials once (line-search
+trials evaluate values only), and the result's J, gradient sup-norm and
+EL1/EL2 reports reuse the final iterate's pass instead of evaluating again.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
@@ -25,10 +27,9 @@ from .lagrangian import EvalDomainError
 from .variational import (
     ELReport,
     VariationalProblem,
+    _el_reports,
     _functionals,
-    _gradient_raw,
-    el_residual_1,
-    el_residual_2,
+    _Partials,
 )
 
 __all__ = [
@@ -109,11 +110,6 @@ def chord(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, vals)
 
 
-def _signed_objective(p: VariationalProblem, vals: np.ndarray, sign: float) -> float:
-    jd, jn = _functionals(p, vals)
-    return sign * jd * jn
-
-
 def solve(
     p: VariationalProblem,
     config: SolverConfig | None = None,
@@ -142,14 +138,17 @@ def solve(
     converged = False
     iterations = 0
     for iterations in range(config.max_iterations + 1):
-        grad = sign * _gradient_raw(p, vals)
-        if float(np.max(np.abs(grad))) <= config.gradient_tolerance:
+        # The iterate's one density pass; every exit leaves it matching ``vals``.
+        parts = _Partials(p, vals)
+        grad = sign * parts.gradient()
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= config.gradient_tolerance:
             converged = True
             break
         if iterations == config.max_iterations:
             break
 
-        f0 = _signed_objective(p, vals, sign)
+        f0 = sign * parts.jd * parts.jn
         slope = float(np.dot(grad, grad))
         step = config.initial_step
         accepted = False
@@ -159,7 +158,8 @@ def solve(
             trial[1:-1] -= step * grad
             domain_failed = False
             try:
-                f1 = _signed_objective(p, trial, sign)
+                jd, jn = _functionals(p, trial)
+                f1 = sign * jd * jn
             except EvalDomainError:
                 domain_failed = True
                 f1 = None
@@ -184,17 +184,15 @@ def solve(
             # current point without claiming convergence.
             break
 
-    y = GridFunction(p.scale, vals)
-    jd, jn = _functionals(p, vals)
-    actual_grad = _gradient_raw(p, vals)
+    el1, el2 = _el_reports(p, parts)
     return SolveResult(
-        y=y,
-        j_value=jd * jn,
-        gradient_norm=float(np.max(np.abs(actual_grad))),
+        y=GridFunction(p.scale, vals),
+        j_value=parts.jd * parts.jn,
+        gradient_norm=grad_norm,
         iterations=iterations,
         converged=converged,
-        el1=el_residual_1(p, y),
-        el2=el_residual_2(p, y),
+        el1=el1,
+        el2=el2,
     )
 
 

@@ -24,8 +24,13 @@ equivalent conditions state that
     Jn * f(rho(t)) + Jd * g(t)        is one constant over lower-kappa, and
     Jn * f(t)      + Jd * g(sigma(t)) is one constant over upper-kappa.
 
-``el_residual_1`` and ``el_residual_2`` report those traces with their mean
-and the worst deviation from it.  When one factor is the normalized
+Both lines describe one array: its entry j is Jn * f + Jd * g with f taken
+at point index j and g at point index j + 1.  The first form attaches it to
+lower-kappa (at index j + 1), the second to upper-kappa (at index j), just as
+the delta and nabla derivative arrays are one array of quotients on two
+index sets.  ``el_residual_1`` and ``el_residual_2`` report that trace, its
+mean and its worst deviation from the mean; it is computed once and both
+reports share it read-only.  When one factor is the normalized
 constant density, the product objective degenerates to the other factor
 alone and the trace collapses (exactly) to the single-calculus condition
 reported by ``el_residual_cor1`` / ``el_residual_cor2``.  Differencing
@@ -37,7 +42,7 @@ doubly-truncated index sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,62 +150,85 @@ def _check_boundary(p: VariationalProblem, y: GridFunction) -> None:
         )
 
 
-def _functionals(p: VariationalProblem, vals: np.ndarray) -> tuple[float, float]:
-    """Both factor values from a raw value array (no allocation ceremony)."""
+def _slot_args(p: VariationalProblem, vals: np.ndarray):
+    """Gaps and the per-point (t, u, v) arguments of the delta and nabla slots."""
     pts = p.scale.points
     gaps = np.diff(pts)
-    quot = (vals[1:] - vals[:-1]) / gaps
-    ld = p.l_delta.eval
-    ln = p.l_nabla.eval
+    quot = ((vals[1:] - vals[:-1]) / gaps).tolist()
     # Delta slot: density at (t_i, y(i+1), quot_i) for i over upper-kappa.
-    jd = float(
-        np.dot(gaps, [ld(float(t), float(u), float(v)) for t, u, v in zip(pts[:-1], vals[1:], quot)])
-    )
+    delta_args = list(zip(pts[:-1].tolist(), vals[1:].tolist(), quot))
     # Nabla slot: density at (t_i, y(i-1), quot_{i-1}) for i over lower-kappa.
-    jn = float(
-        np.dot(gaps, [ln(float(t), float(u), float(v)) for t, u, v in zip(pts[1:], vals[:-1], quot)])
-    )
-    return jd, jn
+    nabla_args = list(zip(pts[1:].tolist(), vals[:-1].tolist(), quot))
+    return gaps, delta_args, nabla_args
+
+
+def _factor(gaps: np.ndarray, density, args) -> float:
+    return float(np.dot(gaps, [density(*a) for a in args]))
+
+
+def _functionals(p: VariationalProblem, vals: np.ndarray) -> tuple[float, float]:
+    """Both factor values from a raw value array; no partials."""
+    gaps, delta_args, nabla_args = _slot_args(p, vals)
+    return _factor(gaps, p.l_delta.eval, delta_args), _factor(gaps, p.l_nabla.eval, nabla_args)
 
 
 class _Partials:
-    """Per-point first partials of both densities along a fixed y."""
+    """One density pass along y: per-point first partials and both factors."""
 
     __slots__ = ("gaps", "d2d", "d3d", "d2n", "d3n", "jd", "jn")
 
     def __init__(self, p: VariationalProblem, vals: np.ndarray):
-        pts = p.scale.points
-        gaps = np.diff(pts)
-        quot = (vals[1:] - vals[:-1]) / gaps
-        delta_args = [
-            (float(t), float(u), float(v)) for t, u, v in zip(pts[:-1], vals[1:], quot)
-        ]
-        nabla_args = [
-            (float(t), float(u), float(v)) for t, u, v in zip(pts[1:], vals[:-1], quot)
-        ]
+        gaps, delta_args, nabla_args = _slot_args(p, vals)
         ld, ln = p.l_delta, p.l_nabla
         self.gaps = gaps
         self.d2d = np.array([ld.d2(*a) for a in delta_args])
         self.d3d = np.array([ld.d3(*a) for a in delta_args])
         self.d2n = np.array([ln.d2(*a) for a in nabla_args])
         self.d3n = np.array([ln.d3(*a) for a in nabla_args])
-        self.jd = float(np.dot(gaps, [ld.eval(*a) for a in delta_args]))
-        self.jn = float(np.dot(gaps, [ln.eval(*a) for a in nabla_args]))
+        self.jd = _factor(gaps, ld.eval, delta_args)
+        self.jn = _factor(gaps, ln.eval, nabla_args)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).
+
+    def gradient(self) -> np.ndarray:
+        gaps = self.gaps
+        # Hat variation at interior k survives in the delta sum only through
+        # the terms at i = k-1 (both slots) and i = k (derivative slot):
+        grad_d = gaps[:-1] * self.d2d[:-1] + self.d3d[:-1] - self.d3d[1:]
+        # and in the nabla sum through i = k+1 (both slots) and i = k:
+        grad_n = gaps[1:] * self.d2n[1:] - self.d3n[1:] + self.d3n[:-1]
+        return self.jn * grad_d + self.jd * grad_n
+
+    def el_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """f over upper-kappa and g over lower-kappa."""
+        gaps = self.gaps
+        # Running integrals of the state partials; entry k covers points < k
+        # (delta side) respectively points <= k (nabla side).
+        run_a = np.concatenate(([0.0], np.cumsum(gaps * self.d2d)))
+        run_b = np.concatenate(([0.0], np.cumsum(gaps * self.d2n)))
+        f = self.d3d - run_a[:-1]  # entry k: point index k over upper-kappa
+        g = self.d3n - run_b[1:]  # entry j: point index j+1 over lower-kappa
+        return f, g
+
+
+def _checked_partials(p: VariationalProblem, y: GridFunction) -> _Partials:
+    _check_boundary(p, y)
+    return _Partials(p, y.values)
 
 
 def j_delta(p: VariationalProblem, y: GridFunction) -> float:
     """The delta-type factor of the objective."""
     _check_alignment(p, y)
-    return _functionals(p, y.values)[0]
+    gaps, delta_args, _ = _slot_args(p, y.values)
+    return _factor(gaps, p.l_delta.eval, delta_args)
 
 
 def j_nabla(p: VariationalProblem, y: GridFunction) -> float:
     """The nabla-type factor of the objective."""
     _check_alignment(p, y)
-    return _functionals(p, y.values)[1]
+    gaps, _, nabla_args = _slot_args(p, y.values)
+    return _factor(gaps, p.l_nabla.eval, nabla_args)
 
 
 def j_product(p: VariationalProblem, y: GridFunction) -> float:
@@ -208,17 +236,6 @@ def j_product(p: VariationalProblem, y: GridFunction) -> float:
     _check_alignment(p, y)
     jd, jn = _functionals(p, y.values)
     return jd * jn
-
-
-def _gradient_raw(p: VariationalProblem, vals: np.ndarray) -> np.ndarray:
-    parts = _Partials(p, vals)
-    gaps = parts.gaps
-    # Hat variation at interior k survives in the delta sum only through the
-    # terms at i = k-1 (both slots) and i = k (derivative slot):
-    grad_d = gaps[:-1] * parts.d2d[:-1] + parts.d3d[:-1] - parts.d3d[1:]
-    # and in the nabla sum through i = k+1 (both slots) and i = k:
-    grad_n = gaps[1:] * parts.d2n[1:] - parts.d3n[1:] + parts.d3n[:-1]
-    return parts.jn * grad_d + parts.jd * grad_n
 
 
 def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarray:
@@ -229,35 +246,22 @@ def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarr
     hat function at k and obeys the product rule
     Jn * grad(Jd) + Jd * grad(Jn) exactly.
     """
-    _check_boundary(p, y)
-    return _gradient_raw(p, y.values)
+    return _checked_partials(p, y).gradient()
 
 
-def _el_ingredients(p: VariationalProblem, vals: np.ndarray):
-    parts = _Partials(p, vals)
-    gaps = parts.gaps
-    # Running integrals of the state partials; entry k covers points < k
-    # (delta side) respectively points <= k (nabla side).
-    run_a = np.concatenate(([0.0], np.cumsum(gaps * parts.d2d)))
-    run_b = np.concatenate(([0.0], np.cumsum(gaps * parts.d2n)))
-    f = parts.d3d - run_a[:-1]  # entry k: point index k over upper-kappa
-    g = parts.d3n - run_b[1:]  # entry j: point index j+1 over lower-kappa
-    return parts, f, g
-
-
-def _report(p, which, domain, trace, jd, jn) -> ELReport:
+def _report(p, which, kind: KappaKind, trace, parts: _Partials) -> ELReport:
+    trace.setflags(write=False)
     c = float(np.mean(trace))
     deviation = float(np.max(np.abs(trace - c)))
-    return ELReport(
-        which=which,
-        scale=p.scale,
-        domain=domain,
-        residual_trace=trace,
-        constant_c=c,
-        deviation=deviation,
-        j_delta=jd,
-        j_nabla=jn,
-    )
+    return ELReport(which, p.scale, kappa_set(p.scale, kind), trace, c, deviation,
+                    j_delta=parts.jd, j_nabla=parts.jn)
+
+
+def _el_reports(p: VariationalProblem, parts: _Partials) -> tuple[ELReport, ELReport]:
+    """EL1 and EL2 from their one shared, read-only trace Jn * f + Jd * g."""
+    f, g = parts.el_terms()
+    el1 = _report(p, "EL1", KappaKind.LOWER, parts.jn * f + parts.jd * g, parts)
+    return el1, replace(el1, which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
 
 
 def el_residual_1(p: VariationalProblem, y: GridFunction) -> ELReport:
@@ -266,10 +270,7 @@ def el_residual_1(p: VariationalProblem, y: GridFunction) -> ELReport:
     At point index i in lower-kappa the trace reads
     Jn * f(rho(i)) + Jd * g(i); at a stationary y it is a single constant.
     """
-    _check_boundary(p, y)
-    parts, f, g = _el_ingredients(p, y.values)
-    trace = parts.jn * f + parts.jd * g
-    return _report(p, "EL1", kappa_set(p.scale, KappaKind.LOWER), trace, parts.jd, parts.jn)
+    return _el_reports(p, _checked_partials(p, y))[0]
 
 
 def el_residual_2(p: VariationalProblem, y: GridFunction) -> ELReport:
@@ -279,28 +280,19 @@ def el_residual_2(p: VariationalProblem, y: GridFunction) -> ELReport:
     Jn * f(i) + Jd * g(sigma(i)); it carries the same constant as the
     backward form.
     """
-    _check_boundary(p, y)
-    parts, f, g = _el_ingredients(p, y.values)
-    trace = parts.jn * f + parts.jd * g
-    return _report(p, "EL2", kappa_set(p.scale, KappaKind.UPPER), trace, parts.jd, parts.jn)
+    return _el_reports(p, _checked_partials(p, y))[1]
 
 
 def el_residual_cor1(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Single-calculus nabla condition: g alone, over lower-kappa."""
-    _check_boundary(p, y)
-    parts, _, g = _el_ingredients(p, y.values)
-    return _report(
-        p, "corollary-EL1", kappa_set(p.scale, KappaKind.LOWER), g, parts.jd, parts.jn
-    )
+    parts = _checked_partials(p, y)
+    return _report(p, "corollary-EL1", KappaKind.LOWER, parts.el_terms()[1], parts)
 
 
 def el_residual_cor2(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Single-calculus delta condition: f alone, over upper-kappa."""
-    _check_boundary(p, y)
-    parts, f, _ = _el_ingredients(p, y.values)
-    return _report(
-        p, "corollary-EL2", kappa_set(p.scale, KappaKind.UPPER), f, parts.jd, parts.jn
-    )
+    parts = _checked_partials(p, y)
+    return _report(p, "corollary-EL2", KappaKind.UPPER, parts.el_terms()[0], parts)
 
 
 def classic_el_residuals(

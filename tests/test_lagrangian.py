@@ -123,11 +123,20 @@ def test_domain_error_reports_the_point():
     ("y^0.5", (0.0, -2.0, 0.0)),
     ("y^-1", (0.0, 0.0, 1.0)),
     ("exp(y)", (0.0, 1e9, 0.0)),
+    ("y/(dy-1)", (0.0, 2.0, 1.0)),
 ])
 def test_domain_errors(source, point):
+    # The value and both seeded partials fail at the same probe point; a
+    # quotient fails as a division by zero over floats and over duals alike.
     L = parse_lagrangian(source)
-    with pytest.raises(EvalDomainError):
-        L.eval(*point)
+    t, u, v = point
+    for method in (L.eval, L.d2, L.d3):
+        with pytest.raises(EvalDomainError) as exc:
+            method(*point)
+        assert (exc.value.t, exc.value.u, exc.value.v) == point
+        assert str(exc.value).endswith(f" at (t={t!r}, u={u!r}, v={v!r})")
+        if "/" in source:
+            assert str(exc.value).startswith("division by zero at ")
 
 
 def test_variable_exponent_over_negative_base():
@@ -295,6 +304,11 @@ def test_catalog_partials_match_finite_differences():
     ("const(1 +)", "syntax error"),
     ("dy_squared(3)", "takes no argument"),
     ("kinetic_minus_potential", "needs a constant argument"),
+    ("const(1e308*10)", "is not finite"),
+    ("const(1/0)", "division by zero"),
+    ("const(log(0))", "log of non-positive"),
+    ("const(exp(1000))", "catalog argument 'exp\\(1000\\)'"),
+    ("kinetic_minus_potential(1e200)", "omega\\^2 overflows"),
 ])
 def test_catalog_errors(spec, message):
     with pytest.raises(ValueError, match=message):

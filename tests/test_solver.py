@@ -14,6 +14,9 @@ from tsvar import (
     brute_force_oracle,
     catalog,
     chord,
+    el_residual_1,
+    el_residual_2,
+    first_variation_gradient,
     j_product,
     make_timescale,
     parse_lagrangian,
@@ -103,6 +106,32 @@ def test_solve_respects_iteration_budget():
     r = solve(p, SolverConfig(max_iterations=2), y0=y0)
     assert not r.converged
     assert r.iterations == 2
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_solve_report_matches_standalone_functions(maximize):
+    # The report reuses the final iterate's density pass; it must agree bit
+    # for bit with evaluating the public functions afresh at result.y.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 11),
+                           parse_lagrangian("dy^2 + y^2 + sin(t)*y"),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    r = solve(p, SolverConfig(max_iterations=5, maximize=maximize))
+    assert r.iterations == 5 and not r.converged
+    assert r.j_value == j_product(p, r.y)
+    assert r.gradient_norm == float(np.max(np.abs(first_variation_gradient(p, r.y))))
+    for got, want in ((r.el1, el_residual_1(p, r.y)), (r.el2, el_residual_2(p, r.y))):
+        assert got.which == want.which and got.domain == want.domain
+        np.testing.assert_array_equal(got.residual_trace, want.residual_trace)
+        assert got.constant_c == want.constant_c
+        assert got.deviation == want.deviation
+        assert (got.j_delta, got.j_nabla) == (want.j_delta, want.j_nabla)
+    # EL1 and EL2 are one trace on two index sets; neither can be edited
+    # through the other.
+    np.testing.assert_array_equal(r.el1.residual_trace, r.el2.residual_trace)
+    before = r.el2.residual_trace.copy()
+    with pytest.raises(ValueError):
+        r.el1.residual_trace[0] = 123.0
+    np.testing.assert_array_equal(r.el2.residual_trace, before)
 
 
 def test_solve_with_zero_budget_reports_start():
