@@ -141,23 +141,17 @@ def _same_scale(f: GridFunction, g: GridFunction) -> None:
         raise ValueError("grid functions live on different scales")
 
 
-def _gaps(ts: TimeScale) -> np.ndarray:
-    # gaps[i] is the forward graininess at index i and the backward
-    # graininess at index i+1; the two views share one array.
-    return np.diff(ts.points)
-
-
 def delta_derivative(y: GridFunction) -> PartialGridFunction:
     """Forward difference quotient, defined on the upper-kappa set."""
     vals = y.values
-    quot = (vals[1:] - vals[:-1]) / _gaps(y.scale)
+    quot = (vals[1:] - vals[:-1]) / y.scale.gaps
     return PartialGridFunction(y.scale, kappa_set(y.scale, KappaKind.UPPER), quot)
 
 
 def nabla_derivative(y: GridFunction) -> PartialGridFunction:
     """Backward difference quotient, defined on the lower-kappa set."""
     vals = y.values
-    quot = (vals[1:] - vals[:-1]) / _gaps(y.scale)
+    quot = (vals[1:] - vals[:-1]) / y.scale.gaps
     return PartialGridFunction(y.scale, kappa_set(y.scale, KappaKind.LOWER), quot)
 
 
@@ -178,7 +172,7 @@ def delta_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> 
     if stop is None:
         stop = len(f.scale) - 1
     _check_bounds(f.scale, start, stop)
-    return float(np.dot(_gaps(f.scale)[start:stop], f.values[start:stop]))
+    return float(np.dot(f.scale.gaps[start:stop], f.values[start:stop]))
 
 
 def nabla_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> float:
@@ -190,7 +184,7 @@ def nabla_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> 
     if stop is None:
         stop = len(f.scale) - 1
     _check_bounds(f.scale, start, stop)
-    return float(np.dot(_gaps(f.scale)[start:stop], f.values[start + 1 : stop + 1]))
+    return float(np.dot(f.scale.gaps[start:stop], f.values[start + 1 : stop + 1]))
 
 
 def compose_sigma(f: GridFunction) -> GridFunction:
@@ -220,8 +214,7 @@ def check_parts_formulas(f: GridFunction, g: GridFunction) -> tuple[float, float
     Each side telescopes exactly on an isolated scale.
     """
     _same_scale(f, g)
-    ts = f.scale
-    gaps = _gaps(ts)
+    gaps = f.scale.gaps
     fv, gv = f.values, g.values
     fd = delta_derivative(f).values
     gd = delta_derivative(g).values

@@ -14,7 +14,7 @@ __all__ = ["DomainError", "Dual", "cos", "exp", "log", "power", "sin", "sqrt"]
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the real domain (log or root of a negative, zero division)."""
+    """Evaluation left the real domain (log or root of a negative, zero division, sin of inf)."""
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,21 @@ def _lift(x) -> Dual:
 
 
 def sin(x):
-    if isinstance(x, Dual):
-        return Dual(math.sin(x.val), math.cos(x.val) * x.dot)
-    return math.sin(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.sin(x.val), math.cos(x.val) * x.dot)
+        return math.sin(x)
+    except ValueError:  # math.sin rejects +-inf with a bare ValueError
+        raise DomainError(f"sin of infinite value {getattr(x, 'val', x)!r}") from None
 
 
 def cos(x):
-    if isinstance(x, Dual):
-        return Dual(math.cos(x.val), -math.sin(x.val) * x.dot)
-    return math.cos(x)
+    try:
+        if isinstance(x, Dual):
+            return Dual(math.cos(x.val), -math.sin(x.val) * x.dot)
+        return math.cos(x)
+    except ValueError:  # math.cos rejects +-inf with a bare ValueError
+        raise DomainError(f"cos of infinite value {getattr(x, 'val', x)!r}") from None
 
 
 def exp(x):

@@ -8,8 +8,9 @@ the third slot (the derivative ``v``).  Two ways to build one:
   partials, e.g. ``"dy_squared"``, ``"const(0.5)"``,
   ``"kinetic_minus_potential(2)"``;
 * ``parse_lagrangian(source)`` for an expression in the variables ``t``,
-  ``y`` (the shifted state) and ``dy`` (the derivative), whose partials are
-  produced by forward-mode dual numbers.
+  ``y`` (the shifted state) and ``dy`` (the derivative).  The expression is
+  compiled once to a single Python function; the value and both partials
+  call it, the partials on forward-mode dual numbers.
 
 Expression grammar, tightest binding first: parentheses and function
 application; ``^`` (right-associative); unary minus; ``*`` and ``/``;
@@ -18,12 +19,14 @@ Functions: sin, cos, exp, log, sqrt.  Numbers are decimal literals with an
 optional exponent part.
 
 Evaluation outside the real domain (log or square root of a negative,
-division by zero, a negative base under a fractional power) raises
+division by zero, a negative base under a fractional power, sine or cosine
+of an infinite value) raises
 ``EvalDomainError`` carrying the probe point (t, u, v).
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -232,44 +235,37 @@ def _render(node: tuple, context: int) -> str:
     return text
 
 
-def _compile(node: tuple) -> Callable:
-    """Turn an AST into nested closures over (t, y, dy).
+# The compiled lambda's only globals; names come from the parser's whitelist.
+_SCOPE = {"__builtins__": {}, "power": dual.power, **FUNCTIONS}
+_BINARY = {"add": ast.Add, "sub": ast.Sub, "mul": ast.Mult, "div": ast.Div}
 
-    The closures are generic: they accept floats or duals in any slot, so
-    one compilation serves the value and both seeded-derivative paths.
-    """
+
+def _lower(node: tuple) -> ast.expr:
     tag = node[0]
     if tag == "num":
-        value = node[1]
-        return lambda t, y, dy: value
+        return ast.Constant(node[1])
     if tag == "var":
-        name = node[1]
-        if name == "t":
-            return lambda t, y, dy: t
-        if name == "y":
-            return lambda t, y, dy: y
-        return lambda t, y, dy: dy
+        return ast.Name(node[1], ast.Load())
     if tag == "neg":
-        inner = _compile(node[1])
-        return lambda t, y, dy: -inner(t, y, dy)
+        return ast.UnaryOp(ast.USub(), _lower(node[1]))
     if tag == "call":
-        fn = FUNCTIONS[node[1]]
-        inner = _compile(node[2])
-        return lambda t, y, dy: fn(inner(t, y, dy))
-    left = _compile(node[1])
+        return ast.Call(ast.Name(node[1], ast.Load()), [_lower(node[2])], [])
     if tag == "pow":
-        right = _compile(node[2])
-        return lambda t, y, dy: dual.power(left(t, y, dy), right(t, y, dy))
-    right = _compile(node[2])
-    if tag == "add":
-        return lambda t, y, dy: left(t, y, dy) + right(t, y, dy)
-    if tag == "sub":
-        return lambda t, y, dy: left(t, y, dy) - right(t, y, dy)
-    if tag == "mul":
-        return lambda t, y, dy: left(t, y, dy) * right(t, y, dy)
-    if tag == "div":
-        return lambda t, y, dy: left(t, y, dy) / right(t, y, dy)
-    raise AssertionError(f"unhandled node tag {tag!r}")
+        return ast.Call(ast.Name("power", ast.Load()), [_lower(node[1]), _lower(node[2])], [])
+    return ast.BinOp(_lower(node[1]), _BINARY[tag](), _lower(node[2]))
+
+
+def _compile(node: tuple) -> Callable:
+    """Compile an AST once into one Python function of (t, y, dy).
+
+    It takes floats or duals in any slot, so one compilation serves the value
+    and both partials.  Built from Python AST nodes, not source text, it has
+    no nesting limit from the tokenizer.
+    """
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in VARIABLES],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, _lower(node))))
+    return eval(compile(tree, "<density>", "eval"), _SCOPE)
 
 
 def _guarded(raw: Callable, assemble: Callable) -> Callable[[float, float, float], float]:

@@ -16,7 +16,7 @@ live only in ``TimeScale.points``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -83,6 +83,8 @@ class TimeScale:
     """An immutable, validated, strictly increasing point sequence."""
 
     points: np.ndarray
+    # gaps[i] = points[i+1] - points[i]: forward graininess at i, backward at i+1.
+    gaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float, copy=True)
@@ -101,7 +103,9 @@ class TimeScale:
                 raise TimeScaleError(f"duplicate point at index {i + 1}")
             raise TimeScaleError(f"points not increasing at index {i + 1}")
         pts.flags.writeable = False
+        diffs.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "gaps", diffs)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -172,7 +176,7 @@ def mu(ts: TimeScale, i: int) -> float:
     _check_index(ts, i)
     if i == len(ts) - 1:
         raise ValueError("forward graininess undefined at the last point")
-    return float(ts.points[i + 1] - ts.points[i])
+    return float(ts.gaps[i])
 
 
 def nu(ts: TimeScale, i: int) -> float:
@@ -180,7 +184,7 @@ def nu(ts: TimeScale, i: int) -> float:
     _check_index(ts, i)
     if i == 0:
         raise ValueError("backward graininess undefined at the first point")
-    return float(ts.points[i] - ts.points[i - 1])
+    return float(ts.gaps[i - 1])
 
 
 def kappa_set(ts: TimeScale, kind: KappaKind | str) -> KappaSet:

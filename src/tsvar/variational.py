@@ -152,8 +152,7 @@ def _check_boundary(p: VariationalProblem, y: GridFunction) -> None:
 
 def _slot_args(p: VariationalProblem, vals: np.ndarray):
     """Gaps and the per-point (t, u, v) arguments of the delta and nabla slots."""
-    pts = p.scale.points
-    gaps = np.diff(pts)
+    pts, gaps = p.scale.points, p.scale.gaps
     quot = ((vals[1:] - vals[:-1]) / gaps).tolist()
     # Delta slot: density at (t_i, y(i+1), quot_i) for i over upper-kappa.
     delta_args = list(zip(pts[:-1].tolist(), vals[1:].tolist(), quot))

@@ -152,11 +152,12 @@ def test_unknown_catalog_entry(tmp_path, capsys):
                  "unknown catalog")
 
 
-def test_unknown_solver_key(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["learning_rate", "seed"])
+def test_unknown_solver_key(tmp_path, capsys, key):
     data = dict(EXAMPLE)
-    data["solver"] = {"learning_rate": 0.1}
+    data["solver"] = {key: 0}
     expect_error(capsys, ["solve", write_problem(tmp_path, data)],
-                 "unknown solver keys: learning_rate")
+                 f"unknown solver keys: {key}")
 
 
 def test_bad_uniform_object(tmp_path, capsys):

@@ -58,6 +58,14 @@ def test_elementary_functions_match_math():
     assert log(2.0) == math.log(2.0)
 
 
+@pytest.mark.parametrize("fn", [sin, cos])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, Dual(math.inf, 1.0)])
+def test_trig_of_infinity_is_a_domain_error(fn, x):
+    # math.sin/math.cos raise a bare ValueError here; the dual layer names it
+    with pytest.raises(DomainError, match=f"{fn.__name__} of infinite value"):
+        fn(x)
+
+
 def test_chain_rule_through_composition():
     x = Dual(0.3, 1.0)
     f = sin(exp(x))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ def test_maximize_flips_the_descent_direction():
     audit = perturbation_audit(p, r, radius=0.25, trials=200)
     assert audit.classification == "local-max evidence"
     assert audit.j_max <= r.j_value
+
+
+def test_huge_gradient_still_takes_a_step():
+    # |grad| = 2e200, so |grad|^2 overflows a float; the Armijo threshold
+    # must stay finite for small steps instead of rejecting every trial
+    p = VariationalProblem(make_timescale([0.0, 1.0, 2.0]),
+                           parse_lagrangian("1e200*y"), catalog("const(1)"), 0.0, 0.0)
+    assert j_product(p, chord(p)) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = solve(p, SolverConfig(max_iterations=1))
+    assert r.iterations == 1
+    assert r.j_value < 0.0
 
 
 def test_step_underflow_raises_when_domain_never_clears():

@@ -13,9 +13,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tsvar import cli
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from tsvar import cli  # noqa: E402
+
 PROBLEMS = ROOT / "problems"
 GOLDENS = ROOT / "tests" / "goldens"
 
