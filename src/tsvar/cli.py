@@ -39,7 +39,7 @@ from .calculus import (
 from .lagrangian import Lagrangian, catalog, parse_lagrangian
 from .solver import SolveResult, SolverConfig, StepUnderflowError, solve
 from .timescale import TimeScale, make_timescale, uniform_scale
-from .variational import VariationalProblem, _checked_partials, _el_reports, j_delta, j_nabla
+from .variational import VariationalProblem, _checked_pass, _el_reports, j_delta, j_nabla
 
 __all__ = [
     "ProblemFileError",
@@ -208,7 +208,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_check_el(args: argparse.Namespace) -> int:
     problem, _ = load_problem_file(args.problem)
     y = read_y_csv(args.y, problem.scale)
-    r1, r2 = _el_reports(problem, _checked_partials(problem, y))
+    r1, r2 = _el_reports(problem, *_checked_pass(problem, y))
     _print_report(r1)
     _print_report(r2)
     ok = r1.passes(args.tol) and r2.passes(args.tol)

@@ -16,7 +16,10 @@ Expression grammar, tightest binding first: parentheses and function
 application; ``^`` (right-associative); unary minus; ``*`` and ``/``;
 ``+`` and ``-``.  So ``-y^2`` is ``-(y^2)`` and ``2^3^2`` is ``2^(3^2)``.
 Functions: sin, cos, exp, log, sqrt.  Numbers are decimal literals with an
-optional exponent part.
+optional exponent part.  At Python's default recursion limit an expression
+may nest about 190 parentheses or calls, 490 chained ``^``, or 980 unary
+minus signs or terms of a sum or product; a deeper one raises
+``ParseError`` with position 0.
 
 Evaluation outside the real domain (log or square root of a negative,
 division by zero, a negative base under a fractional power, sine or cosine
@@ -196,7 +199,10 @@ class _Parser:
 def parse(source: str) -> tuple:
     """Parse an expression into a tuple AST."""
     parser = _Parser(_tokenize(source))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", 0) from None
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise parser.fail(trailing, "end of input")
@@ -215,7 +221,7 @@ def to_source(node: tuple) -> str:
 def _render(node: tuple, context: int) -> str:
     tag = node[0]
     if tag == "num":
-        text = repr(node[1])
+        text = "1e999" if node[1] == math.inf else repr(node[1])
     elif tag == "var":
         text = node[1]
     elif tag == "call":
@@ -264,8 +270,11 @@ def _compile(node: tuple) -> Callable:
     """
     params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in VARIABLES],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
-    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, _lower(node))))
-    return eval(compile(tree, "<density>", "eval"), _SCOPE)
+    try:
+        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, _lower(node))))
+        return eval(compile(tree, "<density>", "eval"), _SCOPE)
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", 0) from None
 
 
 def _guarded(raw: Callable, assemble: Callable) -> Callable[[float, float, float], float]:
@@ -311,12 +320,13 @@ def parse_lagrangian(source: str) -> Lagrangian:
 
 
 def _contains_var(node: tuple) -> bool:
-    tag = node[0]
-    if tag == "var":
-        return True
-    if tag == "num":
-        return False
-    return any(_contains_var(child) for child in node[1:] if isinstance(child, tuple))
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == "var":
+            return True
+        stack.extend(child for child in node[1:] if isinstance(child, tuple))
+    return False
 
 
 def _constant_argument(text: str, name: str) -> float:

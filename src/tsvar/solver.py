@@ -1,12 +1,13 @@
 """Minimization of the product objective over interior values.
 
-Plain gradient descent on the interior value vector, with Armijo
-backtracking on each step.  The search direction is the exact first
-variation, so no step-size tuning enters the gradient itself.  Everything
-is deterministic: same problem, same configuration, same start, same
-result, bit for bit.  Each iterate evaluates its partials once (line-search
-trials evaluate values only), and the result's J, gradient sup-norm and
-EL1/EL2 reports reuse the final iterate's pass instead of evaluating again.
+Plain gradient descent on the interior value vector along the exact first
+variation.  Each step backtracks by one fixed Armijo policy: trial step 1,
+halved after each rejection down to 1e-300, accepted on strict decrease
+with Armijo constant 1e-4.  Everything is deterministic: same problem,
+configuration and start, same result, bit for bit.  Each iterate evaluates
+its partials once.  Trials evaluate the two factors only, the accepting
+trial's factors carry over to the next iterate, and the result's J,
+gradient sup-norm and EL1/EL2 reports reuse the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
@@ -44,7 +45,10 @@ __all__ = [
     "solve",
 ]
 
-# Below this step size the line search gives up.
+# The fixed line-search policy; below _STEP_FLOOR the search gives up.
+_INITIAL_STEP = 1.0
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
 _STEP_FLOOR = 1e-300
 
 
@@ -56,9 +60,6 @@ class StepUnderflowError(RuntimeError):
 class SolverConfig:
     max_iterations: int = 10000
     gradient_tolerance: float = 1e-10
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     maximize: bool = False
 
     def __post_init__(self) -> None:
@@ -66,12 +67,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be non-negative")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +122,19 @@ def solve(
     config = config or SolverConfig()
     if y0 is None:
         y0 = chord(p)
-    else:
-        start = GridFunction(p.scale, y0.values)
-        if float(start.values[0]) != p.alpha or float(start.values[-1]) != p.beta:
-            raise ValueError("initial guess does not satisfy the boundary values")
-        y0 = start
+    elif not np.array_equal(y0.scale.points, p.scale.points):
+        raise ValueError("initial guess does not live on the problem's scale")
+    elif float(y0.values[0]) != p.alpha or float(y0.values[-1]) != p.beta:
+        raise ValueError("initial guess does not satisfy the boundary values")
     sign = -1.0 if config.maximize else 1.0
 
     vals = np.array(y0.values, dtype=float, copy=True)
+    jd, jn = _functionals(p, vals)  # then carried over from each accepting trial
     converged = False
-    iterations = 0
     for iterations in range(config.max_iterations + 1):
-        # The iterate's one density pass; every exit leaves it matching ``vals``.
+        # The iterate's one partials pass; every exit leaves it matching ``vals``.
         parts = _Partials(p, vals)
-        grad = sign * parts.gradient()
+        grad = sign * parts.gradient(jd, jn)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.gradient_tolerance:
             converged = True
@@ -148,34 +142,27 @@ def solve(
         if iterations == config.max_iterations:
             break
 
-        f0 = sign * parts.jd * parts.jn
+        f0 = sign * jd * jn
         # An exact power-of-two rescale keeps |grad|^2 finite past |grad| ~ 1e154.
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
         slope = float(np.dot(grad / scale, grad / scale))
-        step = config.initial_step
-        accepted = False
-        domain_failed = False
+        step = _INITIAL_STEP
         while step >= _STEP_FLOOR:
             trial = vals.copy()
             trial[1:-1] -= step * grad
-            domain_failed = False
             try:
-                jd, jn = _functionals(p, trial)
-                f1 = sign * jd * jn
+                trial_jd, trial_jn = _functionals(p, trial)
             except EvalDomainError:
                 domain_failed = True
-                f1 = None
-            if (
-                f1 is not None
-                and np.isfinite(f1)
-                and f1 <= f0 - config.armijo_c * step * slope * scale * scale
-                and f1 < f0
-            ):
-                vals = trial
-                accepted = True
-                break
-            step *= config.backtrack_factor
-        if not accepted:
+            else:
+                domain_failed = False
+                f1 = sign * trial_jd * trial_jn
+                if np.isfinite(f1) and f1 < f0 and (
+                    f1 <= f0 - _ARMIJO_C * step * slope * scale * scale
+                ):
+                    break
+            step *= _BACKTRACK_FACTOR
+        else:
             if domain_failed:
                 raise StepUnderflowError(
                     "line search step underflowed while the Lagrangian kept raising "
@@ -184,11 +171,12 @@ def solve(
             # No admissible decrease at any representable step: report the
             # current point without claiming convergence.
             break
+        vals, jd, jn = trial, trial_jd, trial_jn
 
-    el1, el2 = _el_reports(p, parts)
+    el1, el2 = _el_reports(p, parts, jd, jn)
     return SolveResult(
         y=GridFunction(p.scale, vals),
-        j_value=parts.jd * parts.jn,
+        j_value=jd * jn,
         gradient_norm=grad_norm,
         iterations=iterations,
         converged=converged,

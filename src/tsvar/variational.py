@@ -172,9 +172,9 @@ def _functionals(p: VariationalProblem, vals: np.ndarray) -> tuple[float, float]
 
 
 class _Partials:
-    """One density pass along y: per-point first partials and both factors."""
+    """One partials pass along y: the gaps and the per-point first partials."""
 
-    __slots__ = ("gaps", "d2d", "d3d", "d2n", "d3n", "jd", "jn")
+    __slots__ = ("gaps", "d2d", "d3d", "d2n", "d3n")
 
     def __init__(self, p: VariationalProblem, vals: np.ndarray):
         gaps, delta_args, nabla_args = _slot_args(p, vals)
@@ -184,20 +184,18 @@ class _Partials:
         self.d3d = np.array([ld.d3(*a) for a in delta_args])
         self.d2n = np.array([ln.d2(*a) for a in nabla_args])
         self.d3n = np.array([ln.d3(*a) for a in nabla_args])
-        self.jd = _factor(gaps, ld.eval, delta_args)
-        self.jn = _factor(gaps, ln.eval, nabla_args)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).
 
-    def gradient(self) -> np.ndarray:
+    def gradient(self, jd: float, jn: float) -> np.ndarray:
         gaps = self.gaps
         # Hat variation at interior k survives in the delta sum only through
         # the terms at i = k-1 (both slots) and i = k (derivative slot):
         grad_d = gaps[:-1] * self.d2d[:-1] + self.d3d[:-1] - self.d3d[1:]
         # and in the nabla sum through i = k+1 (both slots) and i = k:
         grad_n = gaps[1:] * self.d2n[1:] - self.d3n[1:] + self.d3n[:-1]
-        return self.jn * grad_d + self.jd * grad_n
+        return jn * grad_d + jd * grad_n
 
     def el_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """f over upper-kappa and g over lower-kappa."""
@@ -211,9 +209,9 @@ class _Partials:
         return f, g
 
 
-def _checked_partials(p: VariationalProblem, y: GridFunction) -> _Partials:
+def _checked_pass(p: VariationalProblem, y: GridFunction) -> tuple[_Partials, float, float]:
     _check_boundary(p, y)
-    return _Partials(p, y.values)
+    return _Partials(p, y.values), *_functionals(p, y.values)
 
 
 def j_delta(p: VariationalProblem, y: GridFunction) -> float:
@@ -245,21 +243,22 @@ def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarr
     hat function at k and obeys the product rule
     Jn * grad(Jd) + Jd * grad(Jn) exactly.
     """
-    return _checked_partials(p, y).gradient()
+    parts, jd, jn = _checked_pass(p, y)
+    return parts.gradient(jd, jn)
 
 
-def _report(p, which, kind: KappaKind, trace, parts: _Partials) -> ELReport:
+def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
     trace.setflags(write=False)
     c = float(np.mean(trace))
     deviation = float(np.max(np.abs(trace - c)))
     return ELReport(which, p.scale, kappa_set(p.scale, kind), trace, c, deviation,
-                    j_delta=parts.jd, j_nabla=parts.jn)
+                    j_delta=jd, j_nabla=jn)
 
 
-def _el_reports(p: VariationalProblem, parts: _Partials) -> tuple[ELReport, ELReport]:
+def _el_reports(p, parts: _Partials, jd: float, jn: float) -> tuple[ELReport, ELReport]:
     """EL1 and EL2 from their one shared, read-only trace Jn * f + Jd * g."""
     f, g = parts.el_terms()
-    el1 = _report(p, "EL1", KappaKind.LOWER, parts.jn * f + parts.jd * g, parts)
+    el1 = _report(p, "EL1", KappaKind.LOWER, jn * f + jd * g, jd, jn)
     return el1, replace(el1, which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
 
 
@@ -269,7 +268,7 @@ def el_residual_1(p: VariationalProblem, y: GridFunction) -> ELReport:
     At point index i in lower-kappa the trace reads
     Jn * f(rho(i)) + Jd * g(i); at a stationary y it is a single constant.
     """
-    return _el_reports(p, _checked_partials(p, y))[0]
+    return _el_reports(p, *_checked_pass(p, y))[0]
 
 
 def el_residual_2(p: VariationalProblem, y: GridFunction) -> ELReport:
@@ -279,19 +278,19 @@ def el_residual_2(p: VariationalProblem, y: GridFunction) -> ELReport:
     Jn * f(i) + Jd * g(sigma(i)); it carries the same constant as the
     backward form.
     """
-    return _el_reports(p, _checked_partials(p, y))[1]
+    return _el_reports(p, *_checked_pass(p, y))[1]
 
 
 def el_residual_cor1(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Single-calculus nabla condition: g alone, over lower-kappa."""
-    parts = _checked_partials(p, y)
-    return _report(p, "corollary-EL1", KappaKind.LOWER, parts.el_terms()[1], parts)
+    parts, jd, jn = _checked_pass(p, y)
+    return _report(p, "corollary-EL1", KappaKind.LOWER, parts.el_terms()[1], jd, jn)
 
 
 def el_residual_cor2(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Single-calculus delta condition: f alone, over upper-kappa."""
-    parts = _checked_partials(p, y)
-    return _report(p, "corollary-EL2", KappaKind.UPPER, parts.el_terms()[0], parts)
+    parts, jd, jn = _checked_pass(p, y)
+    return _report(p, "corollary-EL2", KappaKind.UPPER, parts.el_terms()[0], jd, jn)
 
 
 def classic_el_residuals(

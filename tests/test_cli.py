@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tsvar import cli
+from tsvar import ParseError, cli, parse_lagrangian
 
 
 EXAMPLE = {
@@ -145,6 +145,20 @@ def test_bad_expression_reports_offset(tmp_path, capsys):
                  "syntax error at offset 4")
 
 
+@pytest.mark.parametrize("source", [
+    "-" * 1000 + "dy",
+    "(" * 300 + "dy" + ")" * 300,
+    "+".join(["dy"] * 5000),
+], ids=["neg-1000", "parens-300", "sum-5000"])
+def test_too_deep_expression_is_an_input_error(tmp_path, capsys, source):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_lagrangian(source)
+    data = dict(EXAMPLE)
+    data["lagrangian_delta"] = source
+    expect_error(capsys, ["solve", write_problem(tmp_path, data)],
+                 "expression is nested too deeply")
+
+
 def test_unknown_catalog_entry(tmp_path, capsys):
     data = dict(EXAMPLE)
     data["lagrangian_nabla"] = {"catalog": "wat"}
@@ -152,7 +166,9 @@ def test_unknown_catalog_entry(tmp_path, capsys):
                  "unknown catalog")
 
 
-@pytest.mark.parametrize("key", ["learning_rate", "seed"])
+@pytest.mark.parametrize("key", [
+    "learning_rate", "seed", "armijo_c", "backtrack_factor", "initial_step",
+])
 def test_unknown_solver_key(tmp_path, capsys, key):
     data = dict(EXAMPLE)
     data["solver"] = {key: 0}

@@ -207,6 +207,8 @@ def test_unknown_names():
     "-y^2",
     "(y + 1)*(dy - 1)",
     "sqrt(1 + dy^2)",
+    "1e999",
+    "1e999 * y",
 ])
 def test_print_parse_round_trip(source):
     ast = parse(source)
@@ -305,6 +307,16 @@ def test_catalog_const_evaluates_its_argument():
     assert catalog("const(1/4)").eval(0.0, 0.0, 0.0) == 0.25
     assert catalog("const(2*3)").eval(0.0, 0.0, 0.0) == 6.0
     assert catalog("const(-1.5e1)").eval(0.0, 0.0, 0.0) == -15.0
+
+
+def test_catalog_argument_nesting():
+    # The variable check walks any tree the parser accepts; deeper nesting
+    # is a ParseError, not a RecursionError.
+    assert catalog("const(" + "-" * 600 + "1)").eval(0.0, 0.0, 0.0) == 1.0
+    with pytest.raises(ParseError, match="nested too deeply"):
+        catalog("const(" + "-" * 1000 + "1)")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        catalog("const(" + "+".join(["1"] * 5000) + ")")
 
 
 def test_catalog_dy_squared_matches_parsed_form():

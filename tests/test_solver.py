@@ -15,6 +15,7 @@ from tsvar import (
     brute_force_oracle,
     catalog,
     chord,
+    classic_el_residuals,
     el_residual_1,
     el_residual_2,
     first_variation_gradient,
@@ -42,12 +43,6 @@ def test_config_validation():
         SolverConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         SolverConfig(gradient_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(initial_step=-2.0)
 
 
 def test_chord_is_linear_with_exact_endpoints():
@@ -135,6 +130,35 @@ def test_solve_report_matches_standalone_functions(maximize):
     np.testing.assert_array_equal(r.el2.residual_trace, before)
 
 
+def recording(lag, calls):
+    """``lag`` with the arguments of every value call appended to ``calls``."""
+
+    def recorded_eval(t, u, v):
+        calls.append((t, u, v))
+        return lag.eval(t, u, v)
+
+    return Lagrangian(recorded_eval, lag.d2, lag.d3, lag.origin)
+
+
+def test_no_value_pass_is_repeated():
+    # The pointwise residuals need no factor values.  A solve evaluates each
+    # iterate's values once: the accepting line-search trial's factors carry
+    # over, so no value pass repeats the one before it.
+    ts = uniform_scale(0.0, 1.0, 11)
+    calls = []
+    p = VariationalProblem(ts, recording(parse_lagrangian("dy^2 + y^2 + sin(t)*y"), calls),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    classic_el_residuals(p, chord(p))
+    assert calls == []
+    r = solve(p, SolverConfig(max_iterations=20))
+    assert r.iterations == 20 and not r.converged
+    m = len(ts) - 1
+    assert len(calls) % m == 0
+    passes = [calls[i:i + m] for i in range(0, len(calls), m)]
+    assert len(passes) > 20
+    assert all(a != b for a, b in zip(passes, passes[1:]))
+
+
 def test_solve_with_zero_budget_reports_start():
     p = square_problem()
     y0 = GridFunction(p.scale, [0.0, -5.0, 2.0])
@@ -151,6 +175,9 @@ def test_solve_rejects_bad_start():
     with pytest.raises(ValueError):
         solve(p, y0=GridFunction(make_timescale([0, 1, 2, 3]),
                                  [0.0, 1.0, 1.5, 2.0]))
+    # Same length and boundary values, but another scale.
+    with pytest.raises(ValueError, match="initial guess does not live on the problem's scale"):
+        solve(p, y0=GridFunction(make_timescale([0, 5, 100]), [0.0, 3.0, 2.0]))
 
 
 def test_solve_pure_nabla_dirichlet_hits_chord():
