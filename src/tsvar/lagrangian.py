@@ -1,42 +1,57 @@
 """Lagrangian densities L(t, u, v) with exact first partials.
 
-A Lagrangian is a triple of callables: the density itself and its partial
-derivatives with respect to the second slot (the shifted state ``u``) and
-the third slot (the derivative ``v``).  Two ways to build one:
+A Lagrangian is the density and its partial derivatives with respect to the
+second slot (the shifted state ``u``) and the third slot (the derivative
+``v``).  Two ways to build one:
 
-* ``catalog(name)`` for the built-in closed forms with hand-written
-  partials, e.g. ``"dy_squared"``, ``"const(0.5)"``,
-  ``"kinetic_minus_potential(2)"``;
 * ``parse_lagrangian(source)`` for an expression in the variables ``t``,
-  ``y`` (the shifted state) and ``dy`` (the derivative).  The expression is
-  compiled once to a single Python function; the value and both partials
-  call it, the partials on forward-mode dual numbers.
+  ``y`` (the shifted state) and ``dy`` (the derivative);
+* ``catalog(name)`` for a named template, e.g. ``"dy_squared"``,
+  ``"const(0.5)"``, ``"kinetic_minus_potential(2)"``, which expands to
+  expression source (``dy*dy``, ``0.5``, ``0.5*dy*dy - 0.5*4.0*y*y``) and
+  is parsed like any other.
+
+A parsed density is flattened once into a flat instruction list (see
+``tsvar.program``).  ``Lagrangian.values`` runs it over whole arrays of
+(t, u, v); ``Lagrangian.partials`` runs it once carrying two forward-mode
+tangents, seeded in ``y`` and in ``dy``.  Only ``+ - * /`` and negation run
+as numpy array operations, which round as Python floats do; ``^`` and the
+functions run per element through Python's ``**`` and ``math``, because
+numpy's ``power``, ``exp``, ``log``, ``sin`` and ``cos`` differ from libm in
+the last bit for some inputs.  So a grid pass gives bit for bit what the
+per-point callables ``eval``, ``d2`` and ``d3`` give at each point.  A
+``Lagrangian(eval, d2, d3, origin)`` built by hand has no instruction list;
+its ``values`` and ``partials`` call its callables once per point.
 
 Expression grammar, tightest binding first: parentheses and function
 application; ``^`` (right-associative); unary minus; ``*`` and ``/``;
 ``+`` and ``-``.  So ``-y^2`` is ``-(y^2)`` and ``2^3^2`` is ``2^(3^2)``.
 Functions: sin, cos, exp, log, sqrt.  Numbers are decimal literals with an
-optional exponent part.  At Python's default recursion limit an expression
-may nest about 190 parentheses or calls, 490 chained ``^``, or 980 unary
-minus signs or terms of a sum or product; a deeper one raises
-``ParseError`` with position 0.
+optional exponent part.  At Python's default recursion limit the parser
+accepts about 190 nested parentheses or calls, 490 chained ``^`` or 980
+unary minus signs; a deeper expression raises ``ParseError`` with position
+0.  A sum or product may have any number of terms.  Every expression the
+parser accepts evaluates.
 
 Evaluation outside the real domain (log or square root of a negative,
 division by zero, a negative base under a fractional power, sine or cosine
-of an infinite value) raises
-``EvalDomainError`` carrying the probe point (t, u, v).
+of an infinite value, overflow, a non-finite result) raises
+``EvalDomainError`` carrying the probe point (t, u, v).  A grid pass raises
+the error of its first failing point, every ``d2`` failure before any
+``d3`` failure.
 """
 
 from __future__ import annotations
 
-import ast
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
-from . import dual
-from .dual import Dual
+import numpy as np
+
+from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, Failure, flatten, run
 
 __all__ = [
     "CATALOG_BUILDERS",
@@ -49,9 +64,6 @@ __all__ = [
     "register_catalog",
     "to_source",
 ]
-
-VARIABLES = ("t", "y", "dy")
-FUNCTIONS = {"sin": dual.sin, "cos": dual.cos, "exp": dual.exp, "log": dual.log, "sqrt": dual.sqrt}
 
 
 class ParseError(ValueError):
@@ -74,12 +86,51 @@ class EvalDomainError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Density and exact first partials in the second and third slots."""
+    """Density and exact first partials in the second and third slots.
+
+    ``eval``, ``d2`` and ``d3`` take one point (t, u, v).  ``program`` is
+    the flat instruction list of a parsed density, or None for one built by
+    hand from callables.
+    """
 
     eval: Callable[[float, float, float], float]
     d2: Callable[[float, float, float], float]
     d3: Callable[[float, float, float], float]
     origin: str
+    program: tuple | None = None
+
+    def values(self, t, u, v) -> np.ndarray:
+        """The density at every point of the broadcast arrays (t, u, v)."""
+        if self.program is None:
+            return _per_point((self.eval,), t, u, v)[0]
+        (out,), (bad,) = run(self.program, t, u, v)
+        if bad is not None:
+            _raise_first(bad, self.eval, t, u, v)
+        return out
+
+    def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v)."""
+        if self.program is None:
+            return tuple(_per_point((self.d2, self.d3), t, u, v))
+        (d2, d3), bads = run(self.program, t, u, v, SEEDS)
+        for bad, point in zip(bads, (self.d2, self.d3)):
+            if bad is not None:
+                _raise_first(bad, point, t, u, v)
+        return d2, d3
+
+
+def _per_point(fns, t, u, v) -> list[np.ndarray]:
+    """Each callable at every point in turn, the way hand-built densities run."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(u), np.shape(v))
+    points = list(zip(*(np.broadcast_to(x, shape).ravel().tolist() for x in (t, u, v))))
+    return [np.array([fn(*a) for a in points], dtype=float).reshape(shape) for fn in fns]
+
+
+def _raise_first(bad: np.ndarray, point: Callable, t, u, v) -> None:
+    """Evaluate the first failing point alone, which raises its own error."""
+    i = int(np.argmax(bad))
+    point(*(float(np.broadcast_to(x, bad.shape).flat[i]) for x in (t, u, v)))
+    raise RuntimeError("a grid pass failed at a point where the point pass succeeds")
 
 
 class Token(NamedTuple):
@@ -241,148 +292,73 @@ def _render(node: tuple, context: int) -> str:
     return text
 
 
-# The compiled lambda's only globals; names come from the parser's whitelist.
-_SCOPE = {"__builtins__": {}, "power": dual.power, **FUNCTIONS}
-_BINARY = {"add": ast.Add, "sub": ast.Sub, "mul": ast.Mult, "div": ast.Div}
-
-
-def _lower(node: tuple) -> ast.expr:
-    tag = node[0]
-    if tag == "num":
-        return ast.Constant(node[1])
-    if tag == "var":
-        return ast.Name(node[1], ast.Load())
-    if tag == "neg":
-        return ast.UnaryOp(ast.USub(), _lower(node[1]))
-    if tag == "call":
-        return ast.Call(ast.Name(node[1], ast.Load()), [_lower(node[2])], [])
-    if tag == "pow":
-        return ast.Call(ast.Name("power", ast.Load()), [_lower(node[1]), _lower(node[2])], [])
-    return ast.BinOp(_lower(node[1]), _BINARY[tag](), _lower(node[2]))
-
-
-def _compile(node: tuple) -> Callable:
-    """Compile an AST once into one Python function of (t, y, dy).
-
-    It takes floats or duals in any slot, so one compilation serves the value
-    and both partials.  Built from Python AST nodes, not source text, it has
-    no nesting limit from the tokenizer.
-    """
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in VARIABLES],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
+def _point(program: tuple, seeds: tuple, t: float, u: float, v: float) -> float:
+    """The value (no seeds) or the one seeded partial at a single point."""
     try:
-        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, _lower(node))))
-        return eval(compile(tree, "<density>", "eval"), _SCOPE)
-    except RecursionError:
-        raise ParseError("expression is nested too deeply", 0) from None
-
-
-def _guarded(raw: Callable, assemble: Callable) -> Callable[[float, float, float], float]:
-    def run(t: float, u: float, v: float) -> float:
-        try:
-            out = assemble(raw, t, u, v)
-        except dual.DomainError as exc:
-            raise EvalDomainError(str(exc), t, u, v) from exc
-        except ZeroDivisionError as exc:
-            raise EvalDomainError("division by zero", t, u, v) from exc
-        except OverflowError as exc:
-            raise EvalDomainError("overflow", t, u, v) from exc
-        if not math.isfinite(out):
-            raise EvalDomainError("non-finite value", t, u, v)
-        return out
-
-    return run
-
-
-def _value(raw, t, u, v):
-    return float(raw(t, u, v))
-
-
-def _seed_u(raw, t, u, v):
-    out = raw(t, Dual(u, 1.0), Dual(v, 0.0))
-    return out.dot if isinstance(out, Dual) else 0.0
-
-
-def _seed_v(raw, t, u, v):
-    out = raw(t, Dual(u, 0.0), Dual(v, 1.0))
-    return out.dot if isinstance(out, Dual) else 0.0
+        (out,), _ = run(program, float(t), float(u), float(v), seeds, point=True)
+    except Failure as exc:
+        raise EvalDomainError(str(exc), t, u, v) from None
+    return float(out)
 
 
 def parse_lagrangian(source: str) -> Lagrangian:
-    """Build a Lagrangian from expression source; partials via dual numbers."""
-    raw = _compile(parse(source))
+    """Build a Lagrangian from expression source; partials by forward-mode tangents."""
+    program = flatten(parse(source))
     return Lagrangian(
-        eval=_guarded(raw, _value),
-        d2=_guarded(raw, _seed_u),
-        d3=_guarded(raw, _seed_v),
+        eval=partial(_point, program, ()),
+        d2=partial(_point, program, (SEED_U,)),
+        d3=partial(_point, program, (SEED_V,)),
         origin=source,
+        program=program,
     )
-
-
-def _contains_var(node: tuple) -> bool:
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node[0] == "var":
-            return True
-        stack.extend(child for child in node[1:] if isinstance(child, tuple))
-    return False
 
 
 def _constant_argument(text: str, name: str) -> float:
     if text is None or not text.strip():
         raise ValueError(f"catalog entry {name!r} needs a constant argument")
-    node = parse(text)
-    if _contains_var(node):
+    program = flatten(parse(text))
+    if any(op == "var" for op, *_ in program):
         raise ValueError(f"catalog argument {text!r} must not reference variables")
     try:
-        value = float(_compile(node)(0.0, 0.0, 0.0))
-    except ArithmeticError as exc:
+        (value,), _ = run(program, 0.0, 0.0, 0.0, point=True, finite=False)
+    except Failure as exc:
         raise ValueError(f"catalog argument {text!r}: {exc}") from exc
     if not math.isfinite(value):
         raise ValueError(f"catalog argument {text!r} is not finite")
-    return value
+    return float(value)
 
 
-def _build_const(arg: str | None, name: str) -> Lagrangian:
-    k = _constant_argument(arg, name)
-    zero = lambda t, u, v: 0.0  # noqa: E731
-    return Lagrangian(lambda t, u, v: k, zero, zero, name)
+def _build_const(arg: str | None, name: str) -> str:
+    return repr(_constant_argument(arg, name))
 
 
-def _build_dy_squared(arg: str | None, name: str) -> Lagrangian:
+def _build_dy_squared(arg: str | None, name: str) -> str:
     if arg is not None:
         raise ValueError("dy_squared takes no argument")
-    return Lagrangian(
-        lambda t, u, v: v * v,
-        lambda t, u, v: 0.0,
-        lambda t, u, v: 2.0 * v,
-        name,
-    )
+    return "dy*dy"
 
 
-def _build_kinetic_minus_potential(arg: str | None, name: str) -> Lagrangian:
+def _build_kinetic_minus_potential(arg: str | None, name: str) -> str:
     omega = _constant_argument(arg, name)
     w2 = omega * omega
     if not math.isfinite(w2):
         raise ValueError(f"catalog argument {arg!r}: omega^2 overflows")
-    return Lagrangian(
-        lambda t, u, v: 0.5 * v * v - 0.5 * w2 * u * u,
-        lambda t, u, v: -w2 * u,
-        lambda t, u, v: v,
-        name,
-    )
+    return f"0.5*dy*dy - 0.5*{w2!r}*y*y"
 
 
-CATALOG_BUILDERS: dict[str, Callable[[str | None, str], Lagrangian]] = {
+CATALOG_BUILDERS: dict[str, Callable[[str | None, str], str]] = {
     "const": _build_const,
     "dy_squared": _build_dy_squared,
     "kinetic_minus_potential": _build_kinetic_minus_potential,
 }
 
 
-def register_catalog(name: str, builder: Callable[[str | None, str], Lagrangian]) -> None:
-    """Add a catalog entry; the builder receives (argument_text, full_name)."""
+def register_catalog(name: str, builder: Callable[[str | None, str], str]) -> None:
+    """Add a catalog entry.
+
+    The builder receives (argument_text, full_name) and returns the entry's
+    expression source, which ``catalog`` parses.
+    """
     CATALOG_BUILDERS[name] = builder
 
 
@@ -390,7 +366,7 @@ _CATALOG_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
 
 def catalog(name: str) -> Lagrangian:
-    """Look up a closed-form Lagrangian, e.g. ``"const(0.5)"`` or ``"dy_squared"``."""
+    """Look up a named template, e.g. ``"const(0.5)"`` or ``"dy_squared"``."""
     m = _CATALOG_RE.match(name.strip())
     if m is None:
         raise ValueError(f"malformed catalog name {name!r}")
@@ -399,4 +375,4 @@ def catalog(name: str) -> Lagrangian:
     if builder is None:
         known = ", ".join(sorted(CATALOG_BUILDERS))
         raise ValueError(f"unknown catalog Lagrangian {base!r}; known entries: {known}")
-    return builder(arg, name.strip())
+    return replace(parse_lagrangian(builder(arg, name.strip())), origin=name.strip())

@@ -5,19 +5,24 @@ variation.  Each step backtracks by one fixed Armijo policy: trial step 1,
 halved after each rejection down to 1e-300, accepted on strict decrease
 with Armijo constant 1e-4.  Everything is deterministic: same problem,
 configuration and start, same result, bit for bit.  Each iterate evaluates
-its partials once.  Trials evaluate the two factors only, the accepting
-trial's factors carry over to the next iterate, and the result's J,
-gradient sup-norm and EL1/EL2 reports reuse the final iterate's pass.
+its partials once, in one grid pass per factor.  Trials evaluate the two
+factors only, the accepting trial's factors carry over to the next
+iterate, and the result's J, gradient sup-norm and EL1/EL2 reports reuse
+the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
-best cell.  ``perturbation_audit`` samples random boundary-respecting
-perturbations around a solution and reports whether any of them beat it.
+best cell.  It evaluates the candidates in chunks, one value pass per
+factor over each chunk's (candidates x points) array; a chunk in which any
+candidate raises is evaluated again one candidate at a time, so that only
+the failing candidates are skipped.  Each candidate's J equals
+``j_product`` bit for bit.  ``perturbation_audit`` samples random
+boundary-respecting perturbations around a solution and reports whether
+any of them beat it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ from .variational import (
     _el_reports,
     _functionals,
     _Partials,
+    _slot_args,
 )
 
 __all__ = [
@@ -50,6 +56,8 @@ _INITIAL_STEP = 1.0
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _STEP_FLOOR = 1e-300
+# Candidates per value pass of the brute-force oracle; bounds its memory.
+_ORACLE_CHUNK = 256
 
 
 class StepUnderflowError(RuntimeError):
@@ -133,7 +141,7 @@ def solve(
     converged = False
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
-        parts = _Partials(p, vals)
+        parts = _Partials(p, _slot_args(p, vals))
         grad = sign * parts.gradient(jd, jn)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.gradient_tolerance:
@@ -185,6 +193,38 @@ def solve(
     )
 
 
+def _candidate_objectives(p: VariationalProblem, interiors: np.ndarray) -> np.ndarray:
+    """J of each candidate row of interior values; +inf where it fails or is not finite.
+
+    All candidates go through one value pass per factor.  If any of them
+    raises, each candidate is evaluated on its own, so that only the
+    failing ones are dropped.
+    """
+    vals = np.empty((len(interiors), len(p.scale)))
+    vals[:, 0] = p.alpha
+    vals[:, 1:-1] = interiors
+    vals[:, -1] = p.beta
+    try:
+        gaps, delta, nabla = _slot_args(p, vals)
+        column = gaps[:, None]
+        with np.errstate(all="ignore"):
+            # A stacked product: each row sums exactly as np.dot(gaps, row) does.
+            jd = np.matmul(p.l_delta.values(*delta)[:, None, :], column)[:, 0, 0]
+            jn = np.matmul(p.l_nabla.values(*nabla)[:, None, :], column)[:, 0, 0]
+            j = jd * jn
+    except EvalDomainError:
+        j = np.empty(len(vals))
+        for i, row in enumerate(vals):
+            try:
+                jd_i, jn_i = _functionals(p, row)
+            except EvalDomainError:
+                j[i] = np.inf
+            else:
+                j[i] = jd_i * jn_i
+    j[~np.isfinite(j)] = np.inf
+    return j
+
+
 def brute_force_oracle(
     p: VariationalProblem, bounds: tuple[float, float], resolution: int
 ) -> GridFunction:
@@ -205,38 +245,36 @@ def brute_force_oracle(
     if not lo < hi:
         raise ValueError(f"invalid bounds ({lo!r}, {hi!r})")
 
-    work = np.empty(len(p.scale))
-    work[0] = p.alpha
-    work[-1] = p.beta
-
-    def scan(axes: list[np.ndarray]) -> tuple[tuple[float, ...], float]:
+    def scan(axes: list[np.ndarray]) -> tuple[float, ...]:
         best_combo: tuple[float, ...] | None = None
         best_j = np.inf
-        for combo in itertools.product(*axes):
-            work[1:-1] = combo
-            try:
-                jd, jn = _functionals(p, work)
-            except EvalDomainError:
-                continue
-            j = jd * jn
-            if np.isfinite(j) and j < best_j:
-                best_combo = combo
-                best_j = j
+        # Candidates in lexicographic order, built one chunk at a time.
+        count = resolution**interior
+        for start in range(0, count, _ORACLE_CHUNK):
+            index = np.unravel_index(np.arange(start, min(start + _ORACLE_CHUNK, count)), (resolution,) * interior)
+            chunk = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+            j = _candidate_objectives(p, chunk)
+            k = int(np.argmin(j))  # the first minimum keeps the lexicographic tie-break
+            if j[k] < best_j:
+                best_combo = tuple(chunk[k])
+                best_j = j[k]
         if best_combo is None:
             raise ValueError("no feasible candidate inside the search bounds")
-        return best_combo, best_j
+        return best_combo
 
     coarse_axis = np.linspace(lo, hi, resolution)
     coarse_step = (hi - lo) / (resolution - 1)
-    best, _ = scan([coarse_axis] * interior)
+    best = scan([coarse_axis] * interior)
     refined_axes = [
         np.linspace(max(lo, c - coarse_step), min(hi, c + coarse_step), resolution)
         for c in best
     ]
-    best, _ = scan(refined_axes)
+    best = scan(refined_axes)
 
-    final = work.copy()
+    final = np.empty(len(p.scale))
+    final[0] = p.alpha
     final[1:-1] = best
+    final[-1] = p.beta
     return GridFunction(p.scale, final)
 
 

@@ -37,6 +37,13 @@ reported by ``el_residual_cor1`` / ``el_residual_cor2``.  Differencing
 those single-calculus traces once recovers the pointwise Euler-Lagrange
 equations, which ``classic_el_residuals`` evaluates directly on the
 doubly-truncated index sets.
+
+Each factor's densities are evaluated over the whole grid at once: one
+``Lagrangian.values`` call per factor for the values, and one
+``Lagrangian.partials`` call per factor for both first partials.  The
+difference quotients and the factor sums are computed with numpy's
+floating-point warnings off, so an overflow shows as a non-finite value
+(which the density rejects as a domain error) or a non-finite factor.
 """
 
 from __future__ import annotations
@@ -151,24 +158,33 @@ def _check_boundary(p: VariationalProblem, y: GridFunction) -> None:
 
 
 def _slot_args(p: VariationalProblem, vals: np.ndarray):
-    """Gaps and the per-point (t, u, v) arguments of the delta and nabla slots."""
+    """Gaps and the (t, u, v) arrays of the delta and the nabla slots.
+
+    ``vals`` holds one value per point, or one row of values per candidate;
+    the slot arrays then have a row per candidate, and ``t`` broadcasts.
+    """
     pts, gaps = p.scale.points, p.scale.gaps
-    quot = ((vals[1:] - vals[:-1]) / gaps).tolist()
+    with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
+        quot = (vals[..., 1:] - vals[..., :-1]) / gaps
     # Delta slot: density at (t_i, y(i+1), quot_i) for i over upper-kappa.
-    delta_args = list(zip(pts[:-1].tolist(), vals[1:].tolist(), quot))
     # Nabla slot: density at (t_i, y(i-1), quot_{i-1}) for i over lower-kappa.
-    nabla_args = list(zip(pts[1:].tolist(), vals[:-1].tolist(), quot))
-    return gaps, delta_args, nabla_args
+    return gaps, (pts[:-1], vals[..., 1:], quot), (pts[1:], vals[..., :-1], quot)
 
 
-def _factor(gaps: np.ndarray, density, args) -> float:
-    return float(np.dot(gaps, [density(*a) for a in args]))
+def _factor(gaps: np.ndarray, values: np.ndarray) -> float:
+    with np.errstate(all="ignore"):  # an overflowing sum is a non-finite factor
+        return float(np.dot(gaps, values))
+
+
+def _factors(p: VariationalProblem, args) -> tuple[float, float]:
+    """Both factor values from the slot arguments; one value pass per factor."""
+    gaps, delta, nabla = args
+    return _factor(gaps, p.l_delta.values(*delta)), _factor(gaps, p.l_nabla.values(*nabla))
 
 
 def _functionals(p: VariationalProblem, vals: np.ndarray) -> tuple[float, float]:
     """Both factor values from a raw value array; no partials."""
-    gaps, delta_args, nabla_args = _slot_args(p, vals)
-    return _factor(gaps, p.l_delta.eval, delta_args), _factor(gaps, p.l_nabla.eval, nabla_args)
+    return _factors(p, _slot_args(p, vals))
 
 
 class _Partials:
@@ -176,14 +192,11 @@ class _Partials:
 
     __slots__ = ("gaps", "d2d", "d3d", "d2n", "d3n")
 
-    def __init__(self, p: VariationalProblem, vals: np.ndarray):
-        gaps, delta_args, nabla_args = _slot_args(p, vals)
-        ld, ln = p.l_delta, p.l_nabla
+    def __init__(self, p: VariationalProblem, args):
+        gaps, delta, nabla = args
         self.gaps = gaps
-        self.d2d = np.array([ld.d2(*a) for a in delta_args])
-        self.d3d = np.array([ld.d3(*a) for a in delta_args])
-        self.d2n = np.array([ln.d2(*a) for a in nabla_args])
-        self.d3n = np.array([ln.d3(*a) for a in nabla_args])
+        self.d2d, self.d3d = p.l_delta.partials(*delta)
+        self.d2n, self.d3n = p.l_nabla.partials(*nabla)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).
@@ -211,21 +224,22 @@ class _Partials:
 
 def _checked_pass(p: VariationalProblem, y: GridFunction) -> tuple[_Partials, float, float]:
     _check_boundary(p, y)
-    return _Partials(p, y.values), *_functionals(p, y.values)
+    args = _slot_args(p, y.values)
+    return _Partials(p, args), *_factors(p, args)
 
 
 def j_delta(p: VariationalProblem, y: GridFunction) -> float:
     """The delta-type factor of the objective."""
     _check_alignment(p, y)
-    gaps, delta_args, _ = _slot_args(p, y.values)
-    return _factor(gaps, p.l_delta.eval, delta_args)
+    gaps, delta, _ = _slot_args(p, y.values)
+    return _factor(gaps, p.l_delta.values(*delta))
 
 
 def j_nabla(p: VariationalProblem, y: GridFunction) -> float:
     """The nabla-type factor of the objective."""
     _check_alignment(p, y)
-    gaps, _, nabla_args = _slot_args(p, y.values)
-    return _factor(gaps, p.l_nabla.eval, nabla_args)
+    gaps, _, nabla = _slot_args(p, y.values)
+    return _factor(gaps, p.l_nabla.values(*nabla))
 
 
 def j_product(p: VariationalProblem, y: GridFunction) -> float:
@@ -305,7 +319,7 @@ def classic_el_residuals(
     _check_boundary(p, y)
     if len(p.scale) < 4:
         raise ValueError(f"need at least 4 points for the pointwise residuals, got {len(p.scale)}")
-    parts = _Partials(p, y.values)
+    parts = _Partials(p, _slot_args(p, y.values))
     gaps = parts.gaps
     delta_res = (parts.d3d[1:] - parts.d3d[:-1]) / gaps[:-1] - parts.d2d[:-1]
     nabla_res = (parts.d3n[1:] - parts.d3n[:-1]) / gaps[1:] - parts.d2n[1:]

@@ -1,8 +1,12 @@
-"""First-order dual numbers for forward-mode differentiation.
+"""First-order dual numbers: the tests' reference for density partials.
 
 A ``Dual`` carries a value and a single tangent component.  Seeding the
 tangent of one input with 1.0 and evaluating an expression yields the exact
 partial derivative with respect to that input, no step-size involved.
+
+Walking a density's AST with these numbers, one point at a time, is the
+reference that ``tsvar.lagrangian``'s grid evaluation must match bit for
+bit: its value, both partials, and the points where it fails.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsvar.dual import Dual, DomainError, cos, exp, log, power, sin, sqrt
+from dual import Dual, DomainError, cos, exp, log, power, sin, sqrt
 
 
 finite = st.floats(min_value=-50, max_value=50)

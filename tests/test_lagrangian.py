@@ -1,12 +1,14 @@
 import math
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsvar import EvalDomainError, ParseError, catalog, dual, parse_lagrangian
-from tsvar.dual import Dual
+import dual
+from tsvar import EvalDomainError, ParseError, catalog, parse_lagrangian
+from dual import Dual
 from tsvar.lagrangian import (
     CATALOG_BUILDERS,
     FUNCTIONS,
@@ -219,7 +221,7 @@ def test_print_parse_round_trip(source):
 
 
 ast_leaves = st.one_of(
-    st.sampled_from([("var", "t"), ("var", "y"), ("var", "dy")]),
+    st.sampled_from([("var", "t"), ("var", "y"), ("var", "dy"), ("num", math.inf)]),
     st.floats(min_value=0.0, max_value=10.0).map(lambda x: ("num", x)),
 )
 
@@ -250,46 +252,131 @@ def eval_ast(node, env):
 
 
 def reference(ast, t, u, v):
-    """Value, d/du and d/dv by walking the AST; None where the walk fails."""
+    """Value, d/du and d/dv by walking the AST one point at a time.
+
+    Where the walk fails the entry is the message an ``EvalDomainError``
+    carries for it.
+    """
     out = []
     for y, dy in ((u, v), (Dual(u, 1.0), Dual(v, 0.0)), (Dual(u, 0.0), Dual(v, 1.0))):
         try:
             r = eval_ast(ast, {"t": t, "y": y, "dy": dy})
-        except ArithmeticError:
-            out.append(None)
+        except dual.DomainError as exc:
+            out.append(str(exc))
+            continue
+        except ZeroDivisionError:
+            out.append("division by zero")
+            continue
+        except OverflowError:
+            out.append("overflow")
             continue
         if isinstance(y, Dual):
             r = r.dot if isinstance(r, Dual) else 0.0
-        out.append(r if math.isfinite(r) else None)
+        out.append(r if math.isfinite(r) else "non-finite value")
     return out
 
 
-@given(st.recursive(ast_leaves, _extend, max_leaves=12))
-def test_random_ast_round_trip(ast):
-    # The compiled density matches a direct walk of the AST bit for bit, for
-    # the value and both seeded partials, and fails exactly where it fails.
+def same_float(a, b):
+    """Equal bit for bit, the sign of zero included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def expect(call, want, points):
+    """``call()`` equals ``want`` at every point, or raises the first failure's error."""
+    failed = [i for i, w in enumerate(want) if isinstance(w, str)]
+    if failed:
+        i = failed[0]
+        t, u, v = points[i]
+        with pytest.raises(EvalDomainError) as exc:
+            call()
+        assert str(exc.value) == f"{want[i]} at (t={t!r}, u={u!r}, v={v!r})"
+        return None
+    got = call()
+    assert all(same_float(g, w) for g, w in zip(got.tolist(), want))
+    return got
+
+
+GRID_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, math.inf]),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+@given(st.recursive(ast_leaves, _extend, max_leaves=12),
+       st.lists(st.tuples(GRID_VALUES, GRID_VALUES, GRID_VALUES), min_size=1, max_size=8))
+def test_random_ast_round_trip(ast, grid):
+    # The parsed density matches a dual-number walk of the AST bit for bit,
+    # for the value and both seeded partials, point by point and over a
+    # whole grid, and fails where the walk fails, with the walk's message
+    # for the first failing point.
     printed = to_source(ast)
     assert parse(printed) == ast
     L = parse_lagrangian(printed)
-    for (t, u, v) in PROBES:
-        for method, want in zip((L.eval, L.d2, L.d3), reference(ast, t, u, v)):
-            if want is None:
-                with pytest.raises(EvalDomainError):
-                    method(t, u, v)
-            else:
-                assert method(t, u, v) == want
+    for point in PROBES + grid:
+        for method, want in zip((L.eval, L.d2, L.d3), reference(ast, *point)):
+            expect(lambda: np.array([method(*point)]), [want], [point])
+    want = [reference(ast, *point) for point in grid]
+    t, u, v = (np.array(column) for column in zip(*grid))
+    expect(lambda: L.values(t, u, v), [w[0] for w in want], grid)
+    d2_want, d3_want = [w[1] for w in want], [w[2] for w in want]
+    # A partials pass reports any d2 failure before any d3 failure.
+    if any(isinstance(w, str) for w in d2_want):
+        expect(lambda: L.partials(t, u, v)[0], d2_want, grid)
+    elif expect(lambda: L.partials(t, u, v)[1], d3_want, grid) is not None:
+        expect(lambda: L.partials(t, u, v)[0], d2_want, grid)
 
 
 @pytest.mark.parametrize("source,point,expected", [
     ("+".join(["y"] * 600), (0.0, 1.5, 0.0), (900.0, 600.0, 0.0)),
     ("-" * 900 + "y", (0.0, 1.5, 0.0), (1.5, 1.0, 0.0)),
     ("*".join(["dy"] * 300), (0.0, 0.0, 2.0), (2.0 ** 300, 0.0, 300 * 2.0 ** 299)),
-], ids=["sum-600", "neg-900", "product-300"])
+    ("+".join(["y"] * 5000), (0.0, 1.5, 0.0), (7500.0, 5000.0, 0.0)),
+], ids=["sum-600", "neg-900", "product-300", "sum-5000"])
 def test_deeply_nested_expressions(source, point, expected):
-    # Nesting far past the Python tokenizer's 200-parenthesis limit compiles
-    # and evaluates exactly.
+    # Nesting far past the Python tokenizer's 200-parenthesis limit
+    # evaluates exactly, point by point and over a grid.
     L = parse_lagrangian(source)
     assert (L.eval(*point), L.d2(*point), L.d3(*point)) == expected
+    t, u, v = (np.full(3, x) for x in point)
+    assert (L.values(t, u, v).tolist(), *(d.tolist() for d in L.partials(t, u, v))) == tuple(
+        [x] * 3 for x in expected)
+
+
+# Each form nested n deep, and its (value, d2, d3) at (t, y, dy) = (0, 1, 1).
+NESTINGS = {
+    "parens": (lambda n: "(" * n + "y" + ")" * n, lambda n: (1.0, 1.0, 0.0)),
+    "calls": (lambda n: "sqrt(" * n + "y" + ")" * n, lambda n: (1.0, 0.5 ** n, 0.0)),
+    "neg": (lambda n: "-" * n + "y", lambda n: ((-1.0) ** n, (-1.0) ** n, 0.0)),
+    "pow": (lambda n: "y" + "^1" * n, lambda n: (1.0, 1.0, 0.0)),
+    "sum": (lambda n: "+".join(["y"] * n), lambda n: (float(n), float(n), 0.0)),
+    "product": (lambda n: "*".join(["dy"] * n), lambda n: (1.0, 0.0, float(n))),
+}
+
+
+def _accepted(source):
+    try:
+        return parse_lagrangian(source)
+    except ParseError as exc:
+        assert "nested too deeply" in str(exc)
+        return None
+
+
+@pytest.mark.parametrize("form", sorted(NESTINGS))
+def test_every_accepted_nesting_evaluates(form):
+    # Find the deepest nesting the parser accepts (up to 4096), by doubling
+    # and then bisection; that density evaluates exactly.
+    build, expected = NESTINGS[form]
+    lo, hi = 1, 2
+    while hi <= 4096 and _accepted(build(hi)) is not None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1 and hi <= 4096:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _accepted(build(mid)) is not None else (lo, mid)
+    L = _accepted(build(lo))
+    point = (0.0, 1.0, 1.0)
+    assert (L.eval(*point), L.d2(*point), L.d3(*point)) == expected(lo)
+    values, (d2, d3) = L.values(*point), L.partials(*point)
+    assert (float(values), float(d2), float(d3)) == expected(lo)
 
 
 # --- catalog -------------------------------------------------------------
@@ -311,12 +398,12 @@ def test_catalog_const_evaluates_its_argument():
 
 def test_catalog_argument_nesting():
     # The variable check walks any tree the parser accepts; deeper nesting
-    # is a ParseError, not a RecursionError.
+    # is a ParseError, not a RecursionError.  A long sum is not nested for
+    # the parser, and the flat instruction list evaluates it.
     assert catalog("const(" + "-" * 600 + "1)").eval(0.0, 0.0, 0.0) == 1.0
     with pytest.raises(ParseError, match="nested too deeply"):
         catalog("const(" + "-" * 1000 + "1)")
-    with pytest.raises(ParseError, match="nested too deeply"):
-        catalog("const(" + "+".join(["1"] * 5000) + ")")
+    assert catalog("const(" + "+".join(["1"] * 5000) + ")").eval(0.0, 0.0, 0.0) == 5000.0
 
 
 def test_catalog_dy_squared_matches_parsed_form():
@@ -335,6 +422,59 @@ def test_catalog_kinetic_minus_potential():
     assert L.eval(1.0, 3.0, 4.0) == -10.0
     assert L.d2(1.0, 3.0, 4.0) == -12.0
     assert L.d3(1.0, 3.0, 4.0) == 4.0
+
+
+@pytest.mark.parametrize("name,closed_form", [
+    ("kinetic_minus_potential(2)", (lambda t, u, v: 0.5 * v * v - 0.5 * 4.0 * u * u,
+                                    lambda t, u, v: -4.0 * u, lambda t, u, v: v)),
+    ("kinetic_minus_potential(0.3)", (lambda t, u, v: 0.5 * v * v - 0.5 * (0.3 * 0.3) * u * u,
+                                      lambda t, u, v: -(0.3 * 0.3) * u, lambda t, u, v: v)),
+    ("kinetic_minus_potential(7.25)", (lambda t, u, v: 0.5 * v * v - 0.5 * (7.25 * 7.25) * u * u,
+                                       lambda t, u, v: -(7.25 * 7.25) * u, lambda t, u, v: v)),
+    ("dy_squared", (lambda t, u, v: v * v, lambda t, u, v: 0.0 * v, lambda t, u, v: 2.0 * v)),
+    ("const(0.5)", (lambda t, u, v: 0.5 + 0.0 * v, lambda t, u, v: 0.0 * v, lambda t, u, v: 0.0 * v)),
+])
+def test_catalog_templates_match_closed_forms(name, closed_form):
+    # The expression templates reproduce the hand-written closed forms the
+    # catalog entries used to be, on 20,000 points with zeros among them.
+    rng = np.random.default_rng(20)
+    t, u, v = rng.standard_normal((3, 20_000)) * 3.0
+    u[::97] = 0.0
+    v[::89] = 0.0
+    L = catalog(name)
+    value, d2, d3 = (f(t, u, v) for f in closed_form)
+    assert np.array_equal(L.values(t, u, v), value)
+    got_d2, got_d3 = L.partials(t, u, v)
+    assert np.array_equal(got_d2, d2) and np.array_equal(got_d3, d3)
+    for i in range(0, 20_000, 997):
+        point = (float(t[i]), float(u[i]), float(v[i]))
+        assert (L.eval(*point), L.d2(*point), L.d3(*point)) == (value[i], d2[i], d3[i])
+
+
+def test_hand_built_densities_run_point_by_point():
+    # A Lagrangian built from callables is called once per point, d2 at
+    # every point before d3, and fails at its first failing point.
+    calls = []
+
+    def recorded(name, fn):
+        def call(t, u, v):
+            calls.append((name, t, u, v))
+            return fn(t, u, v)
+        return call
+
+    L = Lagrangian(recorded("eval", lambda t, u, v: u * v), recorded("d2", lambda t, u, v: v),
+                   recorded("d3", lambda t, u, v: u), "u*v")
+    t, u, v = np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0])
+    assert L.values(t, u, v).tolist() == [8.0, 15.0]
+    d2, d3 = L.partials(t, u, v)
+    assert (d2.tolist(), d3.tolist()) == ([4.0, 5.0], [2.0, 3.0])
+    assert [c[0] for c in calls] == ["eval", "eval", "d2", "d2", "d3", "d3"]
+    assert calls[0][1:] == (0.0, 2.0, 4.0) and all(type(x) is float for x in calls[0][1:])
+    bad = parse_lagrangian("log(y)")
+    fussy = Lagrangian(bad.eval, bad.d2, bad.d3, "log(y)")
+    for lag in (bad, fussy):
+        with pytest.raises(EvalDomainError, match=r"log of non-positive value -1.0 at \(t=1.0, u=-1.0, v=5.0\)"):
+            lag.values(t, np.array([2.0, -1.0]), v)
 
 
 def test_catalog_partials_match_finite_differences():
@@ -368,12 +508,7 @@ def test_catalog_errors(spec, message):
 
 def test_register_catalog_extension():
     def build(arg, name):
-        return Lagrangian(
-            eval=lambda t, u, v: v,
-            d2=lambda t, u, v: 0.0,
-            d3=lambda t, u, v: 1.0,
-            origin=name,
-        )
+        return "dy"
 
     register_catalog("just_velocity", build)
     try:

@@ -26,6 +26,7 @@ from tsvar import (
     solve,
     uniform_scale,
 )
+from tsvar.solver import _candidate_objectives
 
 
 def square_problem(pts=(0.0, 1.0, 2.0), beta=2.0):
@@ -235,6 +236,51 @@ def test_step_underflow_raises_when_domain_never_clears():
     p = VariationalProblem(ts, fussy, catalog("const(0.5)"), 0.0, 2.0)
     with pytest.raises(StepUnderflowError):
         solve(p)
+
+
+def test_overflowing_trial_steps_warn_nothing():
+    # A divergent ascent on a seeded non-uniform scale takes trial steps
+    # whose difference quotients and factor sums overflow.  Those trials
+    # are rejected as non-finite without a numpy RuntimeWarning, and the
+    # search still ends in StepUnderflowError.
+    rng = np.random.default_rng(101)
+    gaps = 10.0 ** rng.uniform(-2.0, 0.0, 100)
+    pts = np.concatenate(([0.0], np.cumsum(gaps))) / float(np.sum(gaps))
+    pts[-1] = 1.0
+    p = VariationalProblem(make_timescale(pts), parse_lagrangian("sqrt(dy^2+1)"),
+                           parse_lagrangian("exp(y)*dy^2 + 1"), 0.0, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StepUnderflowError):
+            solve(p, SolverConfig(max_iterations=10, maximize=True))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("interior", [1, 2, 3])
+def test_batched_oracle_matches_j_product(interior):
+    # The oracle evaluates candidates in batches; each candidate's J equals
+    # j_product bit for bit, and a candidate that fails, or whose J is not
+    # finite, is dropped (J = inf) without dropping its batch.
+    rng = np.random.default_rng(30 + interior)
+    ts = make_timescale(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, interior + 1)))))
+    pairs = [
+        (parse_lagrangian("dy^2 + 0.3*y^2 + 0.2*sin(y) + 1"), parse_lagrangian("dy^2 + 0.3")),
+        (catalog("kinetic_minus_potential(0.2)"), catalog("dy_squared")),
+        (parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1e300*dy^4")),
+    ]
+    candidates = rng.uniform(-1.5, 1.5, (300, interior))
+    candidates[::7] = 0.0
+    for ld, ln in pairs:
+        p = VariationalProblem(ts, ld, ln, 0.25, 0.75)
+        got = _candidate_objectives(p, candidates)
+        for row, j in zip(candidates, got):
+            y = GridFunction(ts, np.concatenate(([0.25], row, [0.75])))
+            try:
+                want = j_product(p, y)
+            except EvalDomainError:
+                want = np.inf
+            want = want if np.isfinite(want) else np.inf
+            assert j.tobytes() == np.float64(want).tobytes()
 
 
 def test_domain_error_at_start_propagates():

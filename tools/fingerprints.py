@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Print one sha256 per budgeted solve, oracle answer and probe.
+
+Every line hashes everything the call returns, bit for bit, or the type and
+message of the exception it raised.  Run it on two checkouts and diff the
+outputs to show that a change leaves results bit-identical:
+
+    python3 tools/fingerprints.py > before.txt    # in the old checkout
+    python3 tools/fingerprints.py > after.txt     # in the new checkout
+    diff before.txt after.txt
+
+Solves: three density pairs, n = 11, 101 and 1001, a uniform and a seeded
+non-uniform scale, minimize and maximize, each at a fixed iteration budget.
+Oracle: seeded instances with 1-3 interior points, and one whose densities
+fail on part of the search box.  Probes: the objective, the gradient and
+the EL1 trace at seeded points for densities that fail on part of their
+domain, so the first failing point and its message are compared too.  Uses only the public API and runs from a checkout without
+installing the package.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import tsvar as T  # noqa: E402
+
+PAIRS = {
+    "expr": (T.parse_lagrangian, "dy^2 + y^2 + sin(t)*y", "dy^2 + 1"),
+    "catalog": (T.catalog, "kinetic_minus_potential(2)", "dy_squared"),
+    "steep": (T.parse_lagrangian, "sqrt(dy^2+1)", "exp(y)*dy^2 + 1"),
+}
+SIZES = (11, 101, 1001)
+BUDGET = 30
+PROBE_SOURCES = (
+    ("log(y - 0.6) + dy^2", "dy^2 + 1"),
+    ("sqrt(dy + 1)", "y^dy"),
+    ("1/(y - 0.9) + y", "(dy + 1)^0.5 + 1"),
+    ("(y - 0.7)^1.5 * dy", "exp(3*y) + dy^3"),
+    ("sin(y)*cos(dy) + t^2", "(y - 0.8)^dy + sqrt(y^2)"),
+)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def outcome(fn) -> str:
+    try:
+        return digest(*fn())
+    except Exception as exc:  # the failure itself is the fingerprint
+        return f"{type(exc).__name__}: {exc}"
+
+
+def seeded_points(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    gaps = 10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    pts = np.concatenate(([0.0], np.cumsum(gaps))) / float(np.sum(gaps))
+    pts[-1] = 1.0
+    return pts
+
+
+def solve_parts(p, maximize: bool) -> tuple:
+    r = T.solve(p, T.SolverConfig(max_iterations=BUDGET, maximize=maximize))
+    parts = [r.y.values, r.j_value, r.gradient_norm, r.iterations, r.converged,
+             r.el1.residual_trace, r.el1.constant_c, r.el2.residual_trace,
+             T.first_variation_gradient(p, r.y),
+             T.el_residual_cor1(p, r.y).residual_trace,
+             T.el_residual_cor2(p, r.y).residual_trace]
+    if len(p.scale) >= 4:
+        parts.extend(res.values for res in T.classic_el_residuals(p, r.y))
+    return tuple(parts)
+
+
+def solves():
+    for name, (build, ld, ln) in PAIRS.items():
+        for n in SIZES:
+            for kind, pts in (("uniform", np.linspace(0.0, 1.0, n)), ("seeded", seeded_points(n, n))):
+                p = T.VariationalProblem(T.make_timescale(pts), build(ld), build(ln), 0.0, 1.0)
+                for maximize in (False, True):
+                    sense = "max" if maximize else "min"
+                    yield f"solve {name} n={n} {kind} {sense}", lambda p=p, m=maximize: solve_parts(p, m)
+
+
+def oracles():
+    for seed in range(6):
+        rng = np.random.default_rng(1000 + seed)
+        interior = 1 + seed % 3
+        pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, interior + 1))))
+        c = float(rng.uniform(0.1, 0.5))
+        if seed < 3:
+            ld, ln = T.parse_lagrangian(f"dy^2 + {c!r}*y^2 + 0.2*sin(y) + 1"), T.parse_lagrangian(f"dy^2 + {c!r}")
+        else:
+            ld, ln = T.catalog(f"kinetic_minus_potential({0.5 * c!r})"), T.catalog("dy_squared")
+        alpha, beta = (float(x) for x in rng.uniform(-0.5, 0.5, 2))
+        p = T.VariationalProblem(T.make_timescale(pts), ld, ln, alpha, beta)
+        lo, hi = min(alpha, beta) - 0.5, max(alpha, beta) + 0.5
+        resolution = {1: 101, 2: 31, 3: 15}[interior]
+        yield (f"oracle seed={seed} interior={interior}",
+               lambda p=p, b=(lo, hi), r=resolution: (T.brute_force_oracle(p, b, r).values,))
+    # Domain errors on part of the box: candidates that raise are skipped.
+    p = T.VariationalProblem(T.make_timescale([0.0, 1.0, 2.5, 3.0]), T.parse_lagrangian("log(y + 1) + dy^2"),
+                             T.parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0)
+    yield "oracle domain-errors", lambda: (T.brute_force_oracle(p, (-2.0, 2.0), 21).values,)
+
+
+def probes():
+    rng = np.random.default_rng(7)
+    for ld, ln in PROBE_SOURCES:
+        for n in (5, 40):
+            p = T.VariationalProblem(T.make_timescale(seeded_points(n, n + 3)), T.parse_lagrangian(ld),
+                                     T.parse_lagrangian(ln), 0.5, 1.0)
+            t = p.scale.points
+            for k in range(4):
+                # The chord plus a wave that dips below each density's domain
+                # somewhere inside the scale, or nowhere.
+                vals = 0.5 + 0.5 * t + rng.uniform(0.0, 0.6) * np.sin(np.pi * rng.integers(1, 4) * t)
+                vals[0], vals[-1] = 0.5, 1.0
+                y = T.GridFunction(p.scale, vals)
+                tag = f"probe {ld!r} / {ln!r} n={n} k={k}"
+                yield f"{tag} j", lambda p=p, y=y: (T.j_product(p, y),)
+                yield f"{tag} gradient", lambda p=p, y=y: (T.first_variation_gradient(p, y),)
+                yield f"{tag} el1", lambda p=p, y=y: (T.el_residual_1(p, y).residual_trace,)
+
+
+def main() -> int:
+    for group in (solves, oracles, probes):
+        for label, fn in group():
+            print(f"{label}: {outcome(fn)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
