@@ -16,10 +16,11 @@ A parsed density is flattened once into a flat instruction list (see
 (t, u, v); ``Lagrangian.partials`` runs it once carrying two forward-mode
 tangents, seeded in ``y`` and in ``dy``.  Only ``+ - * /`` and negation run
 as numpy array operations, which round as Python floats do; ``^`` and the
-functions run per element through Python's ``**`` and ``math``, because
+functions run per element through Python's ``pow`` and ``math``, because
 numpy's ``power``, ``exp``, ``log``, ``sin`` and ``cos`` differ from libm in
-the last bit for some inputs.  So a grid pass gives bit for bit what the
-per-point callables ``eval``, ``d2`` and ``d3`` give at each point.  A
+the last bit for some inputs.  The per-point callables ``eval``, ``d2`` and
+``d3`` run the same instructions on single Python floats, so a grid pass
+gives bit for bit what they give at each point.  A
 ``Lagrangian(eval, d2, d3, origin)`` built by hand has no instruction list;
 its ``values`` and ``partials`` call its callables once per point.
 
@@ -36,9 +37,10 @@ parser accepts evaluates.
 Evaluation outside the real domain (log or square root of a negative,
 division by zero, a negative base under a fractional power, sine or cosine
 of an infinite value, overflow, a non-finite result) raises
-``EvalDomainError`` carrying the probe point (t, u, v).  A grid pass raises
-the error of its first failing point, every ``d2`` failure before any
-``d3`` failure.
+``EvalDomainError`` carrying the probe point (t, u, v).  A pass raises the
+error of its first failing point, every ``d2`` failure before any ``d3``
+failure, with the message of the first check a dual-number walk of that
+point fails; the pass finds both itself, and evaluates nothing again.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, Failure, flatten, run
+from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, flatten, run
 
 __all__ = [
     "CATALOG_BUILDERS",
@@ -103,19 +105,17 @@ class Lagrangian:
         """The density at every point of the broadcast arrays (t, u, v)."""
         if self.program is None:
             return _per_point((self.eval,), t, u, v)[0]
-        (out,), (bad,) = run(self.program, t, u, v)
-        if bad is not None:
-            _raise_first(bad, self.eval, t, u, v)
+        (out,), (first,) = run(self.program, t, u, v)
+        _raise_first(first, t, u, v)
         return out
 
     def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray]:
         """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v)."""
         if self.program is None:
             return tuple(_per_point((self.d2, self.d3), t, u, v))
-        (d2, d3), bads = run(self.program, t, u, v, SEEDS)
-        for bad, point in zip(bads, (self.d2, self.d3)):
-            if bad is not None:
-                _raise_first(bad, point, t, u, v)
+        (d2, d3), firsts = run(self.program, t, u, v, SEEDS)
+        for first in firsts:
+            _raise_first(first, t, u, v)
         return d2, d3
 
 
@@ -126,11 +126,11 @@ def _per_point(fns, t, u, v) -> list[np.ndarray]:
     return [np.array([fn(*a) for a in points], dtype=float).reshape(shape) for fn in fns]
 
 
-def _raise_first(bad: np.ndarray, point: Callable, t, u, v) -> None:
-    """Evaluate the first failing point alone, which raises its own error."""
-    i = int(np.argmax(bad))
-    point(*(float(np.broadcast_to(x, bad.shape).flat[i]) for x in (t, u, v)))
-    raise RuntimeError("a grid pass failed at a point where the point pass succeeds")
+def _raise_first(first: tuple | None, t, u, v) -> None:
+    """Raise the error of a pass's first failed point, if it has one."""
+    if first is not None:
+        i, message = first
+        raise EvalDomainError(message, *(float(column[i]) for column in np.broadcast(t, u, v).iters))
 
 
 class Token(NamedTuple):
@@ -294,10 +294,8 @@ def _render(node: tuple, context: int) -> str:
 
 def _point(program: tuple, seeds: tuple, t: float, u: float, v: float) -> float:
     """The value (no seeds) or the one seeded partial at a single point."""
-    try:
-        (out,), _ = run(program, float(t), float(u), float(v), seeds, point=True)
-    except Failure as exc:
-        raise EvalDomainError(str(exc), t, u, v) from None
+    (out,), (first,) = run(program, float(t), float(u), float(v), seeds)
+    _raise_first(first, t, u, v)
     return float(out)
 
 
@@ -319,10 +317,9 @@ def _constant_argument(text: str, name: str) -> float:
     program = flatten(parse(text))
     if any(op == "var" for op, *_ in program):
         raise ValueError(f"catalog argument {text!r} must not reference variables")
-    try:
-        (value,), _ = run(program, 0.0, 0.0, 0.0, point=True, finite=False)
-    except Failure as exc:
-        raise ValueError(f"catalog argument {text!r}: {exc}") from exc
+    (value,), (first,) = run(program, 0.0, 0.0, 0.0, finite=False)
+    if first is not None:
+        raise ValueError(f"catalog argument {text!r}: {first[1]}")
     if not math.isfinite(value):
         raise ValueError(f"catalog argument {text!r} is not finite")
     return float(value)

@@ -1,14 +1,15 @@
 """Flat instruction lists: how a parsed density is evaluated.
 
 ``flatten`` turns an expression AST into instructions in evaluation order.
-``run`` executes them over arrays of (t, y, dy), optionally carrying one
-forward-mode tangent per seed by the rules of first-order dual numbers
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008),
-elementwise.  Numpy performs only ``+ - * /`` and negation; ``^`` and the
-functions run per element through Python's ``**`` and ``math``.  The same
-instructions run over single floats to evaluate one point, which is how
-errors are reported: ``Failure`` carries the message of the first check a
-dual-number walk of that point fails.
+``run`` executes them over (t, y, dy), whole arrays or single floats,
+optionally carrying one forward-mode tangent per seed by the rules of
+first-order dual numbers (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., SIAM 2008), elementwise.  Numpy performs only ``+ - * /`` and
+negation; ``^`` and the functions run per element through Python's ``pow``
+and ``math``.  Every check of the real domain is a mask with a message, and
+``run`` reports per output the first failed point and the message of the
+first check that fails there: the error a dual-number walk of that point
+raises.
 """
 
 from __future__ import annotations
@@ -22,58 +23,7 @@ import numpy as np
 
 VARIABLES = ("t", "y", "dy")
 
-
-class Failure(ArithmeticError):
-    """One point left the real domain; the message says how."""
-
-
-def _float_pow(a: float, c: float) -> float:
-    # float ** float silently goes complex for a negative base with a
-    # fractional exponent; reject that and the zero-to-negative case up front.
-    if a < 0.0 and not c.is_integer():
-        raise Failure(f"negative base {a!r} with non-integer exponent {c!r}")
-    if a == 0.0 and c < 0.0:
-        raise Failure(f"zero base with negative exponent {c!r}")
-    try:
-        return a ** c
-    except OverflowError:
-        raise Failure("overflow") from None
-
-
-def _sin(x: float) -> float:
-    try:
-        return math.sin(x)
-    except ValueError:  # math.sin rejects +-inf with a bare ValueError
-        raise Failure(f"sin of infinite value {x!r}") from None
-
-
-def _cos(x: float) -> float:
-    try:
-        return math.cos(x)
-    except ValueError:
-        raise Failure(f"cos of infinite value {x!r}") from None
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise Failure("overflow") from None
-
-
-def _log(x: float) -> float:
-    if x <= 0.0:
-        raise Failure(f"log of non-positive value {x!r}")
-    return math.log(x)
-
-
-def _sqrt(x: float) -> float:
-    if x < 0.0:
-        raise Failure(f"square root of negative value {x!r}")
-    return math.sqrt(x)
-
-
-FUNCTIONS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
+FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
 
 def _column(x, shape: tuple) -> list | None:
@@ -85,31 +35,31 @@ def _column(x, shape: tuple) -> list | None:
     return x.tolist() if x.ndim == 1 else x.ravel().tolist()
 
 
-# The unchecked C twin of each checked function, run by ``map``.
-_TWINS = {_float_pow: pow, _sin: math.sin, _cos: math.cos, _exp: math.exp, _log: math.log, _sqrt: math.sqrt}
+def _domain(fn: Callable, x, z=None) -> list:
+    """The checks that keep ``fn`` in the real domain and fail somewhere.
 
-
-def _rejected(fn: Callable, x, z=None):
-    """Where ``fn``'s domain check fails, as a mask, or None where it never does.
-
-    The twin must not see these elements.  It may still raise elsewhere
-    (overflow, or sin or cos of an infinite value), and those elements
-    fail one by one.
+    Each is a mask and a message template over the operands; ``fn`` must
+    not see the elements they reject.
     """
-    if fn is _log:
-        mask = np.less_equal(x, 0.0)
-    elif fn is _sqrt:
-        mask = np.less(x, 0.0)
-    elif fn is _float_pow:
-        c = float(z)
-        if c >= 0.0 and c.is_integer():
-            return None
-        mask = np.less(x, 0.0) if not c.is_integer() else np.False_
-        if c < 0.0:
-            mask = mask | np.equal(x, 0.0)
+    if fn is pow:
+        # Python's pow goes complex for a negative base under a fractional
+        # exponent, and raises for a zero base under a negative one.
+        if not (isinstance(z, np.ndarray) and z.ndim):
+            z = float(z)
+            if z >= 0.0 and z.is_integer():
+                return []
+        if not np.less_equal(x, 0.0).any():  # both rules need a base <= 0
+            return []
+        fractional = np.not_equal(z - np.trunc(z), 0.0)  # inf and nan too, as float.is_integer says
+        checks = [(np.less(x, 0.0) & fractional, "negative base {0!r} with non-integer exponent {1!r}"),
+                  (np.equal(x, 0.0) & np.less(z, 0.0), "zero base with negative exponent {1!r}")]
+    elif fn is math.log:
+        checks = [(np.less_equal(x, 0.0), "log of non-positive value {0!r}")]
+    elif fn is math.sqrt:
+        checks = [(np.less(x, 0.0), "square root of negative value {0!r}")]
     else:
-        return None
-    return mask if mask.any() else None
+        return []
+    return [check for check in checks if check[0].any()]
 
 
 # The tangents of (y, dy) in each seed: d/du first, then d/dv.
@@ -154,63 +104,78 @@ def flatten(node: tuple) -> tuple[tuple, ...]:
 class _Pass:
     """The bookkeeping of one run of a program.
 
-    A grid pass runs over arrays and collects, per output, the masks of the
-    points where some check fails; a failed point's later registers hold
-    garbage that no other point sees.  A point pass runs over floats and
-    raises ``Failure`` at the first failing check, in the order a dual-number
-    walk meets them.  Output 0 is the value in a value pass; otherwise
-    output k is the tangent of seed k.
+    Each check records, per output, the mask of the points where it fails
+    and its message: a string, or a function of the flat point index.  A
+    failed point's later registers hold garbage that no other point sees.
+    Output 0 is the value in a value pass; otherwise output k is the
+    tangent of seed k.
     """
 
-    def __init__(self, shape: tuple, outputs: int, point: bool):
-        self.shape = shape
-        self.point = point
+    def __init__(self, slots: tuple, outputs: int):
+        self.slots = slots
+        self.shape = np.broadcast(*slots).shape
         self.checks: list[list] = [[] for _ in range(outputs)]
 
     def fail(self, mask, message, k: int | None = None) -> None:
         """The check ``mask`` fails for output ``k``, or for every output."""
-        if self.point:
-            if mask:
-                raise Failure(message() if callable(message) else message)
-        else:
-            for checks in self.checks if k is None else (self.checks[k],):
-                checks.append(mask)
+        for checks in self.checks if k is None else (self.checks[k],):
+            checks.append((mask, message))
+
+    def describe(self, template: str, *xs) -> Callable[[int], str]:
+        """``template`` formatted with the operands ``xs`` at a flat point index."""
+        return lambda i: template.format(*(float(self.at(x, i)) for x in xs))
+
+    def at(self, x, i: int):
+        """Operand or mask ``x``, broadcast to the pass's shape, at flat index ``i``."""
+        return np.broadcast(x, *self.slots).iters[0][i]
 
     def failures(self) -> list:
-        """Per output: the full-shape mask of its failed points, or None."""
+        """Per output: None, or its first failed point's flat index and message.
+
+        Checks are recorded in the order a dual-number walk meets them, so
+        the first one failing at that point gives the walk's message.
+        """
         out = []
         for checks in self.checks:
-            bad = reduce(np.logical_or, checks) if checks else None
-            out.append(np.broadcast_to(bad, self.shape) if bad is not None and bad.any() else None)
+            first = None
+            bad = reduce(np.logical_or, (mask for mask, _ in checks)) if checks else None
+            if bad is not None and bad.any():
+                i = int(np.argmax(np.broadcast_to(bad, self.shape)))
+                message = next(m for mask, m in checks if self.at(mask, i))
+                first = (i, message if isinstance(message, str) else message(i))
+            out.append(first)
         return out
 
     def each(self, fn: Callable, *xs):
         """``fn`` per element on Python floats; a failure fails every output."""
-        out, failed = self.apply(fn, *xs)
-        if failed is not None:
-            self.fail(failed, "")
+        out, checks = self.apply(fn, *xs)
+        for mask, message in checks:
+            self.fail(mask, message)
         return out
 
+    def raised(self, fn: Callable, x) -> str | Callable[[int], str]:
+        """The message for the error the C function ``fn`` raises: sin or cos of +-inf, or overflow."""
+        if fn in (math.sin, math.cos):
+            return self.describe(f"{fn.__name__} of infinite value {{0!r}}", x)
+        return "overflow"
+
     def apply(self, fn: Callable, *xs):
-        """``fn`` per element on Python floats, and the mask of failed elements or None."""
+        """``fn`` per element on Python floats, and the checks it fails: (mask, message) pairs."""
+        checks = _domain(fn, *xs)
+        if checks:
+            checks = [(mask, self.describe(template, *xs)) for mask, template in checks]
         cols = [_column(x, self.shape) for x in xs]
         if all(col is None for col in cols):
+            if checks:
+                return math.nan, checks
             try:
-                return fn(*(float(x) for x in xs)), None
-            except Failure:
-                if self.point:
-                    raise
-                return math.nan, np.True_
+                return fn(*(float(x) for x in xs)), checks
+            except (OverflowError, ValueError):
+                return math.nan, [(np.True_, self.raised(fn, xs[0]))]
         shape = self.shape
         args = [repeat(float(x)) if col is None else col for x, col in zip(xs, cols)]
-        rejected = None
-        if fn is not _float_pow or cols[1] is None:
-            # With a varying exponent, the power's domain depends on each
-            # exponent being an integer; it keeps its checked form.
-            rejected = _rejected(fn, *xs)
-            if rejected is not None:  # the twin gets 1.0 there instead
-                args[0] = _column(np.where(rejected, 1.0, xs[0]), shape)
-            fn = _TWINS[fn]
+        if checks:  # fn gets 1.0 where they fail instead
+            args[0] = _column(np.where(reduce(np.logical_or, (mask for mask, _ in checks)), 1.0, xs[0]), shape)
         # An element fails alone: map has consumed its arguments, so the
         # next map goes on from the element after it.
         out: list = []
@@ -220,15 +185,14 @@ class _Pass:
             try:
                 out.extend(map(fn, *its))
                 break
-            except (ArithmeticError, ValueError):
+            except (OverflowError, ValueError):
                 failed.append(len(out))
                 out.append(math.nan)
         if failed:
             mask = np.zeros(len(out), dtype=bool)
             mask[failed] = True
-            mask = mask.reshape(shape)
-            rejected = mask if rejected is None else rejected | mask
-        return np.array(out).reshape(shape), rejected
+            checks.append((mask.reshape(shape), self.raised(fn, xs[0])))
+        return np.array(out).reshape(shape), checks
 
     def plain(self, op: str, x, z):
         """Float semantics: the value walk, and every subtree free of y and dy."""
@@ -244,7 +208,7 @@ class _Pass:
         if op == "neg":
             return -x
         if op == "pow":
-            return self.each(_float_pow, x, z)
+            return self.each(pow, x, z)
         return self.each(FUNCTIONS[op], x)
 
     def dual(self, op: str, x, tx, z, tz):
@@ -267,10 +231,10 @@ class _Pass:
             return self.power(x, tx, z, tz)
         val = self.each(FUNCTIONS[op], x)
         if op == "sin":
-            d = self.each(_cos, x)
+            d = self.each(math.cos, x)
             return val, [d * p for p in tx]
         if op == "cos":
-            d = self.each(_sin, x)
+            d = self.each(math.sin, x)
             return val, [-d * p for p in tx]
         if op == "exp":
             return val, [val * p for p in tx]
@@ -292,24 +256,24 @@ class _Pass:
         free = [not np.all(f) for f in fixed]
         for k, f in enumerate(fixed):
             if free[k]:
-                self.fail(~f & np.less_equal(b, 0.0),
-                          lambda: f"base {float(b)!r} must be positive when the exponent carries a derivative", k)
-        value = self.each(_float_pow, b, e)
+                message = self.describe("base {0!r} must be positive when the exponent carries a derivative", b)
+                self.fail(~f & np.less_equal(b, 0.0), message, k)
+        value = self.each(pow, b, e)
         live = np.not_equal(e, 0.0)
         at_zero = np.equal(b, 0.0) & live  # the value is +0.0 here, where the walk goes on
         any_zero = np.any(at_zero)
         ruled = live & ~at_zero & reduce(np.logical_or, fixed)
         # A base of 1.0 keeps the power rule from failing where it does not apply.
-        power_rule, rule_failed = self.apply(_float_pow, np.where(ruled, b, 1.0), e - 1.0)
-        log_b = self.each(_log, np.where(np.less_equal(b, 0.0), 1.0, b)) if any(free) else None
+        power_rule, rule_checks = self.apply(pow, np.where(ruled, b, 1.0), e - 1.0)
+        log_b = self.each(math.log, np.where(np.less_equal(b, 0.0), 1.0, b)) if any(free) else None
         tangents = []
         for k, (f, p, q) in enumerate(zip(fixed, tb, te)):
-            if rule_failed is not None:
-                self.fail(rule_failed & f, "", k)
+            for mask, message in rule_checks:
+                self.fail(mask & f, message, k)
             tangent = np.where(live, e * power_rule * p, 0.0)
             if any_zero:  # only exponents >= 1, or a zero base tangent, survive
                 self.fail(f & at_zero & ~np.greater_equal(e, 1.0) & np.not_equal(p, 0.0),
-                          lambda: f"power {float(e)!r} not differentiable at zero base", k)
+                          self.describe("power {0!r} not differentiable at zero base", e), k)
                 tangent = np.where(at_zero, np.where(np.equal(e, 1.0), p, 0.0), tangent)
             if free[k]:
                 tangent = np.where(f, tangent, value * (q * log_b + np.divide(e * p, b)))
@@ -317,20 +281,20 @@ class _Pass:
         return (np.where(at_zero, 0.0, value) if any_zero else value), tangents
 
 
-def run(program: tuple, t, y, dy, seeds: tuple = (), point: bool = False, finite: bool = True):
-    """Run ``program`` over (t, y, dy); return its outputs and failure masks.
+def run(program: tuple, t, y, dy, seeds: tuple = (), finite: bool = True):
+    """Run ``program`` over (t, y, dy); return its outputs and first failures.
 
     Without seeds the output is the value, with float semantics throughout.
     With seeds there is one output per seed: the tangent a dual-number walk
-    with that seed would return, 0.0 for a density free of y and dy.  A
-    grid pass returns full-shape arrays and, per output, the mask of its
-    failed points or None (a non-finite output fails unless ``finite`` is
-    false); a point pass takes floats, returns 0-d results and raises
-    ``Failure`` instead.
+    with that seed would return, 0.0 for a density free of y and dy.  The
+    outputs have the broadcast shape of (t, y, dy); Python floats stay
+    floats, so one point runs on scalar arithmetic.  Per output the failure
+    is None, or the flat index of the first failed point and the message of
+    the first check that fails there (a non-finite output fails unless
+    ``finite`` is false).
     """
-    slots = (t, y, dy) if point else tuple(np.asarray(x, dtype=float) for x in (t, y, dy))
-    shape = np.broadcast(*slots).shape
-    state = _Pass(shape, max(len(seeds), 1), point)
+    slots = tuple(x if isinstance(x, float) else np.asarray(x, dtype=float) for x in (t, y, dy))
+    state = _Pass(slots, max(len(seeds), 1))
     vals: list = []
     tans: list = []  # per register: one tangent per seed, or None where plain
     with np.errstate(all="ignore"):
@@ -357,6 +321,5 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), point: bool = False, finite
                 ok = np.isfinite(out)
                 if not ok.all():
                     state.fail(~ok, "non-finite value", k)
-    if point:
-        return outs, None
+    shape = state.shape
     return [out if np.shape(out) == shape else np.full(shape, out) for out in outs], state.failures()

@@ -160,10 +160,10 @@ def solve(
             trial[1:-1] -= step * grad
             try:
                 trial_jd, trial_jn = _functionals(p, trial)
-            except EvalDomainError:
-                domain_failed = True
+            except EvalDomainError as exc:
+                domain_error = exc
             else:
-                domain_failed = False
+                domain_error = None
                 f1 = sign * trial_jd * trial_jn
                 if np.isfinite(f1) and f1 < f0 and (
                     f1 <= f0 - _ARMIJO_C * step * slope * scale * scale
@@ -171,11 +171,11 @@ def solve(
                     break
             step *= _BACKTRACK_FACTOR
         else:
-            if domain_failed:
+            if domain_error is not None:
                 raise StepUnderflowError(
                     "line search step underflowed while the Lagrangian kept raising "
-                    "domain errors"
-                )
+                    f"domain errors; last trial: {domain_error}"
+                ) from domain_error
             # No admissible decrease at any representable step: report the
             # current point without claiming convergence.
             break

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 
@@ -17,6 +18,7 @@ from tsvar.lagrangian import (
     register_catalog,
     to_source,
 )
+from tsvar.program import run
 
 
 PROBES = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-0.5, 0.7, -1.3), (2.0, -4.0, 0.25)]
@@ -313,9 +315,18 @@ def test_random_ast_round_trip(ast, grid):
     assert parse(printed) == ast
     L = parse_lagrangian(printed)
     for point in PROBES + grid:
-        for method, want in zip((L.eval, L.d2, L.d3), reference(ast, *point)):
-            expect(lambda: np.array([method(*point)]), [want], [point])
-    want = [reference(ast, *point) for point in grid]
+        expect_points(L, point, reference(ast, *point))
+    expect_passes(L, grid, [reference(ast, *point) for point in grid])
+
+
+def expect_points(L, point, want):
+    """The per-point callables at ``point`` match the walk's (value, d2, d3)."""
+    for method, w in zip((L.eval, L.d2, L.d3), want):
+        expect(lambda: np.array([method(*point)]), [w], [point])
+
+
+def expect_passes(L, grid, want):
+    """A value pass and a partials pass over ``grid`` match the walk at each point."""
     t, u, v = (np.array(column) for column in zip(*grid))
     expect(lambda: L.values(t, u, v), [w[0] for w in want], grid)
     d2_want, d3_want = [w[1] for w in want], [w[2] for w in want]
@@ -324,6 +335,47 @@ def test_random_ast_round_trip(ast, grid):
         expect(lambda: L.partials(t, u, v)[0], d2_want, grid)
     elif expect(lambda: L.partials(t, u, v)[1], d3_want, grid) is not None:
         expect(lambda: L.partials(t, u, v)[0], d2_want, grid)
+
+
+EXPONENT_EDGES = (-1.0, -0.0, 0.0, 0.5, 2.0, -2.5, math.inf, -math.inf, 1e308, -1e308)
+
+
+@pytest.mark.parametrize("source", ["y^dy", "dy^y", "t^y", "y^-dy"])
+def test_varying_exponent_domain(source):
+    # A power whose exponent varies over the grid checks its domain
+    # elementwise (an infinite exponent is not an integer).  At every
+    # combination of edge values, alone and in grids of ten and of all
+    # points, the passes match the walk bit for bit, and fail where it
+    # fails, with its message for the first failing point.
+    ast = parse(source)
+    L = parse_lagrangian(source)
+    grid = list(itertools.product(EXPONENT_EDGES, repeat=3))
+    want = [reference(ast, *point) for point in grid]
+    for point, w in zip(grid, want):
+        expect_points(L, point, w)
+        expect_passes(L, [point], [w])
+    for start in range(0, len(grid), 10):
+        expect_passes(L, grid[start:start + 10], want[start:start + 10])
+    expect_passes(L, grid, want)
+
+
+def test_failing_pass_runs_the_program_once(monkeypatch):
+    # A failing pass reports its first failed point and message itself;
+    # no point is evaluated a second time to find the message.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr("tsvar.lagrangian.run", counted)
+    L = parse_lagrangian("log(y) + sqrt(dy)")
+    t, u, v = np.array([0.0, 1.0]), np.array([2.0, -1.0]), np.array([4.0, 5.0])
+    for call in (lambda: L.values(t, u, v), lambda: L.partials(t, u, v), lambda: L.eval(1.0, -1.0, 5.0)):
+        calls.clear()
+        with pytest.raises(EvalDomainError, match=r"^log of non-positive value -1.0 at \(t=1.0, u=-1.0, v=5.0\)$"):
+            call()
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("source,point,expected", [

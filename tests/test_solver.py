@@ -234,15 +234,16 @@ def test_step_underflow_raises_when_domain_never_clears():
                        d3=lambda t, u, v: 0.0,
                        origin="fussy")
     p = VariationalProblem(ts, fussy, catalog("const(0.5)"), 0.0, 2.0)
-    with pytest.raises(StepUnderflowError):
+    with pytest.raises(StepUnderflowError, match="last trial: forced failure at") as exc:
         solve(p)
+    assert isinstance(exc.value.__cause__, EvalDomainError)
 
 
 def test_overflowing_trial_steps_warn_nothing():
     # A divergent ascent on a seeded non-uniform scale takes trial steps
     # whose difference quotients and factor sums overflow.  Those trials
     # are rejected as non-finite without a numpy RuntimeWarning, and the
-    # search still ends in StepUnderflowError.
+    # search still ends in StepUnderflowError, naming its last trial's error.
     rng = np.random.default_rng(101)
     gaps = 10.0 ** rng.uniform(-2.0, 0.0, 100)
     pts = np.concatenate(([0.0], np.cumsum(gaps))) / float(np.sum(gaps))
@@ -251,7 +252,7 @@ def test_overflowing_trial_steps_warn_nothing():
                            parse_lagrangian("exp(y)*dy^2 + 1"), 0.0, 1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(StepUnderflowError):
+        with pytest.raises(StepUnderflowError, match=r"last trial: (overflow|non-finite value) at \(t="):
             solve(p, SolverConfig(max_iterations=10, maximize=True))
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 

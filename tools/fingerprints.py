@@ -14,13 +14,18 @@ non-uniform scale, minimize and maximize, each at a fixed iteration budget.
 Oracle: seeded instances with 1-3 interior points, and one whose densities
 fail on part of the search box.  Probes: the objective, the gradient and
 the EL1 trace at seeded points for densities that fail on part of their
-domain, so the first failing point and its message are compared too.  Uses only the public API and runs from a checkout without
-installing the package.
+domain, so the first failing point and its message are compared too.
+Points: the value and both partials of every probe density and of three
+catalog entries, point by point at seeded and special points (signed
+zeros, infinities, points outside the domain), and the errors of bad
+catalog arguments.  Uses only the public API and runs from a checkout
+without installing the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +50,10 @@ PROBE_SOURCES = (
     ("(y - 0.7)^1.5 * dy", "exp(3*y) + dy^3"),
     ("sin(y)*cos(dy) + t^2", "(y - 0.8)^dy + sqrt(y^2)"),
 )
+
+CATALOG_ENTRIES = ("kinetic_minus_potential(2)", "dy_squared", "const(0.5)")
+BAD_CATALOG_ARGUMENTS = ("const(1/0)", "const(log(0))", "const(exp(1000))")
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf)
 
 
 def digest(*parts) -> str:
@@ -133,8 +142,34 @@ def probes():
                 yield f"{tag} el1", lambda p=p, y=y: (T.el_residual_1(p, y).residual_trace,)
 
 
+def point_outcomes(fn, points) -> tuple:
+    """``fn`` at each point: its value, or the type and message of its error."""
+    out = []
+    for point in points:
+        try:
+            out.append(fn(*point))
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return tuple(out)
+
+
+def points():
+    rng = np.random.default_rng(11)
+    pts = [tuple(row) for row in rng.uniform(-2.0, 2.0, (40, 3)).tolist()]
+    pts += [(0.3, u, v) for u in SPECIAL for v in SPECIAL]
+    pts += [(t, 0.5, -0.0) for t in SPECIAL]
+    densities = [(T.parse_lagrangian, s) for pair in PROBE_SOURCES for s in pair]
+    densities += [(T.catalog, name) for name in CATALOG_ENTRIES]
+    for build, source in densities:
+        L = build(source)
+        for method in ("eval", "d2", "d3"):
+            yield f"point {source!r} {method}", lambda fn=getattr(L, method): point_outcomes(fn, pts)
+    for name in BAD_CATALOG_ARGUMENTS:
+        yield f"catalog {name!r}", lambda name=name: (T.catalog(name).origin,)
+
+
 def main() -> int:
-    for group in (solves, oracles, probes):
+    for group in (solves, oracles, probes, points):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
