@@ -37,10 +37,10 @@ parser accepts evaluates.
 Evaluation outside the real domain (log or square root of a negative,
 division by zero, a negative base under a fractional power, sine or cosine
 of an infinite value, overflow, a non-finite result) raises
-``EvalDomainError`` carrying the probe point (t, u, v).  A pass raises the
-error of its first failing point, every ``d2`` failure before any ``d3``
-failure, with the message of the first check a dual-number walk of that
-point fails; the pass finds both itself, and evaluates nothing again.
+``EvalDomainError`` carrying the probe point (t, u, v).  ``tsvar.program``
+raises it from the pass itself: the error of the first failing point, every
+``d2`` failure before any ``d3`` failure, with the message of the first
+check a dual-number walk of that point fails.  Nothing is evaluated again.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, flatten, run
+from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, EvalDomainError, flatten, run
 
 __all__ = [
     "CATALOG_BUILDERS",
@@ -76,16 +76,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-class EvalDomainError(ArithmeticError):
-    """A density left the real domain; carries the probe point."""
-
-    def __init__(self, message: str, t: float, u: float, v: float):
-        super().__init__(f"{message} at (t={t!r}, u={u!r}, v={v!r})")
-        self.t = t
-        self.u = u
-        self.v = v
-
-
 @dataclass(frozen=True)
 class Lagrangian:
     """Density and exact first partials in the second and third slots.
@@ -105,18 +95,13 @@ class Lagrangian:
         """The density at every point of the broadcast arrays (t, u, v)."""
         if self.program is None:
             return _per_point((self.eval,), t, u, v)[0]
-        (out,), (first,) = run(self.program, t, u, v)
-        _raise_first(first, t, u, v)
-        return out
+        return run(self.program, t, u, v)[0]
 
     def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray]:
         """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v)."""
         if self.program is None:
             return tuple(_per_point((self.d2, self.d3), t, u, v))
-        (d2, d3), firsts = run(self.program, t, u, v, SEEDS)
-        for first in firsts:
-            _raise_first(first, t, u, v)
-        return d2, d3
+        return run(self.program, t, u, v, SEEDS)
 
 
 def _per_point(fns, t, u, v) -> list[np.ndarray]:
@@ -124,13 +109,6 @@ def _per_point(fns, t, u, v) -> list[np.ndarray]:
     shape = np.broadcast_shapes(np.shape(t), np.shape(u), np.shape(v))
     points = list(zip(*(np.broadcast_to(x, shape).ravel().tolist() for x in (t, u, v))))
     return [np.array([fn(*a) for a in points], dtype=float).reshape(shape) for fn in fns]
-
-
-def _raise_first(first: tuple | None, t, u, v) -> None:
-    """Raise the error of a pass's first failed point, if it has one."""
-    if first is not None:
-        i, message = first
-        raise EvalDomainError(message, *(float(column[i]) for column in np.broadcast(t, u, v).iters))
 
 
 class Token(NamedTuple):
@@ -294,9 +272,7 @@ def _render(node: tuple, context: int) -> str:
 
 def _point(program: tuple, seeds: tuple, t: float, u: float, v: float) -> float:
     """The value (no seeds) or the one seeded partial at a single point."""
-    (out,), (first,) = run(program, float(t), float(u), float(v), seeds)
-    _raise_first(first, t, u, v)
-    return float(out)
+    return float(run(program, float(t), float(u), float(v), seeds)[0])
 
 
 def parse_lagrangian(source: str) -> Lagrangian:
@@ -317,12 +293,10 @@ def _constant_argument(text: str, name: str) -> float:
     program = flatten(parse(text))
     if any(op == "var" for op, *_ in program):
         raise ValueError(f"catalog argument {text!r} must not reference variables")
-    (value,), (first,) = run(program, 0.0, 0.0, 0.0, finite=False)
-    if first is not None:
-        raise ValueError(f"catalog argument {text!r}: {first[1]}")
-    if not math.isfinite(value):
-        raise ValueError(f"catalog argument {text!r} is not finite")
-    return float(value)
+    try:
+        return float(run(program, 0.0, 0.0, 0.0)[0])
+    except EvalDomainError as exc:
+        raise ValueError(f"catalog argument {text!r}: {exc.reason}") from None
 
 
 def _build_const(arg: str | None, name: str) -> str:

@@ -6,10 +6,10 @@ optionally carrying one forward-mode tangent per seed by the rules of
 first-order dual numbers (Griewank & Walther, *Evaluating Derivatives*, 2nd
 ed., SIAM 2008), elementwise.  Numpy performs only ``+ - * /`` and
 negation; ``^`` and the functions run per element through Python's ``pow``
-and ``math``.  Every check of the real domain is a mask with a message, and
-``run`` reports per output the first failed point and the message of the
-first check that fails there: the error a dual-number walk of that point
-raises.
+and ``math``.  Every check of the real domain is a mask with a message.  A
+pass keeps, per output, the first failed point and the message of the
+first check that fails there, and ``run`` raises it as ``EvalDomainError``:
+the error a dual-number walk of that point raises.
 """
 
 from __future__ import annotations
@@ -68,6 +68,17 @@ SEED_V = (0.0, 1.0)
 SEEDS = (SEED_U, SEED_V)
 
 
+class EvalDomainError(ArithmeticError):
+    """A density left the real domain; carries the bare ``reason`` and the probe point."""
+
+    def __init__(self, reason: str, t: float, u: float, v: float):
+        super().__init__(f"{reason} at (t={t!r}, u={u!r}, v={v!r})")
+        self.reason = reason
+        self.t = t
+        self.u = u
+        self.v = v
+
+
 def flatten(node: tuple) -> tuple[tuple, ...]:
     """The AST as instructions in evaluation order, by an iterative post-order walk.
 
@@ -104,8 +115,10 @@ def flatten(node: tuple) -> tuple[tuple, ...]:
 class _Pass:
     """The bookkeeping of one run of a program.
 
-    Each check records, per output, the mask of the points where it fails
-    and its message: a string, or a function of the flat point index.  A
+    Per output it keeps the first failed point: its flat index and the
+    message of the first check that fails there, a string or a function of
+    the flat index.  Checks come in the order a dual-number walk meets
+    them, so at a point that already failed the earlier message stands.  A
     failed point's later registers hold garbage that no other point sees.
     Output 0 is the value in a value pass; otherwise output k is the
     tangent of seed k.
@@ -114,12 +127,16 @@ class _Pass:
     def __init__(self, slots: tuple, outputs: int):
         self.slots = slots
         self.shape = np.broadcast(*slots).shape
-        self.checks: list[list] = [[] for _ in range(outputs)]
+        self.first: list = [None] * outputs
 
     def fail(self, mask, message, k: int | None = None) -> None:
         """The check ``mask`` fails for output ``k``, or for every output."""
-        for checks in self.checks if k is None else (self.checks[k],):
-            checks.append((mask, message))
+        if not mask.any():
+            return
+        i = int(np.argmax(np.broadcast_to(mask, self.shape)))
+        for j in range(len(self.first)) if k is None else (k,):
+            if self.first[j] is None or i < self.first[j][0]:
+                self.first[j] = (i, message)
 
     def describe(self, template: str, *xs) -> Callable[[int], str]:
         """``template`` formatted with the operands ``xs`` at a flat point index."""
@@ -128,23 +145,6 @@ class _Pass:
     def at(self, x, i: int):
         """Operand or mask ``x``, broadcast to the pass's shape, at flat index ``i``."""
         return np.broadcast(x, *self.slots).iters[0][i]
-
-    def failures(self) -> list:
-        """Per output: None, or its first failed point's flat index and message.
-
-        Checks are recorded in the order a dual-number walk meets them, so
-        the first one failing at that point gives the walk's message.
-        """
-        out = []
-        for checks in self.checks:
-            first = None
-            bad = reduce(np.logical_or, (mask for mask, _ in checks)) if checks else None
-            if bad is not None and bad.any():
-                i = int(np.argmax(np.broadcast_to(bad, self.shape)))
-                message = next(m for mask, m in checks if self.at(mask, i))
-                first = (i, message if isinstance(message, str) else message(i))
-            out.append(first)
-        return out
 
     def each(self, fn: Callable, *xs):
         """``fn`` per element on Python floats; a failure fails every output."""
@@ -281,17 +281,17 @@ class _Pass:
         return (np.where(at_zero, 0.0, value) if any_zero else value), tangents
 
 
-def run(program: tuple, t, y, dy, seeds: tuple = (), finite: bool = True):
-    """Run ``program`` over (t, y, dy); return its outputs and first failures.
+def run(program: tuple, t, y, dy, seeds: tuple = ()) -> tuple:
+    """Run ``program`` over (t, y, dy) and return its outputs.
 
     Without seeds the output is the value, with float semantics throughout.
     With seeds there is one output per seed: the tangent a dual-number walk
     with that seed would return, 0.0 for a density free of y and dy.  The
     outputs have the broadcast shape of (t, y, dy); Python floats stay
-    floats, so one point runs on scalar arithmetic.  Per output the failure
-    is None, or the flat index of the first failed point and the message of
-    the first check that fails there (a non-finite output fails unless
-    ``finite`` is false).
+    floats, so one point runs on scalar arithmetic.  If an output fails
+    anywhere (a non-finite output fails too), ``run`` raises the
+    ``EvalDomainError`` of its first failed point, the first output's
+    before the second's.
     """
     slots = tuple(x if isinstance(x, float) else np.asarray(x, dtype=float) for x in (t, y, dy))
     state = _Pass(slots, max(len(seeds), 1))
@@ -316,10 +316,14 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), finite: bool = True):
             vals.append(val)
             tans.append(tan)
         outs = (tans[-1] or [0.0] * len(seeds)) if seeds else [vals[-1]]
-        if finite:
-            for k, out in enumerate(outs):
-                ok = np.isfinite(out)
-                if not ok.all():
-                    state.fail(~ok, "non-finite value", k)
+        for k, out in enumerate(outs):
+            ok = np.isfinite(out)
+            if not ok.all():
+                state.fail(~ok, "non-finite value", k)
+    for first in state.first:
+        if first is not None:
+            i, message = first
+            raise EvalDomainError(message if isinstance(message, str) else message(i),
+                                  *(float(state.at(x, i)) for x in slots))
     shape = state.shape
-    return [out if np.shape(out) == shape else np.full(shape, out) for out in outs], state.failures()
+    return tuple(out if np.shape(out) == shape else np.full(shape, out) for out in outs)

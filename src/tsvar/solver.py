@@ -6,9 +6,9 @@ halved after each rejection down to 1e-300, accepted on strict decrease
 with Armijo constant 1e-4.  Everything is deterministic: same problem,
 configuration and start, same result, bit for bit.  Each iterate evaluates
 its partials once, in one grid pass per factor.  Trials evaluate the two
-factors only, the accepting trial's factors carry over to the next
-iterate, and the result's J, gradient sup-norm and EL1/EL2 reports reuse
-the final iterate's pass.
+factors only, the accepting trial's factors and slot arguments carry over
+to the next iterate, and the result's J, gradient sup-norm and EL1/EL2
+reports reuse the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
@@ -35,6 +35,7 @@ from .variational import (
     ELReport,
     VariationalProblem,
     _el_reports,
+    _factors,
     _functionals,
     _Partials,
     _slot_args,
@@ -137,11 +138,12 @@ def solve(
     sign = -1.0 if config.maximize else 1.0
 
     vals = np.array(y0.values, dtype=float, copy=True)
-    jd, jn = _functionals(p, vals)  # then carried over from each accepting trial
+    args = _slot_args(p, vals)
+    jd, jn = _factors(p, args)  # then carried over with ``args`` from each accepting trial
     converged = False
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
-        parts = _Partials(p, _slot_args(p, vals))
+        parts = _Partials(p, args)
         grad = sign * parts.gradient(jd, jn)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.gradient_tolerance:
@@ -158,8 +160,9 @@ def solve(
         while step >= _STEP_FLOOR:
             trial = vals.copy()
             trial[1:-1] -= step * grad
+            trial_args = _slot_args(p, trial)
             try:
-                trial_jd, trial_jn = _functionals(p, trial)
+                trial_jd, trial_jn = _factors(p, trial_args)
             except EvalDomainError as exc:
                 domain_error = exc
             else:
@@ -179,7 +182,7 @@ def solve(
             # No admissible decrease at any representable step: report the
             # current point without claiming convergence.
             break
-        vals, jd, jn = trial, trial_jd, trial_jn
+        vals, args, jd, jn = trial, trial_args, trial_jd, trial_jn
 
     el1, el2 = _el_reports(p, parts, jd, jn)
     return SolveResult(

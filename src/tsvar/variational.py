@@ -41,9 +41,12 @@ doubly-truncated index sets.
 Each factor's densities are evaluated over the whole grid at once: one
 ``Lagrangian.values`` call per factor for the values, and one
 ``Lagrangian.partials`` call per factor for both first partials.  The
-difference quotients and the factor sums are computed with numpy's
-floating-point warnings off, so an overflow shows as a non-finite value
-(which the density rejects as a domain error) or a non-finite factor.
+difference quotients, the factor sums, the gradient's and the EL trace's
+products with the factors, and the trace's mean and deviation are computed
+with numpy's floating-point warnings off.  An overflow shows as a
+non-finite density value (which the density rejects as a domain error), a
+non-finite factor, gradient or trace, or a nan deviation, which fails
+``passes``.
 """
 
 from __future__ import annotations
@@ -208,7 +211,8 @@ class _Partials:
         grad_d = gaps[:-1] * self.d2d[:-1] + self.d3d[:-1] - self.d3d[1:]
         # and in the nabla sum through i = k+1 (both slots) and i = k:
         grad_n = gaps[1:] * self.d2n[1:] - self.d3n[1:] + self.d3n[:-1]
-        return jn * grad_d + jd * grad_n
+        with np.errstate(all="ignore"):  # a product past the float range is not finite
+            return jn * grad_d + jd * grad_n
 
     def el_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """f over upper-kappa and g over lower-kappa."""
@@ -263,8 +267,9 @@ def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarr
 
 def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
     trace.setflags(write=False)
-    c = float(np.mean(trace))
-    deviation = float(np.max(np.abs(trace - c)))
+    with np.errstate(all="ignore"):  # a non-finite trace gives a nan deviation, which fails
+        c = float(np.mean(trace))
+        deviation = float(np.max(np.abs(trace - c)))
     return ELReport(which, p.scale, kappa_set(p.scale, kind), trace, c, deviation,
                     j_delta=jd, j_nabla=jn)
 
@@ -272,7 +277,9 @@ def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
 def _el_reports(p, parts: _Partials, jd: float, jn: float) -> tuple[ELReport, ELReport]:
     """EL1 and EL2 from their one shared, read-only trace Jn * f + Jd * g."""
     f, g = parts.el_terms()
-    el1 = _report(p, "EL1", KappaKind.LOWER, jn * f + jd * g, jd, jn)
+    with np.errstate(all="ignore"):
+        trace = jn * f + jd * g
+    el1 = _report(p, "EL1", KappaKind.LOWER, trace, jd, jn)
     return el1, replace(el1, which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
 
 

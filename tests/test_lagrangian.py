@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dual
+import tsvar.lagrangian
+import tsvar.program
 from tsvar import EvalDomainError, ParseError, catalog, parse_lagrangian
 from dual import Dual
 from tsvar.lagrangian import (
@@ -114,9 +116,13 @@ def test_dual_exponent_derivative():
 
 
 def test_domain_error_reports_the_point():
+    # The pass raises the one exception class that both tsvar and
+    # tsvar.lagrangian export, with the bare reason kept apart.
+    assert EvalDomainError is tsvar.lagrangian.EvalDomainError is tsvar.program.EvalDomainError
     L = parse_lagrangian("log(y)")
     with pytest.raises(EvalDomainError) as exc:
         L.eval(0.5, 0.0, 2.0)
+    assert exc.value.reason == "log of non-positive value 0.0"
     assert exc.value.t == 0.5
     assert exc.value.u == 0.0
     assert exc.value.v == 2.0
@@ -378,6 +384,30 @@ def test_failing_pass_runs_the_program_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_failing_pass_over_a_grid_of_candidates():
+    # The brute-force oracle's shape: t along the points, u and v with a row
+    # per candidate.  A failing values() or partials() raises the walk's
+    # message for the first failing flat index, with that point's (t, u, v).
+    source = "log(y) + sqrt(dy)"
+    ast, L = parse(source), parse_lagrangian(source)
+    t = np.array([0.0, 0.5, 1.0])
+    u = np.array([[1.0, 2.0, 3.0], [1.0, -1.0, -2.0]])
+    v = np.array([[1.0, 0.0, -4.0], [1.0, 1.0, 1.0]])
+    for call in (lambda: L.values(t, u, v), lambda: L.partials(t, u, v)):
+        with pytest.raises(EvalDomainError, match=r"^square root of negative value -4.0 at \(t=1.0, u=3.0, v=-4.0\)$"):
+            call()
+    rng = np.random.default_rng(23)
+    cases = [(t, u, v)] + [(rng.uniform(0.0, 1.0, 5), *rng.uniform(-0.5, 3.0, (2, 4, 5))) for _ in range(2)]
+    for t, u, v in cases:
+        grid = list(zip(*(np.broadcast_to(x, u.shape).ravel().tolist() for x in (t, u, v))))
+        want = [reference(ast, *point) for point in grid]
+        assert any(isinstance(w[0], str) for w in want)
+        expect(lambda: L.values(t, u, v).ravel(), [w[0] for w in want], grid)
+        # A partials pass reports any d2 failure before any d3 failure.
+        k = 0 if any(isinstance(w[1], str) for w in want) else 1
+        expect(lambda: L.partials(t, u, v)[k].ravel(), [w[1 + k] for w in want], grid)
+
+
 @pytest.mark.parametrize("source,point,expected", [
     ("+".join(["y"] * 600), (0.0, 1.5, 0.0), (900.0, 600.0, 0.0)),
     ("-" * 900 + "y", (0.0, 1.5, 0.0), (1.5, 1.0, 0.0)),
@@ -547,7 +577,7 @@ def test_catalog_partials_match_finite_differences():
     ("const(1 +)", "syntax error"),
     ("dy_squared(3)", "takes no argument"),
     ("kinetic_minus_potential", "needs a constant argument"),
-    ("const(1e308*10)", "is not finite"),
+    ("const(1e308*10)", "non-finite value"),
     ("const(1/0)", "division by zero"),
     ("const(log(0))", "log of non-positive"),
     ("const(exp(1000))", "catalog argument 'exp\\(1000\\)'"),

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +20,8 @@ from tsvar import (
     classic_el_residuals,
     el_residual_1,
     el_residual_2,
+    el_residual_cor1,
+    el_residual_cor2,
     first_variation_gradient,
     j_product,
     make_timescale,
@@ -27,6 +31,7 @@ from tsvar import (
     uniform_scale,
 )
 from tsvar.solver import _candidate_objectives
+from tsvar.variational import _slot_args
 
 
 def square_problem(pts=(0.0, 1.0, 2.0), beta=2.0):
@@ -160,6 +165,27 @@ def test_no_value_pass_is_repeated():
     assert all(a != b for a, b in zip(passes, passes[1:]))
 
 
+def test_each_value_array_builds_its_slot_arguments_once(monkeypatch):
+    # The accepting trial's slot arguments carry over to the next iterate's
+    # partials pass, so a solve builds them once per value pass of a factor.
+    builds = []
+
+    def counted(p, vals):
+        builds.append(vals)
+        return _slot_args(p, vals)
+
+    monkeypatch.setattr("tsvar.solver._slot_args", counted)
+    monkeypatch.setattr("tsvar.variational._slot_args", counted)
+    ts = uniform_scale(0.0, 1.0, 11)
+    calls = []
+    p = VariationalProblem(ts, recording(parse_lagrangian("dy^2 + y^2 + sin(t)*y"), calls),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    r = solve(p, SolverConfig(max_iterations=20))
+    assert r.iterations == 20 and not r.converged
+    assert len(calls) % (len(ts) - 1) == 0
+    assert len(builds) == len(calls) // (len(ts) - 1)
+
+
 def test_solve_with_zero_budget_reports_start():
     p = square_problem()
     y0 = GridFunction(p.scale, [0.0, -5.0, 2.0])
@@ -255,6 +281,30 @@ def test_overflowing_trial_steps_warn_nothing():
         with pytest.raises(StepUnderflowError, match=r"last trial: (overflow|non-finite value) at \(t="):
             solve(p, SolverConfig(max_iterations=10, maximize=True))
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("ld,ln", [("1e200*(dy^2+1)", "1e200*(dy^2+1)"),
+                                   ("1e300*dy^2", "1e300*(dy^2 + y^2)")])
+def test_overflowing_product_warns_nothing(ld, ln):
+    # Both factors are finite but Jd*Jn overflows.  The gradient, the EL
+    # traces and their reports, and a solve multiply by the factors with
+    # numpy's warnings off, and the infinite trace fails EL1.  What the
+    # solve reports here is not checked: today the first pair "converges"
+    # with J = inf, and the second ends in StepUnderflowError.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 11), parse_lagrangian(ld),
+                           parse_lagrangian(ln), 0.0, 1.0)
+    y = chord(p)
+    assert j_product(p, y) == math.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first_variation_gradient(p, y)
+        el1 = el_residual_1(p, y)
+        for report in (el_residual_2, el_residual_cor1, el_residual_cor2):
+            report(p, y)
+        with contextlib.suppress(StepUnderflowError):
+            solve(p, SolverConfig(max_iterations=5))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not el1.passes()
 
 
 @pytest.mark.parametrize("interior", [1, 2, 3])

@@ -18,8 +18,11 @@ domain, so the first failing point and its message are compared too.
 Points: the value and both partials of every probe density and of three
 catalog entries, point by point at seeded and special points (signed
 zeros, infinities, points outside the domain), and the errors of bad
-catalog arguments.  Uses only the public API and runs from a checkout
-without installing the package.
+catalog arguments.  Grids: the value and partials passes of the probe
+densities and of ``log(y) + sqrt(dy)`` over the brute-force oracle's shape
+(1-D t, 2-D u and v), on arrays where most of them fail, so the flat index
+of the first failing point is compared too.  Uses only the public API and
+runs from a checkout without installing the package.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ PROBE_SOURCES = (
 )
 
 CATALOG_ENTRIES = ("kinetic_minus_potential(2)", "dy_squared", "const(0.5)")
-BAD_CATALOG_ARGUMENTS = ("const(1/0)", "const(log(0))", "const(exp(1000))")
+BAD_CATALOG_ARGUMENTS = ("const(1/0)", "const(log(0))", "const(exp(1000))", "const(1e308*10)", "const(1e999)")
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf)
 
 
@@ -168,8 +171,21 @@ def points():
         yield f"catalog {name!r}", lambda name=name: (T.catalog(name).origin,)
 
 
+def grids():
+    rng = np.random.default_rng(13)
+    arrays = [(np.array([0.0, 0.5, 1.0]), np.array([[1.0, 2.0, 3.0], [1.0, -1.0, -2.0]]),
+               np.array([[1.0, 0.0, -4.0], [1.0, 1.0, 1.0]]))]
+    arrays += [(rng.uniform(0.0, 1.0, 6), *rng.uniform(-0.5, 3.0, (2, 5, 6))) for _ in range(2)]
+    sources = ("log(y) + sqrt(dy)",) + tuple(s for pair in PROBE_SOURCES for s in pair)
+    for source in sources:
+        L = T.parse_lagrangian(source)
+        for k, (t, u, v) in enumerate(arrays):
+            yield f"grid {source!r} k={k} values", lambda L=L, a=(t, u, v): (L.values(*a),)
+            yield f"grid {source!r} k={k} partials", lambda L=L, a=(t, u, v): L.partials(*a)
+
+
 def main() -> int:
-    for group in (solves, oracles, probes, points):
+    for group in (solves, oracles, probes, points, grids):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
