@@ -164,7 +164,9 @@ class _Pass:
         checks = _domain(fn, *xs)
         if checks:
             checks = [(mask, self.describe(template, *xs)) for mask, template in checks]
-        cols = [_column(x, self.shape) for x in xs]
+        # At the operands' own shape: a function of t alone runs once per point of t.
+        shape = np.broadcast(*xs).shape
+        cols = [_column(x, shape) for x in xs]
         if all(col is None for col in cols):
             if checks:
                 return math.nan, checks
@@ -172,7 +174,6 @@ class _Pass:
                 return fn(*(float(x) for x in xs)), checks
             except (OverflowError, ValueError):
                 return math.nan, [(np.True_, self.raised(fn, xs[0]))]
-        shape = self.shape
         args = [repeat(float(x)) if col is None else col for x, col in zip(xs, cols)]
         if checks:  # fn gets 1.0 where they fail instead
             args[0] = _column(np.where(reduce(np.logical_or, (mask for mask, _ in checks)), 1.0, xs[0]), shape)

@@ -3,12 +3,21 @@
 Plain gradient descent on the interior value vector along the exact first
 variation.  Each step backtracks by one fixed Armijo policy: trial step 1,
 halved after each rejection down to 1e-300, accepted on strict decrease
-with Armijo constant 1e-4.  Everything is deterministic: same problem,
-configuration and start, same result, bit for bit.  Each iterate evaluates
-its partials once, in one grid pass per factor.  Trials evaluate the two
-factors only, the accepting trial's factors and slot arguments carry over
-to the next iterate, and the result's J, gradient sup-norm and EL1/EL2
-reports reuse the final iterate's pass.
+with Armijo constant 1e-4.  The search evaluates its trials in blocks of
+consecutive steps, one value pass per factor over a block's (trials x
+points) array, and accepts the block's first trial that passes: the step
+that trying one step at a time accepts, bit for bit.  A block holds k + 2
+trials, k being the rung the previous iteration accepted (0 for step 1),
+and one trial on the first iteration and after an iteration in which a
+trial raised.  A block in which any trial raises a domain error is
+evaluated again one trial per pass, so the search meets the errors in
+ladder order.
+Everything is deterministic: same problem, configuration and start, same
+result, bit for bit.  Each iterate evaluates its partials once, in one
+grid pass per factor.  Trials evaluate the two factors only, the
+accepting trial's factors and slot-argument rows carry over to the next
+iterate, and the result's J, gradient sup-norm and EL1/EL2 reports reuse
+the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
@@ -57,6 +66,18 @@ _INITIAL_STEP = 1.0
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _STEP_FLOOR = 1e-300
+
+
+def _ladder() -> np.ndarray:
+    """The trial steps, largest first: halved from the first one down to the floor."""
+    steps = [_INITIAL_STEP]
+    while steps[-1] * _BACKTRACK_FACTOR >= _STEP_FLOOR:
+        steps.append(steps[-1] * _BACKTRACK_FACTOR)
+    return np.array(steps)
+
+
+_STEPS = _ladder()
+
 # Candidates per value pass of the brute-force oracle; bounds its memory.
 _ORACLE_CHUNK = 256
 
@@ -114,6 +135,12 @@ def chord(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, vals)
 
 
+def _row(args, i: int):
+    """Row ``i`` of stacked slot arguments, as views."""
+    gaps, (td, ud, vd), (tn, un, vn) = args
+    return gaps, (td, ud[i], vd[i]), (tn, un[i], vn[i])
+
+
 def solve(
     p: VariationalProblem,
     config: SolverConfig | None = None,
@@ -122,9 +149,9 @@ def solve(
     """Descend the product objective from ``y0`` (default: the chord).
 
     Convergence means the sup-norm of the exact gradient fell to
-    ``gradient_tolerance``.  Hitting the iteration budget, or reaching a
-    point where no step passes the Armijo test, returns a result flagged
-    not converged rather than raising.  A Lagrangian domain error during
+    ``gradient_tolerance`` at a finite objective.  Hitting the iteration
+    budget, or reaching a point where no step passes the Armijo test,
+    returns a result flagged not converged rather than raising.  A Lagrangian domain error during
     the line search only shrinks the step; if the step underflows while
     still erroring, ``StepUnderflowError`` is raised.
     """
@@ -141,13 +168,14 @@ def solve(
     args = _slot_args(p, vals)
     jd, jn = _factors(p, args)  # then carried over with ``args`` from each accepting trial
     converged = False
+    block = 1  # trials per value pass, as the module docstring says
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
         parts = _Partials(p, args)
         grad = sign * parts.gradient(jd, jn)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.gradient_tolerance:
-            converged = True
+            converged = bool(np.isfinite(jd * jn))
             break
         if iterations == config.max_iterations:
             break
@@ -156,23 +184,31 @@ def solve(
         # An exact power-of-two rescale keeps |grad|^2 finite past |grad| ~ 1e154.
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
         slope = float(np.dot(grad / scale, grad / scale))
-        step = _INITIAL_STEP
-        while step >= _STEP_FLOOR:
-            trial = vals.copy()
-            trial[1:-1] -= step * grad
-            trial_args = _slot_args(p, trial)
+        k = 0  # the ladder's first rung not yet tried
+        raised = False
+        domain_error = None  # of the last trial tried
+        while k < len(_STEPS):
+            steps = _STEPS[k:k + (1 if raised else block)]
+            trials = np.repeat(vals[None, :], len(steps), axis=0)
+            trials[:, 1:-1] -= steps[:, None] * grad
+            trial_args = _slot_args(p, trials)
             try:
                 trial_jd, trial_jn = _factors(p, trial_args)
             except EvalDomainError as exc:
-                domain_error = exc
-            else:
-                domain_error = None
-                f1 = sign * trial_jd * trial_jn
-                if np.isfinite(f1) and f1 < f0 and (
-                    f1 <= f0 - _ARMIJO_C * step * slope * scale * scale
-                ):
-                    break
-            step *= _BACKTRACK_FACTOR
+                # One trial is rejected; a block runs again, one trial per pass.
+                raised = True
+                if len(steps) == 1:
+                    domain_error = exc
+                    k += 1
+                continue
+            domain_error = None
+            f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
+            passed = [np.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
+                      for f, step in zip(f1, steps.tolist())]
+            if any(passed):
+                row = passed.index(True)
+                break
+            k += len(steps)
         else:
             if domain_error is not None:
                 raise StepUnderflowError(
@@ -182,7 +218,9 @@ def solve(
             # No admissible decrease at any representable step: report the
             # current point without claiming convergence.
             break
-        vals, args, jd, jn = trial, trial_args, trial_jd, trial_jn
+        block = 1 if raised else k + row + 2
+        vals, args = trials[row], _row(trial_args, row)
+        jd, jn = float(trial_jd[row]), float(trial_jn[row])
 
     el1, el2 = _el_reports(p, parts, jd, jn)
     return SolveResult(
@@ -208,12 +246,8 @@ def _candidate_objectives(p: VariationalProblem, interiors: np.ndarray) -> np.nd
     vals[:, 1:-1] = interiors
     vals[:, -1] = p.beta
     try:
-        gaps, delta, nabla = _slot_args(p, vals)
-        column = gaps[:, None]
+        jd, jn = _factors(p, _slot_args(p, vals))
         with np.errstate(all="ignore"):
-            # A stacked product: each row sums exactly as np.dot(gaps, row) does.
-            jd = np.matmul(p.l_delta.values(*delta)[:, None, :], column)[:, 0, 0]
-            jn = np.matmul(p.l_nabla.values(*nabla)[:, None, :], column)[:, 0, 0]
             j = jd * jn
     except EvalDomainError:
         j = np.empty(len(vals))

@@ -174,13 +174,21 @@ def _slot_args(p: VariationalProblem, vals: np.ndarray):
     return gaps, (pts[:-1], vals[..., 1:], quot), (pts[1:], vals[..., :-1], quot)
 
 
-def _factor(gaps: np.ndarray, values: np.ndarray) -> float:
+def _factor(gaps: np.ndarray, values: np.ndarray):
+    """The weighted sum of one row of density values, or of each row of a stack.
+
+    A stacked product sums each row exactly as ``np.dot(gaps, row)`` does.
+    """
     with np.errstate(all="ignore"):  # an overflowing sum is a non-finite factor
-        return float(np.dot(gaps, values))
+        sums = np.matmul(values[..., None, :], gaps[:, None])[..., 0, 0]
+    return float(sums) if values.ndim == 1 else sums
 
 
-def _factors(p: VariationalProblem, args) -> tuple[float, float]:
-    """Both factor values from the slot arguments; one value pass per factor."""
+def _factors(p: VariationalProblem, args):
+    """Both factor values from the slot arguments; one value pass per factor.
+
+    Floats for one row of values, arrays with one entry per row for a stack.
+    """
     gaps, delta, nabla = args
     return _factor(gaps, p.l_delta.values(*delta)), _factor(gaps, p.l_nabla.values(*nabla))
 

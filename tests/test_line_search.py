@@ -1,0 +1,175 @@
+"""The block line search against the one-trial-at-a-time reference."""
+
+import numpy as np
+import pytest
+
+from armijo import sequential_solve
+from tsvar import (
+    EvalDomainError,
+    GridFunction,
+    Lagrangian,
+    SolverConfig,
+    StepUnderflowError,
+    VariationalProblem,
+    catalog,
+    chord,
+    make_timescale,
+    parse_lagrangian,
+    solve,
+)
+from tsvar.variational import _slot_args
+
+PAIRS = {
+    "expr": (parse_lagrangian, "dy^2 + y^2 + sin(t)*y", "dy^2 + 1"),
+    "catalog": (catalog, "kinetic_minus_potential(2)", "dy_squared"),
+    "steep": (parse_lagrangian, "sqrt(dy^2+1)", "exp(y)*dy^2 + 1"),
+    # Large trial steps leave sqrt's domain, but the solve does not diverge.
+    "bounded": (parse_lagrangian, "sqrt(2 - y^2) + dy^2", "dy^2 + 1"),
+}
+BUDGET = 30
+# Ascents of the unbounded pairs overflow most trials; fewer iterations show it.
+ASCENT_BUDGET = 10
+
+
+def seeded_points(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    gaps = 10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    pts = np.concatenate(([0.0], np.cumsum(gaps))) / float(np.sum(gaps))
+    pts[-1] = 1.0
+    return pts
+
+
+def assert_same_solve(got, want):
+    assert got.y.values.tobytes() == want.y.values.tobytes()
+    assert np.float64(got.j_value).tobytes() == np.float64(want.j_value).tobytes()
+    assert got.gradient_norm == want.gradient_norm
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    for a, b in ((got.el1, want.el1), (got.el2, want.el2)):
+        assert a.which == b.which and a.domain == b.domain
+        assert a.residual_trace.tobytes() == b.residual_trace.tobytes()
+        assert np.float64(a.constant_c).tobytes() == np.float64(b.constant_c).tobytes()
+        assert np.float64(a.deviation).tobytes() == np.float64(b.deviation).tobytes()
+
+
+def outcome(run):
+    """The result of ``run()``, or the error it raised."""
+    try:
+        return run()
+    except StepUnderflowError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    assert isinstance(got, StepUnderflowError) == isinstance(want, StepUnderflowError)
+    if isinstance(want, StepUnderflowError):
+        assert str(got) == str(want)
+        assert type(got.__cause__) is type(want.__cause__) is EvalDomainError
+        assert str(got.__cause__) == str(want.__cause__)
+    else:
+        assert_same_solve(got, want)
+
+
+@pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+@pytest.mark.parametrize("kind", ["uniform", "seeded"])
+@pytest.mark.parametrize("n", [11, 41])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_block_search_matches_the_sequential_ladder(pair, n, kind, maximize):
+    build, ld, ln = PAIRS[pair]
+    pts = np.linspace(0.0, 1.0, n) if kind == "uniform" else seeded_points(n, n)
+    p = VariationalProblem(make_timescale(pts), build(ld), build(ln), 0.0, 1.0)
+    budget = ASCENT_BUDGET if maximize else BUDGET
+    assert_same_outcome(outcome(lambda: solve(p, SolverConfig(max_iterations=budget, maximize=maximize))),
+                        outcome(lambda: sequential_solve(p, budget, maximize)))
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_block_search_matches_the_sequential_ladder_from_a_seeded_start(pair):
+    build, ld, ln = PAIRS[pair]
+    p = VariationalProblem(make_timescale(seeded_points(41, 5)), build(ld), build(ln), 0.0, 1.0)
+    vals = chord(p).values + 0.3 * np.random.default_rng(5).standard_normal(41)
+    vals[0], vals[-1] = 0.0, 1.0
+    y0 = GridFunction(p.scale, vals)
+    assert_same_outcome(outcome(lambda: solve(p, SolverConfig(max_iterations=BUDGET), y0=y0)),
+                        outcome(lambda: sequential_solve(p, BUDGET, y0=y0)))
+
+
+def forced_path() -> list:
+    """The interior values the forced descent below accepts: u -> u - (1/4) * (u/2)."""
+    path = [1.0]
+    for _ in range(7):
+        path.append(path[-1] - 0.25 * (path[-1] / 2.0))
+    return path
+
+
+FORCED_PATH = forced_path()
+
+
+def forced_problem(final_gradient: float, forbidden: set, calls: list) -> VariationalProblem:
+    """A hand-built descent on [0, 1, 2] whose every trial step is known in advance.
+
+    The interior value u walks ``FORCED_PATH`` from 1.0 with the gradient
+    u/2, accepting the third trial (step 1/4) each time: the two larger
+    steps land where the density is 100.  At the path's end the gradient is
+    u itself, so the first trial lands on 0.0, where the gradient is
+    ``final_gradient`` and every trial is negative.  A negative u, or one
+    in ``forbidden``, raises a forced ``EvalDomainError``.
+    """
+    path = FORCED_PATH
+    value = {u: float(len(path) - i) for i, u in enumerate(path)}
+    slope = {u: u / 2.0 for u in path}
+    value[0.0], slope[path[-1]], slope[0.0] = 0.0, path[-1], final_gradient
+
+    def forced_eval(t, u, v):
+        if t == 1.0:  # the boundary point's delta slot
+            return 0.0
+        calls.append(u)
+        if u < 0.0 or u in forbidden:
+            raise EvalDomainError("forced failure", t, u, v)
+        return value.get(u, 100.0)
+
+    forced = Lagrangian(eval=forced_eval,
+                        d2=lambda t, u, v: 0.0 if t == 1.0 else slope[u],
+                        d3=lambda t, u, v: 0.0,
+                        origin="forced")
+    return VariationalProblem(make_timescale([0.0, 1.0, 2.0]), forced, catalog("const(0.5)"), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("final_gradient", [0.0, 1.0], ids=["converges", "underflows"])
+def test_forced_domain_errors_in_a_block(monkeypatch, final_gradient):
+    # From iteration 1 on, a block holds rungs 0-3 and accepts rung 2.  In
+    # iteration 2 rung 3, which the sequential search never tries, raises;
+    # in iteration 4 rung 1, which it rejects, raises.  Both blocks run
+    # again one trial per pass and accept the same rung.
+    path = FORCED_PATH
+    after = path[2] - 0.125 * (path[2] / 2.0)
+    before = path[4] - 0.5 * (path[4] / 2.0)
+    y0 = GridFunction(make_timescale([0.0, 1.0, 2.0]), [0.0, 1.0, 0.0])
+    want_calls, got_calls = [], []
+    want = outcome(lambda: sequential_solve(forced_problem(final_gradient, {after, before}, want_calls),
+                                            20, y0=y0))
+    builds = []
+
+    def counted(p, vals):
+        builds.append(vals.copy())
+        return _slot_args(p, vals)
+
+    monkeypatch.setattr("tsvar.solver._slot_args", counted)
+    got = outcome(lambda: solve(forced_problem(final_gradient, {after, before}, got_calls),
+                                SolverConfig(max_iterations=20), y0=y0))
+    assert_same_outcome(got, want)
+    assert before in want_calls and before in got_calls
+    assert after not in want_calls and after in got_calls
+    # Blocks of four rows ran in iterations 1, 2, 4 and 6, and in 7 the
+    # block's first row reached 0.0.
+    blocks = [vals[:, 1].tolist() for vals in builds if vals.ndim == 2 and len(vals) > 1]
+    assert [rows[2] for rows in blocks[:4]] == [path[2], path[3], path[5], path[7]]
+    assert blocks[4][0] == 0.0
+    if final_gradient == 0.0:
+        assert got.converged and got.iterations == 8 and got.y.values[1] == 0.0
+        assert len(blocks) == 5
+    else:
+        # At 0.0 a two-row block raises; the rungs then run one per pass
+        # down to the floor, and the error names the last one.
+        assert blocks[5:] == [[-1.0, -0.5]]
+        assert str(got).endswith("last trial: forced failure at (t=0.0, u=-1.4932217896051502e-300, "
+                                 "v=-1.4932217896051502e-300)")

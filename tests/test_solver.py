@@ -167,7 +167,8 @@ def test_no_value_pass_is_repeated():
 
 def test_each_value_array_builds_its_slot_arguments_once(monkeypatch):
     # The accepting trial's slot arguments carry over to the next iterate's
-    # partials pass, so a solve builds them once per value pass of a factor.
+    # partials pass, so a solve builds them once per row of a factor's value
+    # pass.  One build covers a whole block of line-search trials, one per row.
     builds = []
 
     def counted(p, vals):
@@ -183,7 +184,8 @@ def test_each_value_array_builds_its_slot_arguments_once(monkeypatch):
     r = solve(p, SolverConfig(max_iterations=20))
     assert r.iterations == 20 and not r.converged
     assert len(calls) % (len(ts) - 1) == 0
-    assert len(builds) == len(calls) // (len(ts) - 1)
+    assert sum(len(vals) if vals.ndim == 2 else 1 for vals in builds) == len(calls) // (len(ts) - 1)
+    assert any(vals.ndim == 2 and len(vals) > 1 for vals in builds)
 
 
 def test_solve_with_zero_budget_reports_start():
@@ -288,9 +290,10 @@ def test_overflowing_trial_steps_warn_nothing():
 def test_overflowing_product_warns_nothing(ld, ln):
     # Both factors are finite but Jd*Jn overflows.  The gradient, the EL
     # traces and their reports, and a solve multiply by the factors with
-    # numpy's warnings off, and the infinite trace fails EL1.  What the
-    # solve reports here is not checked: today the first pair "converges"
-    # with J = inf, and the second ends in StepUnderflowError.
+    # numpy's warnings off, and the infinite trace fails EL1.  The first
+    # pair's solve stops at once, not converged, with J = inf (see
+    # test_solve_at_an_infinite_objective_does_not_converge); the second
+    # ends in StepUnderflowError.
     p = VariationalProblem(uniform_scale(0.0, 1.0, 11), parse_lagrangian(ld),
                            parse_lagrangian(ln), 0.0, 1.0)
     y = chord(p)
@@ -305,6 +308,16 @@ def test_overflowing_product_warns_nothing(ld, ln):
             solve(p, SolverConfig(max_iterations=5))
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not el1.passes()
+
+
+def test_solve_at_an_infinite_objective_does_not_converge():
+    # Each factor is 2e200, so Jd*Jn overflows; the gradient at the chord is
+    # exactly 0, but a solve at J = inf is not converged.
+    ld = ln = parse_lagrangian("1e200*(dy^2+1)")
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 11), ld, ln, 0.0, 1.0)
+    r = solve(p)
+    assert (r.gradient_norm, r.iterations, r.j_value) == (0.0, 0, math.inf)
+    assert not r.converged
 
 
 @pytest.mark.parametrize("interior", [1, 2, 3])

@@ -11,6 +11,9 @@ outputs to show that a change leaves results bit-identical:
 
 Solves: three density pairs, n = 11, 101 and 1001, a uniform and a seeded
 non-uniform scale, minimize and maximize, each at a fixed iteration budget.
+A fourth pair whose large trial steps leave its density's domain, so that
+line-search trials raise without the solve diverging, at n = 11 and 101.
+All four pairs again at n = 11 and 101 from a seeded start off the chord.
 Oracle: seeded instances with 1-3 interior points, and one whose densities
 fail on part of the search box.  Probes: the objective, the gradient and
 the EL1 trace at seeded points for densities that fail on part of their
@@ -45,6 +48,8 @@ PAIRS = {
     "steep": (T.parse_lagrangian, "sqrt(dy^2+1)", "exp(y)*dy^2 + 1"),
 }
 SIZES = (11, 101, 1001)
+# Trials of its ascents leave sqrt's domain, yet the solve stays finite.
+BOUNDED = (T.parse_lagrangian, "sqrt(2 - y^2) + dy^2", "dy^2 + 1")
 BUDGET = 30
 PROBE_SOURCES = (
     ("log(y - 0.6) + dy^2", "dy^2 + 1"),
@@ -82,8 +87,8 @@ def seeded_points(n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def solve_parts(p, maximize: bool) -> tuple:
-    r = T.solve(p, T.SolverConfig(max_iterations=BUDGET, maximize=maximize))
+def solve_parts(p, maximize: bool, y0=None) -> tuple:
+    r = T.solve(p, T.SolverConfig(max_iterations=BUDGET, maximize=maximize), y0=y0)
     parts = [r.y.values, r.j_value, r.gradient_norm, r.iterations, r.converged,
              r.el1.residual_trace, r.el1.constant_c, r.el2.residual_trace,
              T.first_variation_gradient(p, r.y),
@@ -94,14 +99,25 @@ def solve_parts(p, maximize: bool) -> tuple:
     return tuple(parts)
 
 
-def solves():
-    for name, (build, ld, ln) in PAIRS.items():
-        for n in SIZES:
+def problems(pairs: dict, sizes: tuple):
+    for name, (build, ld, ln) in pairs.items():
+        for n in sizes:
             for kind, pts in (("uniform", np.linspace(0.0, 1.0, n)), ("seeded", seeded_points(n, n))):
-                p = T.VariationalProblem(T.make_timescale(pts), build(ld), build(ln), 0.0, 1.0)
-                for maximize in (False, True):
-                    sense = "max" if maximize else "min"
-                    yield f"solve {name} n={n} {kind} {sense}", lambda p=p, m=maximize: solve_parts(p, m)
+                yield f"{name} n={n} {kind}", T.VariationalProblem(T.make_timescale(pts), build(ld), build(ln), 0.0, 1.0)
+
+
+def solves():
+    for label, p in [*problems(PAIRS, SIZES), *problems({"bounded": BOUNDED}, SIZES[:2])]:
+        for maximize in (False, True):
+            sense = "max" if maximize else "min"
+            yield f"solve {label} {sense}", lambda p=p, m=maximize: solve_parts(p, m)
+    for label, p in problems({**PAIRS, "bounded": BOUNDED}, SIZES[:2]):
+        vals = T.chord(p).values + 0.1 * np.random.default_rng(len(p.scale)).standard_normal(len(p.scale))
+        vals[0], vals[-1] = p.alpha, p.beta
+        y0 = T.GridFunction(p.scale, vals)
+        for maximize in (False, True):
+            sense = "max" if maximize else "min"
+            yield f"solve {label} start {sense}", lambda p=p, m=maximize, y0=y0: solve_parts(p, m, y0)
 
 
 def oracles():
