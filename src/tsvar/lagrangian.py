@@ -14,13 +14,14 @@ second slot (the shifted state ``u``) and the third slot (the derivative
 A parsed density is flattened once into a flat instruction list (see
 ``tsvar.program``).  ``Lagrangian.values`` runs it over whole arrays of
 (t, u, v); ``Lagrangian.partials`` runs it once carrying two forward-mode
-tangents, seeded in ``y`` and in ``dy``.  Only ``+ - * /`` and negation run
-as numpy array operations, which round as Python floats do; ``^`` and the
-functions run per element through Python's ``pow`` and ``math``, because
-numpy's ``power``, ``exp``, ``log``, ``sin`` and ``cos`` differ from libm in
-the last bit for some inputs.  The per-point callables ``eval``, ``d2`` and
-``d3`` run the same instructions on single Python floats, so a grid pass
-gives bit for bit what they give at each point.  A
+tangents, seeded in ``y`` and in ``dy``.  ``+ - * /``, negation, ``^``
+and ``sqrt`` run as numpy array operations that round as Python's
+arithmetic, ``pow`` and ``math.sqrt`` do (``^`` as ``float_power``, which
+calls libm's ``pow``; numpy's ``power`` does not match it); ``exp``,
+``log``, ``sin`` and ``cos`` run per element through ``math``, because
+numpy does not promise libm's results for them.  The per-point callables
+``eval``, ``d2`` and ``d3`` run the same instructions on single Python
+floats, so a grid pass gives bit for bit what they give at each point.  A
 ``Lagrangian(eval, d2, d3, origin)`` built by hand has no instruction list;
 its ``values`` and ``partials`` call its callables once per point.
 

@@ -4,11 +4,17 @@
 ``run`` executes them over (t, y, dy), whole arrays or single floats,
 optionally carrying one forward-mode tangent per seed by the rules of
 first-order dual numbers (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., SIAM 2008), elementwise.  Numpy performs only ``+ - * /`` and
-negation; ``^`` and the functions run per element through Python's ``pow``
-and ``math``.  Every check of the real domain is a mask with a message.  A
-pass keeps, per output, the first failed point and the message of the
-first check that fails there, and ``run`` raises it as ``EvalDomainError``:
+ed., SIAM 2008), elementwise.  Over arrays numpy performs ``+ - * /``,
+negation, ``^`` and ``sqrt``: ``float_power`` calls the C library's ``pow``
+per element, as Python's ``pow`` does, and a square root is correctly
+rounded.  ``exp``, ``log``, ``sin`` and ``cos`` run per element through
+``math``: numpy does not promise libm's results for them, and its ``exp``
+and ``log`` differ in the last bit for some inputs.  Python floats go
+through Python's ``pow`` and ``math``.  Every check of the real domain is a
+mask with a message, and so are the errors ``math.exp``, ``math.sin`` and
+``math.cos`` raise, so the per-element map never raises.  A pass keeps, per
+output, the first failed point and the message of the first check that
+fails there, and ``run`` raises it as ``EvalDomainError``:
 the error a dual-number walk of that point raises.
 """
 
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -26,20 +31,16 @@ VARIABLES = ("t", "y", "dy")
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
 
-def _column(x, shape: tuple) -> list | None:
-    """An array operand as a flat list of Python floats over ``shape``; None for a scalar."""
-    if not (isinstance(x, np.ndarray) and x.ndim):
-        return None
-    if x.shape != shape:
-        x = np.broadcast_to(x, shape)
-    return x.tolist() if x.ndim == 1 else x.ravel().tolist()
+# The largest float whose exp is finite: math.exp raises OverflowError past it.
+EXP_LIMIT = 709.782712893384
 
 
 def _domain(fn: Callable, x, z=None) -> list:
-    """The checks that keep ``fn`` in the real domain and fail somewhere.
+    """The checks that keep ``fn`` in the real domain, or from raising, and fail somewhere.
 
     Each is a mask and a message template over the operands; ``fn`` must
-    not see the elements they reject.
+    not see the elements they reject.  An overflowing ``pow`` is found
+    from its result instead (see ``_Pass.apply``).
     """
     if fn is pow:
         # Python's pow goes complex for a negative base under a fractional
@@ -57,8 +58,10 @@ def _domain(fn: Callable, x, z=None) -> list:
         checks = [(np.less_equal(x, 0.0), "log of non-positive value {0!r}")]
     elif fn is math.sqrt:
         checks = [(np.less(x, 0.0), "square root of negative value {0!r}")]
-    else:
-        return []
+    elif fn is math.exp:
+        checks = [(np.greater(x, EXP_LIMIT) & np.less(x, math.inf), "overflow")]
+    else:  # math.sin and math.cos raise ValueError at +-inf
+        checks = [(np.isinf(x), f"{fn.__name__} of infinite value {{0!r}}")]
     return [check for check in checks if check[0].any()]
 
 
@@ -147,53 +150,43 @@ class _Pass:
         return np.broadcast(x, *self.slots).iters[0][i]
 
     def each(self, fn: Callable, *xs):
-        """``fn`` per element on Python floats; a failure fails every output."""
+        """``fn`` over the operands; a failure fails every output."""
         out, checks = self.apply(fn, *xs)
         for mask, message in checks:
             self.fail(mask, message)
         return out
 
-    def raised(self, fn: Callable, x) -> str | Callable[[int], str]:
-        """The message for the error the C function ``fn`` raises: sin or cos of +-inf, or overflow."""
-        if fn in (math.sin, math.cos):
-            return self.describe(f"{fn.__name__} of infinite value {{0!r}}", x)
-        return "overflow"
-
     def apply(self, fn: Callable, *xs):
-        """``fn`` per element on Python floats, and the checks it fails: (mask, message) pairs."""
-        checks = _domain(fn, *xs)
-        if checks:
-            checks = [(mask, self.describe(template, *xs)) for mask, template in checks]
-        # At the operands' own shape: a function of t alone runs once per point of t.
-        shape = np.broadcast(*xs).shape
-        cols = [_column(x, shape) for x in xs]
-        if all(col is None for col in cols):
+        """``fn`` over the operands, and the checks it fails: (mask, message) pairs.
+
+        Python floats go through ``fn`` itself.  Over arrays ``pow`` and
+        ``sqrt`` run as numpy's ``float_power`` and ``sqrt``, which give
+        libm's ``pow`` and the correctly rounded root bit for bit; the
+        other functions run per element.  Where a check fails the first
+        operand is 1.0 instead.
+        """
+        checks = [(mask, self.describe(template, *xs)) for mask, template in _domain(fn, *xs)]
+        if not any(isinstance(x, np.ndarray) and x.ndim for x in xs):
             if checks:
                 return math.nan, checks
             try:
                 return fn(*(float(x) for x in xs)), checks
-            except (OverflowError, ValueError):
-                return math.nan, [(np.True_, self.raised(fn, xs[0]))]
-        args = [repeat(float(x)) if col is None else col for x, col in zip(xs, cols)]
-        if checks:  # fn gets 1.0 where they fail instead
-            args[0] = _column(np.where(reduce(np.logical_or, (mask for mask, _ in checks)), 1.0, xs[0]), shape)
-        # An element fails alone: map has consumed its arguments, so the
-        # next map goes on from the element after it.
-        out: list = []
-        failed: list = []
-        its = [iter(a) for a in args]
-        while True:
-            try:
-                out.extend(map(fn, *its))
-                break
-            except (OverflowError, ValueError):
-                failed.append(len(out))
-                out.append(math.nan)
-        if failed:
-            mask = np.zeros(len(out), dtype=bool)
-            mask[failed] = True
-            checks.append((mask.reshape(shape), self.raised(fn, xs[0])))
-        return np.array(out).reshape(shape), checks
+            except OverflowError:  # pow: libm's result is +-inf
+                return math.nan, [(np.True_, "overflow")]
+        x = xs[0]
+        if checks:
+            x = np.where(reduce(np.logical_or, (mask for mask, _ in checks)), 1.0, x)
+        if fn is pow:
+            z = xs[1]
+            out = np.float_power(x, z)
+            inf = np.isinf(out)
+            if inf.any():  # where Python's pow raises OverflowError
+                checks.append((inf & np.isfinite(x) & np.isfinite(z), "overflow"))
+            return out, checks
+        if fn is math.sqrt:
+            return np.sqrt(x), checks
+        # The map never raises: the checks keep fn in its domain.
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape), checks
 
     def plain(self, op: str, x, z):
         """Float semantics: the value walk, and every subtree free of y and dy."""

@@ -408,6 +408,86 @@ def test_failing_pass_over_a_grid_of_candidates():
         expect(lambda: L.partials(t, u, v)[k].ravel(), [w[1 + k] for w in want], grid)
 
 
+def test_exp_overflows_past_its_limit():
+    # math.exp overflows just past EXP_LIMIT.  A pass masks those arguments
+    # instead of calling math.exp, so at the limit, past it, at +-inf and at
+    # nan it matches the walk point by point and over grids in every
+    # rotation, with the walk's message for the first failing point.
+    limit = tsvar.program.EXP_LIMIT
+    above = math.nextafter(limit, math.inf)
+    assert math.exp(limit) == 1.7976931348622732e308
+    with pytest.raises(OverflowError):
+        math.exp(above)
+    thirds = [limit / 3.0]
+    for direction in (math.inf, -math.inf):
+        y = thirds[0]
+        for _ in range(3):
+            y = math.nextafter(y, direction)
+            thirds.append(y)
+    assert {3.0 * y > limit for y in thirds} == {True, False}
+    us = [limit, above, math.nextafter(limit, -math.inf), math.inf, -math.inf, math.nan, 1.0, *thirds]
+    grid = [(0.5, u, v) for u in us for v in (0.25, -0.0)]
+    for source in ("exp(y)", "exp(3*y) + dy"):
+        ast, L = parse(source), parse_lagrangian(source)
+        want = [reference(ast, *point) for point in grid]
+        assert {"overflow", "non-finite value"} <= {w[0] for w in want}
+        for point, w in zip(grid, want):
+            expect_points(L, point, w)
+        for start in range(len(grid)):
+            expect_passes(L, grid[start:] + grid[:start], want[start:] + want[:start])
+
+
+def wide_draws(rng, size: int) -> list:
+    """Seeded floats over the whole range, each from one of six kinds.
+
+    Special values (signed zeros, subnormals, +-1e+-300, numbers whose
+    squares overflow, infinities), logarithmically spread magnitudes from
+    the subnormals up, moderate magnitudes, integers, fractions, and
+    magnitudes past 1e150, all of either sign.
+    """
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300,
+               1e155, -1e155, 1.3e154, math.inf, -math.inf]
+    kinds = rng.integers(0, 6, size)
+    signs = rng.choice([-1.0, 1.0], size)
+    out = []
+    for kind, sign in zip(kinds.tolist(), signs.tolist()):
+        if kind == 0:
+            out.append(special[int(rng.integers(len(special)))])
+        elif kind == 1:
+            out.append(sign * 10.0 ** rng.uniform(-323.0, 308.0))
+        elif kind == 2:
+            out.append(sign * 10.0 ** rng.uniform(-3.0, 3.0))
+        elif kind == 3:
+            out.append(float(rng.integers(-6, 7)))
+        elif kind == 4:
+            out.append(sign * rng.uniform(0.0, 4.0))
+        else:
+            out.append(sign * 10.0 ** rng.uniform(150.0, 160.0))
+    return out
+
+
+@pytest.mark.parametrize("source", ["y^dy", "y^3 + dy^-2", "(dy^2 + 1)^0.5", "sqrt(y) + sqrt(dy^2 + y^2)"])
+def test_power_and_sqrt_passes_match_libm(source):
+    # Over arrays ^ and sqrt run as numpy loops.  Over seeded wide-range
+    # draws the value and partials passes match the walk, which calls
+    # Python's pow and math.sqrt, bit for bit: over the whole grid, over
+    # runs of eight points, and over the points where the walk's value, or
+    # all three of its results, are finite.
+    ast, L = parse(source), parse_lagrangian(source)
+    rng = np.random.default_rng(sum(map(ord, source)))
+    grid = list(zip(rng.uniform(-1.0, 1.0, 600).tolist(), wide_draws(rng, 600), wide_draws(rng, 600)))
+    want = [reference(ast, *point) for point in grid]
+    expect_passes(L, grid, want)
+    for start in range(0, len(grid), 8):
+        expect_passes(L, grid[start:start + 8], want[start:start + 8])
+    for keep in (lambda w: not isinstance(w[0], str), lambda w: not any(isinstance(x, str) for x in w)):
+        kept = [(point, w) for point, w in zip(grid, want) if keep(w)]
+        assert len(kept) > 100
+        expect_passes(L, [point for point, _ in kept], [w for _, w in kept])
+    messages = {x for w in want for x in w if isinstance(x, str)}
+    assert "non-finite value" in messages or "overflow" in messages
+
+
 @pytest.mark.parametrize("source,point,expected", [
     ("+".join(["y"] * 600), (0.0, 1.5, 0.0), (900.0, 600.0, 0.0)),
     ("-" * 900 + "y", (0.0, 1.5, 0.0), (1.5, 1.0, 0.0)),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -391,3 +392,30 @@ def test_chord_endpoints_are_exact():
         assert y.values[-1] == p.beta
         g = first_variation_gradient(p, y)
         assert len(g) == len(p.scale) - 2
+
+
+def test_passes_at_large_n():
+    # On a uniform scale with 100,000 points the value and partials passes
+    # of the expression pair give, at seeded indices, bit for bit what the
+    # per-point callables give there, and the gradient is finite and warns
+    # nothing.
+    n = 100_000
+    ts = uniform_scale(0.0, 1.0, n)
+    p = VariationalProblem(ts, parse_lagrangian("dy^2 + y^2 + sin(t)*y"), parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    rng = np.random.default_rng(29)
+    vals = ts.points + 0.1 * np.sin(7.0 * ts.points) + 1e-3 * rng.standard_normal(n)
+    vals[0], vals[-1] = 0.0, 1.0
+    y = GridFunction(ts, vals)
+    pts = ts.points
+    idx = rng.integers(0, n - 1, 50)
+    for L, (t, u, v) in ((p.l_delta, (pts[:-1], vals[1:], delta_derivative(y).values)),
+                         (p.l_nabla, (pts[1:], vals[:-1], nabla_derivative(y).values))):
+        got = np.array([L.values(t, u, v)[idx], *(d[idx] for d in L.partials(t, u, v))])
+        points = list(zip(t[idx].tolist(), u[idx].tolist(), v[idx].tolist()))
+        want = np.array([[method(*point) for point in points] for method in (L.eval, L.d2, L.d3)])
+        assert got.tobytes() == want.tobytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = first_variation_gradient(p, y)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert g.shape == (n - 2,) and np.isfinite(g).all()

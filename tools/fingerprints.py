@@ -24,13 +24,18 @@ zeros, infinities, points outside the domain), and the errors of bad
 catalog arguments.  Grids: the value and partials passes of the probe
 densities and of ``log(y) + sqrt(dy)`` over the brute-force oracle's shape
 (1-D t, 2-D u and v), on arrays where most of them fail, so the flat index
-of the first failing point is compared too.  Uses only the public API and
-runs from a checkout without installing the package.
+of the first failing point is compared too.  Powers: the value and
+partials passes of densities built on ``^``, ``sqrt`` and ``exp`` over
+seeded grids from moderate to extreme magnitudes (signed zeros,
+subnormals, integers under negative bases, squares and exponentials that
+overflow), most of which fail somewhere.  Uses only the public API and runs
+from a checkout without installing the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -200,8 +205,48 @@ def grids():
             yield f"grid {source!r} k={k} partials", lambda L=L, a=(t, u, v): L.partials(*a)
 
 
+POWER_SOURCES = ("y^dy", "y^3 + dy^-2", "(dy^2 + 1)^0.5", "sqrt(y) + sqrt(dy^2 + y^2)", "exp(y)",
+                 "exp(3*y) + dy")
+POWER_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e155, -1e155, 2.0, -3.0,
+                 math.inf, -math.inf, math.nan)
+
+
+def evaluating(L, arrays) -> tuple:
+    """The points of ``arrays`` where ``L``'s value and both partials evaluate, as three 1-D arrays."""
+    shape = np.broadcast(*arrays).shape
+    kept = list(zip(*(np.broadcast_to(x, shape).ravel().tolist() for x in arrays)))
+    for method in (L.eval, L.d2, L.d3):
+        kept = [point for point, out in zip(kept, point_outcomes(method, kept)) if not isinstance(out, str)]
+    return tuple(np.array(kept, dtype=float).reshape(-1, 3).T)
+
+
+def powers():
+    rng = np.random.default_rng(17)
+    shape = (5, 8)
+    t = rng.uniform(0.0, 1.0, shape[1])
+
+    def signed(lo: float, hi: float) -> np.ndarray:
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(lo, hi, shape)
+
+    arrays = [
+        (t, 10.0 ** rng.uniform(-2.0, 2.0, shape), 10.0 ** rng.uniform(-2.0, 2.0, shape)),
+        (t, signed(-2.0, 2.0), rng.integers(-6, 7, shape).astype(float)),
+        (t, signed(-323.0, 308.0), signed(-323.0, 308.0)),
+        (t, rng.uniform(230.0, 240.0, shape), signed(150.0, 160.0)),
+        (0.5, *(np.array(column) for column in zip(*itertools.product(POWER_SPECIAL, repeat=2)))),
+    ]
+    for source in POWER_SOURCES:
+        L = T.parse_lagrangian(source)
+        for k, a in enumerate(arrays):
+            yield f"powers {source!r} k={k} values", lambda L=L, a=a: (L.values(*a),)
+            yield f"powers {source!r} k={k} partials", lambda L=L, a=a: L.partials(*a)
+            # Only where every point evaluates, so that the values are compared.
+            yield f"powers {source!r} k={k} evaluating values", lambda L=L, a=a: (L.values(*evaluating(L, a)),)
+            yield f"powers {source!r} k={k} evaluating partials", lambda L=L, a=a: L.partials(*evaluating(L, a))
+
+
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids):
+    for group in (solves, oracles, probes, points, grids, powers):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
