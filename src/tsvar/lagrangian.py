@@ -94,15 +94,26 @@ class Lagrangian:
 
     def values(self, t, u, v) -> np.ndarray:
         """The density at every point of the broadcast arrays (t, u, v)."""
-        if self.program is None:
-            return _per_point((self.eval,), t, u, v)[0]
-        return run(self.program, t, u, v)[0]
+        return self._values(t, u, v, strict=True)
 
     def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray]:
         """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v)."""
         if self.program is None:
             return tuple(_per_point((self.d2, self.d3), t, u, v))
         return run(self.program, t, u, v, SEEDS)
+
+    def _values(self, t, u, v, strict: bool) -> np.ndarray:
+        """``values``; unless ``strict``, nan in place of an ``EvalDomainError`` at each point that fails."""
+        if self.program is None:
+            return _per_point((self.eval if strict else partial(_nan_on_error, self.eval),), t, u, v)[0]
+        return run(self.program, t, u, v, strict=strict)[0]
+
+
+def _nan_on_error(fn, t: float, u: float, v: float) -> float:
+    try:
+        return fn(t, u, v)
+    except EvalDomainError:
+        return math.nan
 
 
 def _per_point(fns, t, u, v) -> list[np.ndarray]:

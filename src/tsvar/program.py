@@ -15,7 +15,8 @@ mask with a message, and so are the errors ``math.exp``, ``math.sin`` and
 ``math.cos`` raise, so the per-element map never raises.  A pass keeps, per
 output, the first failed point and the message of the first check that
 fails there, and ``run`` raises it as ``EvalDomainError``:
-the error a dual-number walk of that point raises.
+the error a dual-number walk of that point raises.  A pass that is not
+strict puts nan at every failed point instead.
 """
 
 from __future__ import annotations
@@ -120,26 +121,29 @@ class _Pass:
 
     Per output it keeps the first failed point: its flat index and the
     message of the first check that fails there, a string or a function of
-    the flat index.  Checks come in the order a dual-number walk meets
-    them, so at a point that already failed the earlier message stands.  A
-    failed point's later registers hold garbage that no other point sees.
-    Output 0 is the value in a value pass; otherwise output k is the
-    tangent of seed k.
+    the flat index; a pass that is not strict keeps a mask of every failed
+    point.  Checks come in the order a dual-number walk meets them, so at a
+    point that already failed the earlier message stands.  A failed point's
+    later registers hold garbage that no other point sees.  Output 0 is the
+    value in a value pass; otherwise output k is the tangent of seed k.
     """
 
-    def __init__(self, slots: tuple, outputs: int):
+    def __init__(self, slots: tuple, outputs: int, strict: bool):
         self.slots = slots
         self.shape = np.broadcast(*slots).shape
-        self.first: list = [None] * outputs
+        self.strict = strict
+        self.failed: list = [None] * outputs
 
     def fail(self, mask, message, k: int | None = None) -> None:
         """The check ``mask`` fails for output ``k``, or for every output."""
         if not mask.any():
             return
-        i = int(np.argmax(np.broadcast_to(mask, self.shape)))
-        for j in range(len(self.first)) if k is None else (k,):
-            if self.first[j] is None or i < self.first[j][0]:
-                self.first[j] = (i, message)
+        i = int(np.argmax(np.broadcast_to(mask, self.shape))) if self.strict else None
+        for j in range(len(self.failed)) if k is None else (k,):
+            if not self.strict:
+                self.failed[j] = mask if self.failed[j] is None else self.failed[j] | mask
+            elif self.failed[j] is None or i < self.failed[j][0]:
+                self.failed[j] = (i, message)
 
     def describe(self, template: str, *xs) -> Callable[[int], str]:
         """``template`` formatted with the operands ``xs`` at a flat point index."""
@@ -275,7 +279,7 @@ class _Pass:
         return (np.where(at_zero, 0.0, value) if any_zero else value), tangents
 
 
-def run(program: tuple, t, y, dy, seeds: tuple = ()) -> tuple:
+def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> tuple:
     """Run ``program`` over (t, y, dy) and return its outputs.
 
     Without seeds the output is the value, with float semantics throughout.
@@ -283,12 +287,14 @@ def run(program: tuple, t, y, dy, seeds: tuple = ()) -> tuple:
     with that seed would return, 0.0 for a density free of y and dy.  The
     outputs have the broadcast shape of (t, y, dy); Python floats stay
     floats, so one point runs on scalar arithmetic.  If an output fails
-    anywhere (a non-finite output fails too), ``run`` raises the
+    anywhere (a non-finite output fails too), a strict ``run`` raises the
     ``EvalDomainError`` of its first failed point, the first output's
-    before the second's.
+    before the second's.  One that is not strict puts nan at every failed
+    point of an output instead; each other point holds what it holds in a
+    strict pass, and a pass in which nothing fails builds no mask.
     """
     slots = tuple(x if isinstance(x, float) else np.asarray(x, dtype=float) for x in (t, y, dy))
-    state = _Pass(slots, max(len(seeds), 1))
+    state = _Pass(slots, max(len(seeds), 1), strict)
     vals: list = []
     tans: list = []  # per register: one tangent per seed, or None where plain
     with np.errstate(all="ignore"):
@@ -314,9 +320,11 @@ def run(program: tuple, t, y, dy, seeds: tuple = ()) -> tuple:
             ok = np.isfinite(out)
             if not ok.all():
                 state.fail(~ok, "non-finite value", k)
-    for first in state.first:
-        if first is not None:
-            i, message = first
+    for k, failed in enumerate(state.failed):
+        if failed is not None and not strict:
+            outs[k] = np.where(failed, math.nan, outs[k])
+        elif failed is not None:
+            i, message = failed
             raise EvalDomainError(message if isinstance(message, str) else message(i),
                                   *(float(state.at(x, i)) for x in slots))
     shape = state.shape

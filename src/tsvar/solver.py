@@ -8,10 +8,10 @@ consecutive steps, one value pass per factor over a block's (trials x
 points) array, and accepts the block's first trial that passes: the step
 that trying one step at a time accepts, bit for bit.  A block holds k + 2
 trials, k being the rung the previous iteration accepted (0 for step 1),
-and one trial on the first iteration and after an iteration in which a
-trial raised.  A block in which any trial raises a domain error is
-evaluated again one trial per pass, so the search meets the errors in
-ladder order.
+and one trial on the first iteration.  A trial that leaves a density's
+domain gets nan factors in the block's pass and fails the test.  Only
+when no rung passes is the last one evaluated again, on its own and
+strictly, for the domain error that ``StepUnderflowError`` names.
 Everything is deterministic: same problem, configuration and start, same
 result, bit for bit.  Each iterate evaluates its partials once, in one
 grid pass per factor.  Trials evaluate the two factors only, the
@@ -22,18 +22,18 @@ the final iterate's pass.
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
 best cell.  It evaluates the candidates in chunks, one value pass per
-factor over each chunk's (candidates x points) array; a chunk in which any
-candidate raises is evaluated again one candidate at a time, so that only
-the failing candidates are skipped.  Each candidate's J equals
-``j_product`` bit for bit.  ``perturbation_audit`` samples random
-boundary-respecting perturbations around a solution and reports whether
-any of them beat it.
+factor over each chunk's (candidates x points) array, in which a candidate
+that leaves a density's domain gets nan factors and is skipped.  Each
+candidate's J equals ``j_product`` bit for bit.  ``perturbation_audit``
+samples random boundary-respecting perturbations around a solution and
+reports whether any of them beat it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +45,9 @@ from .variational import (
     VariationalProblem,
     _el_reports,
     _factors,
-    _functionals,
     _Partials,
     _slot_args,
+    _stack_factors,
 )
 
 __all__ = [
@@ -93,10 +93,16 @@ class SolverConfig:
     maximize: bool = False
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, so it is ruled out by name; NaN fails the comparison.
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        tol = self.gradient_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+            raise ValueError(f"gradient_tolerance must be a positive number, got {tol!r}")
+        if not isinstance(self.maximize, bool):
+            raise ValueError(f"maximize must be true or false, got {self.maximize!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,23 +191,12 @@ def solve(
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
         slope = float(np.dot(grad / scale, grad / scale))
         k = 0  # the ladder's first rung not yet tried
-        raised = False
-        domain_error = None  # of the last trial tried
         while k < len(_STEPS):
-            steps = _STEPS[k:k + (1 if raised else block)]
+            steps = _STEPS[k:k + block]
             trials = np.repeat(vals[None, :], len(steps), axis=0)
             trials[:, 1:-1] -= steps[:, None] * grad
             trial_args = _slot_args(p, trials)
-            try:
-                trial_jd, trial_jn = _factors(p, trial_args)
-            except EvalDomainError as exc:
-                # One trial is rejected; a block runs again, one trial per pass.
-                raised = True
-                if len(steps) == 1:
-                    domain_error = exc
-                    k += 1
-                continue
-            domain_error = None
+            trial_jd, trial_jn = _stack_factors(p, trial_args)  # nan for a trial that leaves the domain
             f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
             passed = [np.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
                       for f, step in zip(f1, steps.tolist())]
@@ -210,15 +205,16 @@ def solve(
                 break
             k += len(steps)
         else:
-            if domain_error is not None:
+            # No step passes: the last rung on its own raises if domain errors trapped the search.
+            try:
+                _factors(p, _row(trial_args, -1))
+            except EvalDomainError as exc:
                 raise StepUnderflowError(
                     "line search step underflowed while the Lagrangian kept raising "
-                    f"domain errors; last trial: {domain_error}"
-                ) from domain_error
-            # No admissible decrease at any representable step: report the
-            # current point without claiming convergence.
+                    f"domain errors; last trial: {exc}"
+                ) from exc
             break
-        block = 1 if raised else k + row + 2
+        block = k + row + 2
         vals, args = trials[row], _row(trial_args, row)
         jd, jn = float(trial_jd[row]), float(trial_jn[row])
 
@@ -237,27 +233,16 @@ def solve(
 def _candidate_objectives(p: VariationalProblem, interiors: np.ndarray) -> np.ndarray:
     """J of each candidate row of interior values; +inf where it fails or is not finite.
 
-    All candidates go through one value pass per factor.  If any of them
-    raises, each candidate is evaluated on its own, so that only the
-    failing ones are dropped.
+    All candidates go through one value pass per factor, in which a
+    failing candidate's factors are nan.
     """
     vals = np.empty((len(interiors), len(p.scale)))
     vals[:, 0] = p.alpha
     vals[:, 1:-1] = interiors
     vals[:, -1] = p.beta
-    try:
-        jd, jn = _factors(p, _slot_args(p, vals))
-        with np.errstate(all="ignore"):
-            j = jd * jn
-    except EvalDomainError:
-        j = np.empty(len(vals))
-        for i, row in enumerate(vals):
-            try:
-                jd_i, jn_i = _functionals(p, row)
-            except EvalDomainError:
-                j[i] = np.inf
-            else:
-                j[i] = jd_i * jn_i
+    jd, jn = _stack_factors(p, _slot_args(p, vals))
+    with np.errstate(all="ignore"):
+        j = jd * jn
     j[~np.isfinite(j)] = np.inf
     return j
 
@@ -374,7 +359,7 @@ def perturbation_audit(
         target = radius * float(rng.uniform())
         if norm > 0.0:
             bump *= target / norm
-        jd, jn = _functionals(p, base + bump)
+        jd, jn = _factors(p, _slot_args(p, base + bump))
         j = jd * jn
         j_min = min(j_min, j)
         j_max = max(j_max, j)

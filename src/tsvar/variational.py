@@ -193,9 +193,11 @@ def _factors(p: VariationalProblem, args):
     return _factor(gaps, p.l_delta.values(*delta)), _factor(gaps, p.l_nabla.values(*nabla))
 
 
-def _functionals(p: VariationalProblem, vals: np.ndarray) -> tuple[float, float]:
-    """Both factor values from a raw value array; no partials."""
-    return _factors(p, _slot_args(p, vals))
+def _stack_factors(p: VariationalProblem, args):
+    """``_factors`` of stacked slot arguments, nan for each row where ``_factors`` of the row raises."""
+    gaps, delta, nabla = args
+    return (_factor(gaps, p.l_delta._values(*delta, strict=False)),
+            _factor(gaps, p.l_nabla._values(*nabla, strict=False)))
 
 
 class _Partials:
@@ -257,7 +259,7 @@ def j_nabla(p: VariationalProblem, y: GridFunction) -> float:
 def j_product(p: VariationalProblem, y: GridFunction) -> float:
     """The product objective J = Jd * Jn."""
     _check_alignment(p, y)
-    jd, jn = _functionals(p, y.values)
+    jd, jn = _factors(p, _slot_args(p, y.values))
     return jd * jn
 
 

@@ -176,6 +176,27 @@ def test_unknown_solver_key(tmp_path, capsys, key):
                  f"unknown solver keys: {key}")
 
 
+@pytest.mark.parametrize("key,value,fragment", [
+    ("max_iterations", 1.5, "max_iterations must be an integer, got 1.5"),
+    ("max_iterations", "10", "max_iterations must be an integer, got '10'"),
+    ("max_iterations", True, "max_iterations must be an integer, got True"),
+    ("gradient_tolerance", "1e-3", "gradient_tolerance must be a positive number, got '1e-3'"),
+    ("gradient_tolerance", float("nan"), "gradient_tolerance must be a positive number, got nan"),
+    ("gradient_tolerance", False, "gradient_tolerance must be a positive number, got False"),
+    ("maximize", "no", "maximize must be true or false, got 'no'"),
+    ("maximize", 0, "maximize must be true or false, got 0"),
+], ids=["max_iterations-float", "max_iterations-string", "max_iterations-bool", "gradient_tolerance-string",
+        "gradient_tolerance-nan", "gradient_tolerance-bool", "maximize-string", "maximize-int"])
+def test_solver_key_of_the_wrong_type(tmp_path, capsys, key, value, fragment):
+    data = dict(EXAMPLE)
+    data["solver"] = {key: value}
+    rc = cli.main(["solve", write_problem(tmp_path, data), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {fragment}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_uniform_object(tmp_path, capsys):
     data = dict(EXAMPLE)
     data["timescale"] = {"uniform": {"a": 0.0, "b": 1.0}}

@@ -138,8 +138,9 @@ def forced_problem(final_gradient: float, forbidden: set, calls: list) -> Variat
 def test_forced_domain_errors_in_a_block(monkeypatch, final_gradient):
     # From iteration 1 on, a block holds rungs 0-3 and accepts rung 2.  In
     # iteration 2 rung 3, which the sequential search never tries, raises;
-    # in iteration 4 rung 1, which it rejects, raises.  Both blocks run
-    # again one trial per pass and accept the same rung.
+    # in iteration 4 rung 1, which it rejects, raises.  Each of those rows
+    # gets nan factors in its block's one pass, and the block accepts the
+    # same rung.
     path = FORCED_PATH
     after = path[2] - 0.125 * (path[2] / 2.0)
     before = path[4] - 0.5 * (path[4] / 2.0)
@@ -159,17 +160,18 @@ def test_forced_domain_errors_in_a_block(monkeypatch, final_gradient):
     assert_same_outcome(got, want)
     assert before in want_calls and before in got_calls
     assert after not in want_calls and after in got_calls
-    # Blocks of four rows ran in iterations 1, 2, 4 and 6, and in 7 the
-    # block's first row reached 0.0.
+    # Blocks of four rows ran in iterations 1-7, and in 7 the block's
+    # first row reached 0.0.
     blocks = [vals[:, 1].tolist() for vals in builds if vals.ndim == 2 and len(vals) > 1]
-    assert [rows[2] for rows in blocks[:4]] == [path[2], path[3], path[5], path[7]]
-    assert blocks[4][0] == 0.0
+    assert [len(rows) for rows in blocks[:7]] == [4] * 7
+    assert [rows[2] for rows in blocks[:6]] == path[2:8]
+    assert blocks[6][0] == 0.0
     if final_gradient == 0.0:
         assert got.converged and got.iterations == 8 and got.y.values[1] == 0.0
-        assert len(blocks) == 5
+        assert len(blocks) == 7
     else:
-        # At 0.0 a two-row block raises; the rungs then run one per pass
-        # down to the floor, and the error names the last one.
-        assert blocks[5:] == [[-1.0, -0.5]]
+        # At 0.0 every trial raises; the rungs then run two per pass, the
+        # ladder's 997th and last rung alone, and the error names that one.
+        assert blocks[7:] == [[-2.0 ** -k, -2.0 ** -(k + 1)] for k in range(0, 996, 2)]
         assert str(got).endswith("last trial: forced failure at (t=0.0, u=-1.4932217896051502e-300, "
                                  "v=-1.4932217896051502e-300)")

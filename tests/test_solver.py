@@ -30,6 +30,7 @@ from tsvar import (
     solve,
     uniform_scale,
 )
+from tsvar.program import run
 from tsvar.solver import _candidate_objectives
 from tsvar.variational import _slot_args
 
@@ -49,6 +50,22 @@ def test_config_validation():
         SolverConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         SolverConfig(gradient_tolerance=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_iterations", 2.0), ("max_iterations", "10"), ("max_iterations", True), ("max_iterations", None),
+    ("gradient_tolerance", "1e-3"), ("gradient_tolerance", math.nan), ("gradient_tolerance", -math.inf),
+    ("gradient_tolerance", True), ("gradient_tolerance", 1j), ("maximize", "no"), ("maximize", 1),
+    ("maximize", None), ("maximize", np.True_),
+])
+def test_config_rejects_fields_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_numpy_numbers():
+    config = SolverConfig(max_iterations=np.int64(3), gradient_tolerance=np.float64(0.5), maximize=True)
+    assert solve(square_problem(), config).converged
 
 
 def test_chord_is_linear_with_exact_endpoints():
@@ -345,6 +362,24 @@ def test_batched_oracle_matches_j_product(interior):
                 want = np.inf
             want = want if np.isfinite(want) else np.inf
             assert j.tobytes() == np.float64(want).tobytes()
+
+
+def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch):
+    # A failing candidate gets nan factors in its chunk's pass; the chunk
+    # is not evaluated again, candidate by candidate.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr("tsvar.lagrangian.run", counted)
+    ts = make_timescale([0.0, 1.0, 2.5, 3.0])
+    p = VariationalProblem(ts, parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0)
+    candidates = np.stack(np.meshgrid(np.linspace(-2.0, 2.0, 16), np.linspace(-2.0, 2.0, 16)), axis=-1).reshape(-1, 2)
+    j = _candidate_objectives(p, candidates)
+    assert calls == [(256, 3), (256, 3)]
+    assert 0 < np.sum(j == np.inf) < 256 and np.all(np.isfinite(j) | (j == np.inf))
 
 
 def test_domain_error_at_start_propagates():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from tsvar import (
+    EvalDomainError,
     GridFunction,
     KappaKind,
+    Lagrangian,
     VariationalProblem,
     catalog,
     chord,
@@ -27,6 +29,7 @@ from tsvar import (
 )
 
 from conftest import fd_gradient_oracle, hat_gradient_oracle, random_scale
+from tsvar.variational import _factor, _slot_args, _stack_factors
 
 
 def square_problem(pts, beta):
@@ -419,3 +422,57 @@ def test_passes_at_large_n():
         g = first_variation_gradient(p, y)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert g.shape == (n - 2,) and np.isfinite(g).all()
+
+
+# Densities that fail on part of their domain (three of the pairs that
+# tools/fingerprints.py probes), and one of them rebuilt by hand.
+LOG_Y = parse_lagrangian("log(y - 0.6) + dy^2")
+STACKED_PAIRS = {
+    "log": (LOG_Y, parse_lagrangian("dy^2 + 1")),
+    "sqrt-pow": (parse_lagrangian("sqrt(dy + 1)"), parse_lagrangian("y^dy")),
+    "pow-exp": (parse_lagrangian("(y - 0.7)^1.5 * dy"), parse_lagrangian("exp(3*y) + dy^3")),
+    "hand-built": (Lagrangian(LOG_Y.eval, LOG_Y.d2, LOG_Y.d3, LOG_Y.origin), parse_lagrangian("sqrt(y)")),
+}
+
+
+def row_factor(gaps, lag, args):
+    """One factor of one row through the public strict pass, or None where it raises."""
+    try:
+        return _factor(gaps, lag.values(*args))
+    except EvalDomainError:
+        return None
+
+
+@pytest.mark.parametrize("pair", sorted(STACKED_PAIRS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_factors_are_nan_exactly_where_a_row_raises(pair, seed):
+    # A stacked value pass never raises: a row's factor is nan exactly when
+    # that row's own pass raises, and every other row's factor is the row's
+    # own, bit for bit.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    gaps = 10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    pts = np.concatenate(([0.0], np.cumsum(gaps))) / float(np.sum(gaps))
+    pts[-1] = 1.0
+    ld, ln = STACKED_PAIRS[pair]
+    p = VariationalProblem(make_timescale(pts), ld, ln, 0.5, 1.0)
+    rows = 60
+    # Each row a level plus a wave; some rows dip out of a domain somewhere.
+    vals = (rng.uniform(0.5, 1.5, (rows, 1)) + rng.uniform(0.0, 0.8, (rows, 1))
+            * np.sin(np.pi * rng.integers(1, 4, (rows, 1)) * pts))
+    vals[:, 0], vals[:, -1] = 0.5, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _stack_factors(p, _slot_args(p, vals))
+    failed = 0
+    for lag, got, slot in ((ld, stacked[0], 1), (ln, stacked[1], 2)):
+        assert got.shape == (rows,)
+        want = [row_factor(p.scale.gaps, lag, _slot_args(p, row)[slot]) for row in vals]
+        failed += sum(w is None for w in want)
+        assert sum(w is None for w in want) < rows
+        for g, w in zip(got.tolist(), want):
+            if w is None:
+                assert np.isnan(g)
+            else:
+                assert np.float64(g).tobytes() == np.float64(w).tobytes()
+    assert failed > 0

@@ -28,8 +28,12 @@ of the first failing point is compared too.  Powers: the value and
 partials passes of densities built on ``^``, ``sqrt`` and ``exp`` over
 seeded grids from moderate to extreme magnitudes (signed zeros,
 subnormals, integers under negative bases, squares and exponentials that
-overflow), most of which fail somewhere.  Uses only the public API and runs
-from a checkout without installing the package.
+overflow), most of which fail somewhere.  Hand-built: the bounded pair and
+the oracle's domain-error densities rebuilt from their point callables, so
+that every pass runs point by point, each in a budgeted solve at n = 11
+(minimize and maximize) and a brute-force oracle call on the oracle's
+domain-error scale.  Uses only the public API and runs from a checkout
+without installing the package.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ PAIRS = {
 SIZES = (11, 101, 1001)
 # Trials of its ascents leave sqrt's domain, yet the solve stays finite.
 BOUNDED = (T.parse_lagrangian, "sqrt(2 - y^2) + dy^2", "dy^2 + 1")
+# Densities that fail on part of the oracle's search box, with their boundary
+# values, and the oracle's 4-point scale for them.
+DOMAIN_ERRORS = ("log(y + 1) + dy^2", "sqrt(y) + 1", 0.5, 1.0)
+DOMAIN_ERROR_POINTS = [0.0, 1.0, 2.5, 3.0]
 BUDGET = 30
 PROBE_SOURCES = (
     ("log(y - 0.6) + dy^2", "dy^2 + 1"),
@@ -142,8 +150,9 @@ def oracles():
         yield (f"oracle seed={seed} interior={interior}",
                lambda p=p, b=(lo, hi), r=resolution: (T.brute_force_oracle(p, b, r).values,))
     # Domain errors on part of the box: candidates that raise are skipped.
-    p = T.VariationalProblem(T.make_timescale([0.0, 1.0, 2.5, 3.0]), T.parse_lagrangian("log(y + 1) + dy^2"),
-                             T.parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0)
+    ld, ln, alpha, beta = DOMAIN_ERRORS
+    p = T.VariationalProblem(T.make_timescale(DOMAIN_ERROR_POINTS), T.parse_lagrangian(ld), T.parse_lagrangian(ln),
+                             alpha, beta)
     yield "oracle domain-errors", lambda: (T.brute_force_oracle(p, (-2.0, 2.0), 21).values,)
 
 
@@ -245,8 +254,23 @@ def powers():
             yield f"powers {source!r} k={k} evaluating partials", lambda L=L, a=a: L.partials(*evaluating(L, a))
 
 
+def hand_built():
+    def by_hand(source: str):
+        L = T.parse_lagrangian(source)
+        return T.Lagrangian(L.eval, L.d2, L.d3, L.origin)
+
+    for name, (ld, ln, alpha, beta) in (("bounded", (*BOUNDED[1:], 0.0, 1.0)), ("oracle domain-errors", DOMAIN_ERRORS)):
+        ld, ln = by_hand(ld), by_hand(ln)
+        p = T.VariationalProblem(T.make_timescale(np.linspace(0.0, 1.0, 11)), ld, ln, alpha, beta)
+        for maximize in (False, True):
+            sense = "max" if maximize else "min"
+            yield f"hand-built {name} n=11 {sense}", lambda p=p, m=maximize: solve_parts(p, m)
+        q = T.VariationalProblem(T.make_timescale(DOMAIN_ERROR_POINTS), ld, ln, alpha, beta)
+        yield f"hand-built {name} oracle", lambda q=q: (T.brute_force_oracle(q, (-2.0, 2.0), 21).values,)
+
+
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids, powers):
+    for group in (solves, oracles, probes, points, grids, powers, hand_built):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
