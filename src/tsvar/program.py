@@ -4,7 +4,9 @@
 ``run`` executes them over (t, y, dy), whole arrays or single floats,
 optionally carrying one forward-mode tangent per seed by the rules of
 first-order dual numbers (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., SIAM 2008), elementwise.  Over arrays numpy performs ``+ - * /``,
+ed., SIAM 2008), elementwise.  An exponent free of y and dy is passive:
+``b ^ c`` takes the power rule c * b^(c-1) * db at every point, with one
+c * b^(c-1) shared by the seeds.  Over arrays numpy performs ``+ - * /``,
 negation, ``^`` and ``sqrt``: ``float_power`` calls the C library's ``pow``
 per element, as Python's ``pow`` does, and a square root is correctly
 rounded.  ``exp``, ``log``, ``sin`` and ``cos`` run per element through
@@ -211,6 +213,8 @@ class _Pass:
 
     def dual(self, op: str, x, tx, z, tz):
         """Dual-number semantics, one tangent per seed; ``tz`` is None for a plain ``z``."""
+        if op == "pow":
+            return self.power(x, tx, z, tz)
         if tz is None:
             tz = [0.0] * len(tx)  # the tangents a dual-number walk lifts a float to
         if op == "add":
@@ -225,8 +229,6 @@ class _Pass:
             return val, [np.divide(p - val * q, z) for p, q in zip(tx, tz)]
         if op == "neg":
             return -x, [-p for p in tx]
-        if op == "pow":
-            return self.power(x, tx, z, tz)
         val = self.each(FUNCTIONS[op], x)
         if op == "sin":
             d = self.each(math.cos, x)
@@ -249,9 +251,11 @@ class _Pass:
 
         Where the exponent's tangent is zero the power rule applies, with
         its own cases at a zero base; elsewhere the base must be positive.
+        An exponent free of y and dy (``te`` None) takes the power rule
+        everywhere, and every seed scales one factor e * b^(e-1).
         """
-        fixed = [np.equal(q, 0.0) for q in te]
-        free = [not np.all(f) for f in fixed]
+        fixed = [True] * len(tb) if te is None else [np.equal(q, 0.0) for q in te]
+        free = [f is not True and not np.all(f) for f in fixed]
         for k, f in enumerate(fixed):
             if free[k]:
                 message = self.describe("base {0!r} must be positive when the exponent carries a derivative", b)
@@ -259,22 +263,24 @@ class _Pass:
         value = self.each(pow, b, e)
         live = np.not_equal(e, 0.0)
         at_zero = np.equal(b, 0.0) & live  # the value is +0.0 here, where the walk goes on
-        any_zero = np.any(at_zero)
-        ruled = live & ~at_zero & reduce(np.logical_or, fixed)
+        any_zero, all_live = at_zero.any(), live.all()
+        everywhere = te is None and all_live and not any_zero  # the power rule at every point
         # A base of 1.0 keeps the power rule from failing where it does not apply.
-        power_rule, rule_checks = self.apply(pow, np.where(ruled, b, 1.0), e - 1.0)
+        base = b if everywhere else np.where(live & ~at_zero & reduce(np.logical_or, fixed), b, 1.0)
+        power_rule, rule_checks = self.apply(pow, base, e - 1.0)
+        factor = e * power_rule  # shared by the seeds
         log_b = self.each(math.log, np.where(np.less_equal(b, 0.0), 1.0, b)) if any(free) else None
         tangents = []
-        for k, (f, p, q) in enumerate(zip(fixed, tb, te)):
+        for k, (f, p) in enumerate(zip(fixed, tb)):
             for mask, message in rule_checks:
                 self.fail(mask & f, message, k)
-            tangent = np.where(live, e * power_rule * p, 0.0)
+            tangent = factor * p if all_live else np.where(live, factor * p, 0.0)
             if any_zero:  # only exponents >= 1, or a zero base tangent, survive
                 self.fail(f & at_zero & ~np.greater_equal(e, 1.0) & np.not_equal(p, 0.0),
                           self.describe("power {0!r} not differentiable at zero base", e), k)
                 tangent = np.where(at_zero, np.where(np.equal(e, 1.0), p, 0.0), tangent)
             if free[k]:
-                tangent = np.where(f, tangent, value * (q * log_b + np.divide(e * p, b)))
+                tangent = np.where(f, tangent, value * (te[k] * log_b + np.divide(e * p, b)))
             tangents.append(tangent)
         return (np.where(at_zero, 0.0, value) if any_zero else value), tangents
 

@@ -79,7 +79,7 @@ def _ladder() -> np.ndarray:
 _STEPS = _ladder()
 
 # Candidates per value pass of the brute-force oracle; bounds its memory.
-_ORACLE_CHUNK = 256
+_ORACLE_CHUNK = 1024
 
 
 class StepUnderflowError(RuntimeError):
@@ -198,7 +198,7 @@ def solve(
             trial_args = _slot_args(p, trials)
             trial_jd, trial_jn = _stack_factors(p, trial_args)  # nan for a trial that leaves the domain
             f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
-            passed = [np.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
+            passed = [math.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
                       for f, step in zip(f1, steps.tolist())]
             if any(passed):
                 row = passed.index(True)

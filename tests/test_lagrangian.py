@@ -488,6 +488,35 @@ def test_power_and_sqrt_passes_match_libm(source):
     assert "non-finite value" in messages or "overflow" in messages
 
 
+PASSIVE_T = (0.0, 0.25, 0.5, 1.0, 1.5)
+PASSIVE_BASES = (0.0, -0.0, -2.0, -0.5, 5e-324, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("source", ["y^0", "dy^1", "y^2 + dy^3", "y^0.5", "dy^-1", "y^-2", "y^t",
+                                    "dy^(t - 1)", "(y - 1)^(2*t)", "(-y)^0", "(-dy)^(t - 1)"])
+def test_exponent_free_of_y_and_dy(source):
+    # An exponent free of y and dy takes the power rule everywhere, zero
+    # exponents and zero bases included.  At every combination of edge
+    # values, alone, in grids of eight and over all points, the passes
+    # match the walk bit for bit, the sign of zero included, and fail where
+    # it fails, with its message for the first failing point; so do the
+    # passes over the points where the value, or all three results, are
+    # finite.
+    ast, L = parse(source), parse_lagrangian(source)
+    grid = list(itertools.product(PASSIVE_T, PASSIVE_BASES, PASSIVE_BASES))
+    want = [reference(ast, *point) for point in grid]
+    for point, w in zip(grid, want):
+        expect_points(L, point, w)
+        expect_passes(L, [point], [w])
+    for start in range(0, len(grid), 8):
+        expect_passes(L, grid[start:start + 8], want[start:start + 8])
+    expect_passes(L, grid, want)
+    for keep in (lambda w: not isinstance(w[0], str), lambda w: not any(isinstance(x, str) for x in w)):
+        kept = [(point, w) for point, w in zip(grid, want) if keep(w)]
+        assert len(kept) >= 100
+        expect_passes(L, [point for point, _ in kept], [w for _, w in kept])
+
+
 @pytest.mark.parametrize("source,point,expected", [
     ("+".join(["y"] * 600), (0.0, 1.5, 0.0), (900.0, 600.0, 0.0)),
     ("-" * 900 + "y", (0.0, 1.5, 0.0), (1.5, 1.0, 0.0)),

@@ -25,10 +25,11 @@ catalog arguments.  Grids: the value and partials passes of the probe
 densities and of ``log(y) + sqrt(dy)`` over the brute-force oracle's shape
 (1-D t, 2-D u and v), on arrays where most of them fail, so the flat index
 of the first failing point is compared too.  Powers: the value and
-partials passes of densities built on ``^``, ``sqrt`` and ``exp`` over
-seeded grids from moderate to extreme magnitudes (signed zeros,
-subnormals, integers under negative bases, squares and exponentials that
-overflow), most of which fail somewhere.  Hand-built: the bounded pair and
+partials passes of densities built on ``^``, ``sqrt`` and ``exp``, among
+them exponents free of y and dy (0, 1 and functions of t), over seeded
+grids from moderate to extreme magnitudes (signed zeros, subnormals,
+integers under negative bases, squares and exponentials that overflow),
+most of which fail somewhere.  Hand-built: the bounded pair and
 the oracle's domain-error densities rebuilt from their point callables, so
 that every pass runs point by point, each in a budgeted solve at n = 11
 (minimize and maximize) and a brute-force oracle call on the oracle's
@@ -215,7 +216,7 @@ def grids():
 
 
 POWER_SOURCES = ("y^dy", "y^3 + dy^-2", "(dy^2 + 1)^0.5", "sqrt(y) + sqrt(dy^2 + y^2)", "exp(y)",
-                 "exp(3*y) + dy")
+                 "exp(3*y) + dy", "y^0 + dy^1", "y^t + dy^(t - 0.5)")
 POWER_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e155, -1e155, 2.0, -3.0,
                  math.inf, -math.inf, math.nan)
 
