@@ -161,6 +161,8 @@ def read_y_csv(path: str, scale: TimeScale) -> GridFunction:
     rows = [row for row in rows if row]
     if not rows or [cell.strip() for cell in rows[0]] != ["t", "y"]:
         raise ProblemFileError(f"{path}: first row must be the header 't,y'")
+    if any(len(row) != 2 for row in rows[1:]):
+        raise ProblemFileError(f"{path}: every row needs exactly two columns")
     try:
         table = np.array([[float(cell) for cell in row] for row in rows[1:]])
     except ValueError as exc:
@@ -206,6 +208,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check_el(args: argparse.Namespace) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ProblemFileError("--tol must be a finite non-negative number")
     problem, _ = load_problem_file(args.problem)
     y = read_y_csv(args.y, problem.scale)
     r1, r2 = _el_reports(problem, *_checked_pass(problem, y))

@@ -20,8 +20,8 @@ arithmetic, ``pow`` and ``math.sqrt`` do (``^`` as ``float_power``, which
 calls libm's ``pow``; numpy's ``power`` does not match it); ``exp``,
 ``log``, ``sin`` and ``cos`` run per element through ``math``, because
 numpy does not promise libm's results for them.  The per-point callables
-``eval``, ``d2`` and ``d3`` run the same instructions on single Python
-floats, so a grid pass gives bit for bit what they give at each point.  A
+``eval``, ``d2`` and ``d3`` run the same instructions as a pass over 0-d
+arrays, so a grid pass gives bit for bit what they give at each point.  A
 ``Lagrangian(eval, d2, d3, origin)`` built by hand has no instruction list;
 its ``values`` and ``partials`` call its callables once per point.
 

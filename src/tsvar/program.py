@@ -1,24 +1,24 @@
 """Flat instruction lists: how a parsed density is evaluated.
 
 ``flatten`` turns an expression AST into instructions in evaluation order.
-``run`` executes them over (t, y, dy), whole arrays or single floats,
-optionally carrying one forward-mode tangent per seed by the rules of
-first-order dual numbers (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., SIAM 2008), elementwise.  An exponent free of y and dy is passive:
-``b ^ c`` takes the power rule c * b^(c-1) * db at every point, with one
-c * b^(c-1) shared by the seeds.  Over arrays numpy performs ``+ - * /``,
-negation, ``^`` and ``sqrt``: ``float_power`` calls the C library's ``pow``
-per element, as Python's ``pow`` does, and a square root is correctly
-rounded.  ``exp``, ``log``, ``sin`` and ``cos`` run per element through
+``run`` executes them over (t, y, dy) as arrays of any shape, a single
+point as 0-d arrays, optionally carrying one forward-mode tangent per seed
+by the rules of first-order dual numbers (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008), elementwise.  An exponent free of y and
+dy is passive: ``b ^ c`` takes the power rule c * b^(c-1) * db at every
+point, with one c * b^(c-1) shared by the seeds.  numpy performs
+``+ - * /``, negation, ``^`` and ``sqrt``: ``float_power`` calls the C
+library's ``pow`` per element, as Python's ``pow`` does, and a square root
+is correctly rounded.  ``exp``, ``log``, ``sin`` and ``cos`` run per element through
 ``math``: numpy does not promise libm's results for them, and its ``exp``
-and ``log`` differ in the last bit for some inputs.  Python floats go
-through Python's ``pow`` and ``math``.  Every check of the real domain is a
-mask with a message, and so are the errors ``math.exp``, ``math.sin`` and
-``math.cos`` raise, so the per-element map never raises.  A pass keeps, per
-output, the first failed point and the message of the first check that
-fails there, and ``run`` raises it as ``EvalDomainError``:
-the error a dual-number walk of that point raises.  A pass that is not
-strict puts nan at every failed point instead.
+and ``log`` differ in the last bit for some inputs.  Every check of the
+real domain is a mask with a message, and so are the errors ``math.exp``,
+``math.sin`` and ``math.cos`` raise, so the per-element map never raises;
+an overflowing ``pow`` is found from its infinite result.  A pass keeps,
+per output, the checks that failed, and ``run`` raises the first failed
+point's ``EvalDomainError`` with the message of the first check that fails
+there: the error a dual-number walk of that point raises.  A run that is
+not strict puts nan at every failed point instead.
 """
 
 from __future__ import annotations
@@ -121,31 +121,24 @@ def flatten(node: tuple) -> tuple[tuple, ...]:
 class _Pass:
     """The bookkeeping of one run of a program.
 
-    Per output it keeps the first failed point: its flat index and the
-    message of the first check that fails there, a string or a function of
-    the flat index; a pass that is not strict keeps a mask of every failed
-    point.  Checks come in the order a dual-number walk meets them, so at a
-    point that already failed the earlier message stands.  A failed point's
-    later registers hold garbage that no other point sees.  Output 0 is the
-    value in a value pass; otherwise output k is the tangent of seed k.
+    Per output it keeps the checks that failed, as (mask, message) pairs,
+    the message a string or a function of the flat index.  Checks come in
+    the order a dual-number walk meets them, so at a point that already
+    failed the earlier message stands.  A failed point's later registers
+    hold garbage that no other point sees.  Output 0 is the value in a
+    value pass; otherwise output k is the tangent of seed k.
     """
 
-    def __init__(self, slots: tuple, outputs: int, strict: bool):
+    def __init__(self, slots: tuple, outputs: int):
         self.slots = slots
         self.shape = np.broadcast(*slots).shape
-        self.strict = strict
-        self.failed: list = [None] * outputs
+        self.failed: list[list] = [[] for _ in range(outputs)]
 
     def fail(self, mask, message, k: int | None = None) -> None:
         """The check ``mask`` fails for output ``k``, or for every output."""
-        if not mask.any():
-            return
-        i = int(np.argmax(np.broadcast_to(mask, self.shape))) if self.strict else None
-        for j in range(len(self.failed)) if k is None else (k,):
-            if not self.strict:
-                self.failed[j] = mask if self.failed[j] is None else self.failed[j] | mask
-            elif self.failed[j] is None or i < self.failed[j][0]:
-                self.failed[j] = (i, message)
+        if mask.any():
+            for j in range(len(self.failed)) if k is None else (k,):
+                self.failed[j].append((mask, message))
 
     def describe(self, template: str, *xs) -> Callable[[int], str]:
         """``template`` formatted with the operands ``xs`` at a flat point index."""
@@ -165,20 +158,12 @@ class _Pass:
     def apply(self, fn: Callable, *xs):
         """``fn`` over the operands, and the checks it fails: (mask, message) pairs.
 
-        Python floats go through ``fn`` itself.  Over arrays ``pow`` and
-        ``sqrt`` run as numpy's ``float_power`` and ``sqrt``, which give
-        libm's ``pow`` and the correctly rounded root bit for bit; the
-        other functions run per element.  Where a check fails the first
-        operand is 1.0 instead.
+        ``pow`` and ``sqrt`` run as numpy's ``float_power`` and ``sqrt``,
+        which give libm's ``pow`` and the correctly rounded root bit for
+        bit; the other functions run per element, over operands of any
+        rank.  Where a check fails the first operand is 1.0 instead.
         """
         checks = [(mask, self.describe(template, *xs)) for mask, template in _domain(fn, *xs)]
-        if not any(isinstance(x, np.ndarray) and x.ndim for x in xs):
-            if checks:
-                return math.nan, checks
-            try:
-                return fn(*(float(x) for x in xs)), checks
-            except OverflowError:  # pow: libm's result is +-inf
-                return math.nan, [(np.True_, "overflow")]
         x = xs[0]
         if checks:
             x = np.where(reduce(np.logical_or, (mask for mask, _ in checks)), 1.0, x)
@@ -192,7 +177,7 @@ class _Pass:
         if fn is math.sqrt:
             return np.sqrt(x), checks
         # The map never raises: the checks keep fn in its domain.
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape), checks
+        return np.fromiter(map(fn, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x)), checks
 
     def plain(self, op: str, x, z):
         """Float semantics: the value walk, and every subtree free of y and dy."""
@@ -291,16 +276,17 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> tup
     Without seeds the output is the value, with float semantics throughout.
     With seeds there is one output per seed: the tangent a dual-number walk
     with that seed would return, 0.0 for a density free of y and dy.  The
-    outputs have the broadcast shape of (t, y, dy); Python floats stay
-    floats, so one point runs on scalar arithmetic.  If an output fails
+    outputs have the broadcast shape of (t, y, dy), and a single point runs
+    as a 0-d pass whose outputs are ``np.float64``.  If an output fails
     anywhere (a non-finite output fails too), a strict ``run`` raises the
-    ``EvalDomainError`` of its first failed point, the first output's
-    before the second's.  One that is not strict puts nan at every failed
-    point of an output instead; each other point holds what it holds in a
+    ``EvalDomainError`` of the first point where any of its checks fails,
+    with the message of the first check that fails there, the first
+    output's before the second's.  One that is not strict puts nan where
+    any check fails instead; each other point holds what it holds in a
     strict pass, and a pass in which nothing fails builds no mask.
     """
-    slots = tuple(x if isinstance(x, float) else np.asarray(x, dtype=float) for x in (t, y, dy))
-    state = _Pass(slots, max(len(seeds), 1), strict)
+    slots = tuple(np.asarray(x, dtype=float) for x in (t, y, dy))
+    state = _Pass(slots, max(len(seeds), 1))
     vals: list = []
     tans: list = []  # per register: one tangent per seed, or None where plain
     with np.errstate(all="ignore"):
@@ -327,11 +313,15 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> tup
             if not ok.all():
                 state.fail(~ok, "non-finite value", k)
     for k, failed in enumerate(state.failed):
-        if failed is not None and not strict:
-            outs[k] = np.where(failed, math.nan, outs[k])
-        elif failed is not None:
-            i, message = failed
-            raise EvalDomainError(message if isinstance(message, str) else message(i),
-                                  *(float(state.at(x, i)) for x in slots))
+        if not failed:
+            continue
+        union = reduce(np.logical_or, (mask for mask, _ in failed))
+        if not strict:
+            outs[k] = np.where(union, math.nan, outs[k])
+            continue
+        i = int(np.argmax(np.broadcast_to(union, state.shape)))
+        message = next(message for mask, message in failed if state.at(mask, i))
+        raise EvalDomainError(message if isinstance(message, str) else message(i),
+                              *(float(state.at(x, i)) for x in slots))
     shape = state.shape
-    return tuple(out if np.shape(out) == shape else np.full(shape, out) for out in outs)
+    return tuple(out if shape and np.shape(out) == shape else np.full(shape, out)[()] for out in outs)

@@ -47,7 +47,6 @@ from .variational import (
     _factors,
     _Partials,
     _slot_args,
-    _stack_factors,
 )
 
 __all__ = [
@@ -196,7 +195,7 @@ def solve(
             trials = np.repeat(vals[None, :], len(steps), axis=0)
             trials[:, 1:-1] -= steps[:, None] * grad
             trial_args = _slot_args(p, trials)
-            trial_jd, trial_jn = _stack_factors(p, trial_args)  # nan for a trial that leaves the domain
+            trial_jd, trial_jn = _factors(p, trial_args)  # nan for a trial that leaves the domain
             f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
             passed = [math.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
                       for f, step in zip(f1, steps.tolist())]
@@ -240,7 +239,7 @@ def _candidate_objectives(p: VariationalProblem, interiors: np.ndarray) -> np.nd
     vals[:, 0] = p.alpha
     vals[:, 1:-1] = interiors
     vals[:, -1] = p.beta
-    jd, jn = _stack_factors(p, _slot_args(p, vals))
+    jd, jn = _factors(p, _slot_args(p, vals))
     with np.errstate(all="ignore"):
         j = jd * jn
     j[~np.isfinite(j)] = np.inf

@@ -187,17 +187,14 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
 def _factors(p: VariationalProblem, args):
     """Both factor values from the slot arguments; one value pass per factor.
 
-    Floats for one row of values, arrays with one entry per row for a stack.
+    One row of values gives floats and raises the first ``EvalDomainError``
+    of its passes.  A stack of rows gives arrays with one entry per row,
+    nan for each row whose own pass would raise.
     """
     gaps, delta, nabla = args
-    return _factor(gaps, p.l_delta.values(*delta)), _factor(gaps, p.l_nabla.values(*nabla))
-
-
-def _stack_factors(p: VariationalProblem, args):
-    """``_factors`` of stacked slot arguments, nan for each row where ``_factors`` of the row raises."""
-    gaps, delta, nabla = args
-    return (_factor(gaps, p.l_delta._values(*delta, strict=False)),
-            _factor(gaps, p.l_nabla._values(*nabla, strict=False)))
+    strict = delta[1].ndim == 1
+    return (_factor(gaps, p.l_delta._values(*delta, strict=strict)),
+            _factor(gaps, p.l_nabla._values(*nabla, strict=strict)))
 
 
 class _Partials:

@@ -268,6 +268,22 @@ def test_check_el_rejects_non_numeric_cell(tmp_path, capsys):
                  "non-numeric cell")
 
 
+def test_check_el_rejects_ragged_row(tmp_path, capsys):
+    prob = write_problem(tmp_path, EXAMPLE)
+    path = tmp_path / "y.csv"
+    path.write_text("t,y\n0,0\n0.5,2,3\n1,1\n2,2\n")
+    expect_error(capsys, ["check-el", prob, "--y", str(path)],
+                 "every row needs exactly two columns")
+
+
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf", "-inf"])
+def test_check_el_rejects_bad_tolerance(tmp_path, capsys, tol):
+    prob = write_problem(tmp_path, EXAMPLE)
+    ycsv = write_chord_csv(tmp_path)
+    expect_error(capsys, ["check-el", prob, "--y", ycsv, f"--tol={tol}"],
+                 "--tol must be a finite non-negative number")
+
+
 # --- eval ---------------------------------------------------------------------
 
 

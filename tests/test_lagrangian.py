@@ -517,6 +517,35 @@ def test_exponent_free_of_y_and_dy(source):
         expect_passes(L, [point for point, _ in kept], [w for _, w in kept])
 
 
+@pytest.mark.parametrize("source,message", [
+    ("y*2^0.5 + cos(1)*dy", None),
+    ("dy^2 + exp(700)*y", None),
+    ("y + 1e200^2", "overflow"),
+    ("y + (-8)^(1/3)", "negative base -8.0 with non-integer exponent 0.3333333333333333"),
+    ("dy + 0^-1", "zero base with negative exponent -1.0"),
+])
+def test_constant_subtrees(source, message):
+    # Subtrees free of t, y and dy run on the array path like the rest of
+    # the program, as 0-d operands.  At every combination of edge values,
+    # point by point, in grids of eight and over all points, the passes
+    # match the walk bit for bit and fail where it fails, with its message;
+    # a constant that fails fails every point.  A single point's value and
+    # partials come out as np.float64.
+    ast, L = parse(source), parse_lagrangian(source)
+    grid = list(itertools.product(PASSIVE_T, PASSIVE_BASES, PASSIVE_BASES))
+    want = [reference(ast, *point) for point in grid]
+    if message is None:
+        assert not isinstance(want[0][0], str)
+        assert all(type(x) is np.float64 for x in (L.values(*grid[0]), *L.partials(*grid[0])))
+    else:
+        assert all(w == [message] * 3 for w in want)
+    for point, w in zip(grid, want):
+        expect_points(L, point, w)
+    for start in range(0, len(grid), 8):
+        expect_passes(L, grid[start:start + 8], want[start:start + 8])
+    expect_passes(L, grid, want)
+
+
 @pytest.mark.parametrize("source,point,expected", [
     ("+".join(["y"] * 600), (0.0, 1.5, 0.0), (900.0, 600.0, 0.0)),
     ("-" * 900 + "y", (0.0, 1.5, 0.0), (1.5, 1.0, 0.0)),
@@ -691,6 +720,9 @@ def test_catalog_partials_match_finite_differences():
     ("const(log(0))", "log of non-positive"),
     ("const(exp(1000))", "catalog argument 'exp\\(1000\\)'"),
     ("kinetic_minus_potential(1e200)", "omega\\^2 overflows"),
+    ("const(10^400)", "^catalog argument '10\\^400': overflow$"),
+    ("const((-8)^(1/3))",
+     "^catalog argument '\\(-8\\)\\^\\(1/3\\)': negative base -8.0 with non-integer exponent 0.3333333333333333$"),
 ])
 def test_catalog_errors(spec, message):
     with pytest.raises(ValueError, match=message):

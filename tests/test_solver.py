@@ -327,6 +327,22 @@ def test_overflowing_product_warns_nothing(ld, ln):
     assert not el1.passes()
 
 
+def test_solve_at_a_hundred_thousand_points():
+    # Two descent steps on the expression pair at n = 100,000 lower J below
+    # the chord's, stay finite, warn nothing, and repeat bit for bit.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 100_000), parse_lagrangian("dy^2 + y^2 + sin(t)*y"),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = (solve(p, SolverConfig(max_iterations=2)) for _ in range(2))
+    assert first.iterations == 2
+    assert math.isfinite(first.j_value)
+    assert first.j_value < j_product(p, chord(p))
+    assert first.y.values.tobytes() == second.y.values.tobytes()
+    assert (first.j_value, first.gradient_norm) == (second.j_value, second.gradient_norm)
+    assert first.el1.residual_trace.tobytes() == second.el1.residual_trace.tobytes()
+
+
 def test_solve_at_an_infinite_objective_does_not_converge():
     # Each factor is 2e200, so Jd*Jn overflows; the gradient at the chord is
     # exactly 0, but a solve at J = inf is not converged.

@@ -29,7 +29,7 @@ from tsvar import (
 )
 
 from conftest import fd_gradient_oracle, hat_gradient_oracle, random_scale
-from tsvar.variational import _factor, _slot_args, _stack_factors
+from tsvar.variational import _factor, _factors, _slot_args
 
 
 def square_problem(pts, beta):
@@ -463,7 +463,7 @@ def test_stacked_factors_are_nan_exactly_where_a_row_raises(pair, seed):
     vals[:, 0], vals[:, -1] = 0.5, 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = _stack_factors(p, _slot_args(p, vals))
+        stacked = _factors(p, _slot_args(p, vals))
     failed = 0
     for lag, got, slot in ((ld, stacked[0], 1), (ln, stacked[1], 2)):
         assert got.shape == (rows,)
@@ -476,3 +476,19 @@ def test_stacked_factors_are_nan_exactly_where_a_row_raises(pair, seed):
             else:
                 assert np.float64(g).tobytes() == np.float64(w).tobytes()
     assert failed > 0
+
+
+def test_factors_of_one_row_raise_and_of_a_stack_give_nan():
+    # Strictness follows the shape of the slot arguments: a 1-D row raises
+    # its pass's EvalDomainError, and the same row as a one-row stack gives
+    # a nan factor for the density that fails and the row's own for the other.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 5), LOG_Y, parse_lagrangian("dy^2 + 1"), 0.5, 1.0)
+    row = np.array([0.5, 0.7, 0.5, 0.8, 1.0])
+    with pytest.raises(EvalDomainError, match=r"^log of non-positive value -0.09999999999999998 at \(t=0.25, u=0.5, "):
+        _factors(p, _slot_args(p, row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jd, jn = _factors(p, _slot_args(p, row[None, :]))
+    assert jd.shape == jn.shape == (1,)
+    assert np.isnan(jd[0])
+    assert jn[0] == j_nabla(p, GridFunction(p.scale, row))

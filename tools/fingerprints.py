@@ -29,7 +29,11 @@ partials passes of densities built on ``^``, ``sqrt`` and ``exp``, among
 them exponents free of y and dy (0, 1 and functions of t), over seeded
 grids from moderate to extreme magnitudes (signed zeros, subnormals,
 integers under negative bases, squares and exponentials that overflow),
-most of which fail somewhere.  Hand-built: the bounded pair and
+most of which fail somewhere.  Constants: densities with subtrees free of
+t, y and dy (``2^0.5``, ``cos(1)``, ``exp(700)``, and ones that overflow,
+take a fractional power of a negative base or divide by zero), over the
+same grids and point by point, and catalog arguments that fail the same
+ways.  Hand-built: the bounded pair and
 the oracle's domain-error densities rebuilt from their point callables, so
 that every pass runs point by point, each in a budgeted solve at n = 11
 (minimize and maximize) and a brute-force oracle call on the oracle's
@@ -74,7 +78,10 @@ PROBE_SOURCES = (
 )
 
 CATALOG_ENTRIES = ("kinetic_minus_potential(2)", "dy_squared", "const(0.5)")
-BAD_CATALOG_ARGUMENTS = ("const(1/0)", "const(log(0))", "const(exp(1000))", "const(1e308*10)", "const(1e999)")
+BAD_CATALOG_ARGUMENTS = ("const(1/0)", "const(log(0))", "const(exp(1000))", "const(1e308*10)", "const(1e999)",
+                         "const(10^400)", "const((-8)^(1/3))")
+# Densities whose subtrees free of t, y and dy are constants, some failing.
+CONSTANT_SOURCES = ("y*2^0.5 + cos(1)*dy", "dy^2 + exp(700)*y", "y + 1e200^2", "y + (-8)^(1/3)", "dy + 0^-1")
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf)
 
 
@@ -193,6 +200,7 @@ def points():
     pts += [(0.3, u, v) for u in SPECIAL for v in SPECIAL]
     pts += [(t, 0.5, -0.0) for t in SPECIAL]
     densities = [(T.parse_lagrangian, s) for pair in PROBE_SOURCES for s in pair]
+    densities += [(T.parse_lagrangian, s) for s in CONSTANT_SOURCES]
     densities += [(T.catalog, name) for name in CATALOG_ENTRIES]
     for build, source in densities:
         L = build(source)
@@ -245,7 +253,7 @@ def powers():
         (t, rng.uniform(230.0, 240.0, shape), signed(150.0, 160.0)),
         (0.5, *(np.array(column) for column in zip(*itertools.product(POWER_SPECIAL, repeat=2)))),
     ]
-    for source in POWER_SOURCES:
+    for source in POWER_SOURCES + CONSTANT_SOURCES:
         L = T.parse_lagrangian(source)
         for k, a in enumerate(arrays):
             yield f"powers {source!r} k={k} values", lambda L=L, a=a: (L.values(*a),)
