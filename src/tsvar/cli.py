@@ -164,11 +164,9 @@ def read_y_csv(path: str, scale: TimeScale) -> GridFunction:
     if any(len(row) != 2 for row in rows[1:]):
         raise ProblemFileError(f"{path}: every row needs exactly two columns")
     try:
-        table = np.array([[float(cell) for cell in row] for row in rows[1:]])
+        table = np.array([[float(cell) for cell in row] for row in rows[1:]]).reshape(-1, 2)
     except ValueError as exc:
         raise ProblemFileError(f"{path}: non-numeric cell: {exc}") from exc
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise ProblemFileError(f"{path}: every row needs exactly two columns")
     if table.shape[0] != len(scale) or not np.array_equal(table[:, 0], scale.points):
         raise ProblemFileError(f"{path}: points do not match the problem's time scale")
     return GridFunction(scale, table[:, 1])

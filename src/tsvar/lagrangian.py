@@ -96,8 +96,8 @@ class Lagrangian:
         """The density at every point of the broadcast arrays (t, u, v)."""
         return self._values(t, u, v, strict=True)
 
-    def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v)."""
+    def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+        """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v): one array's rows if parsed."""
         if self.program is None:
             return tuple(_per_point((self.d2, self.d3), t, u, v))
         return run(self.program, t, u, v, SEEDS)
@@ -106,7 +106,7 @@ class Lagrangian:
         """``values``; unless ``strict``, nan in place of an ``EvalDomainError`` at each point that fails."""
         if self.program is None:
             return _per_point((self.eval if strict else partial(_nan_on_error, self.eval),), t, u, v)[0]
-        return run(self.program, t, u, v, strict=strict)[0]
+        return run(self.program, t, u, v, strict=strict)
 
 
 def _nan_on_error(fn, t: float, u: float, v: float) -> float:
@@ -284,7 +284,8 @@ def _render(node: tuple, context: int) -> str:
 
 def _point(program: tuple, seeds: tuple, t: float, u: float, v: float) -> float:
     """The value (no seeds) or the one seeded partial at a single point."""
-    return float(run(program, float(t), float(u), float(v), seeds)[0])
+    out = run(program, float(t), float(u), float(v), seeds)
+    return float(out[0] if seeds else out)
 
 
 def parse_lagrangian(source: str) -> Lagrangian:
@@ -306,7 +307,7 @@ def _constant_argument(text: str, name: str) -> float:
     if any(op == "var" for op, *_ in program):
         raise ValueError(f"catalog argument {text!r} must not reference variables")
     try:
-        return float(run(program, 0.0, 0.0, 0.0)[0])
+        return float(run(program, 0.0, 0.0, 0.0))
     except EvalDomainError as exc:
         raise ValueError(f"catalog argument {text!r}: {exc.reason}") from None
 

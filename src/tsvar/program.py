@@ -2,11 +2,11 @@
 
 ``flatten`` turns an expression AST into instructions in evaluation order.
 ``run`` executes them over (t, y, dy) as arrays of any shape, a single
-point as 0-d arrays, optionally carrying one forward-mode tangent per seed
-by the rules of first-order dual numbers (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008), elementwise.  An exponent free of y and
-dy is passive: ``b ^ c`` takes the power rule c * b^(c-1) * db at every
-point, with one c * b^(c-1) shared by the seeds.  numpy performs
+point as 0-d arrays, optionally carrying forward-mode tangents by the rules
+of first-order dual numbers (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., SIAM 2008), elementwise, every seed's in one array (the vector
+forward mode).  An exponent free of y and dy is passive: ``b ^ c`` takes
+the power rule c * b^(c-1) * db at every point.  numpy performs
 ``+ - * /``, negation, ``^`` and ``sqrt``: ``float_power`` calls the C
 library's ``pow`` per element, as Python's ``pow`` does, and a square root
 is correctly rounded.  ``exp``, ``log``, ``sin`` and ``cos`` run per element through
@@ -14,10 +14,10 @@ is correctly rounded.  ``exp``, ``log``, ``sin`` and ``cos`` run per element thr
 and ``log`` differ in the last bit for some inputs.  Every check of the
 real domain is a mask with a message, and so are the errors ``math.exp``,
 ``math.sin`` and ``math.cos`` raise, so the per-element map never raises;
-an overflowing ``pow`` is found from its infinite result.  A pass keeps,
-per output, the checks that failed, and ``run`` raises the first failed
-point's ``EvalDomainError`` with the message of the first check that fails
-there: the error a dual-number walk of that point raises.  A run that is
+an overflowing ``pow`` is found from its infinite result.  A pass keeps
+one record of the checks that failed, and ``run`` raises the first
+failure's ``EvalDomainError`` with the message of the first check that
+fails there: the error a dual-number walk of that point raises.  A run that is
 not strict puts nan at every failed point instead.
 """
 
@@ -121,35 +121,41 @@ def flatten(node: tuple) -> tuple[tuple, ...]:
 class _Pass:
     """The bookkeeping of one run of a program.
 
-    Per output it keeps the checks that failed, as (mask, message) pairs,
-    the message a string or a function of the flat index.  Checks come in
-    the order a dual-number walk meets them, so at a point that already
-    failed the earlier message stands.  A failed point's later registers
-    hold garbage that no other point sees.  Output 0 is the value in a
-    value pass; otherwise output k is the tangent of seed k.
+    With K seeds a register's tangents are one array with a leading seed
+    axis; those of y and dy are the seed columns, shaped (K, 1, ..., 1).
+    ``shape`` is the output's.  ``failed``, the pass's one failure record,
+    holds the checks that failed as (mask, message) pairs, the message a
+    string or a function of the flat index; a value check's mask
+    broadcasts over the seeds.  Checks
+    come in the order a dual-number walk meets them, so at a point that
+    already failed the earlier message stands.  A failed point's later
+    registers hold garbage that no other point sees.
     """
 
-    def __init__(self, slots: tuple, outputs: int):
+    def __init__(self, slots: tuple, seeds: tuple):
         self.slots = slots
         self.shape = np.broadcast(*slots).shape
-        self.failed: list[list] = [[] for _ in range(outputs)]
+        if seeds:
+            self.seeds = np.reshape(np.transpose(seeds), (2, len(seeds)) + (1,) * len(self.shape))
+            self.zero = np.zeros_like(self.seeds[0])  # the tangents a dual-number walk lifts a float to
+            self.shape = self.zero.shape[:1] + self.shape
+        self.failed: list = []
 
-    def fail(self, mask, message, k: int | None = None) -> None:
-        """The check ``mask`` fails for output ``k``, or for every output."""
+    def fail(self, mask, message) -> None:
+        """The check ``mask`` fails where it is true."""
         if mask.any():
-            for j in range(len(self.failed)) if k is None else (k,):
-                self.failed[j].append((mask, message))
+            self.failed.append((mask, message))
 
     def describe(self, template: str, *xs) -> Callable[[int], str]:
-        """``template`` formatted with the operands ``xs`` at a flat point index."""
+        """``template`` formatted with the operands ``xs`` at a flat index of the output."""
         return lambda i: template.format(*(float(self.at(x, i)) for x in xs))
 
     def at(self, x, i: int):
-        """Operand or mask ``x``, broadcast to the pass's shape, at flat index ``i``."""
-        return np.broadcast(x, *self.slots).iters[0][i]
+        """Operand or mask ``x``, broadcast to the output's shape, at flat index ``i``."""
+        return np.broadcast_to(x, self.shape).flat[i]
 
     def each(self, fn: Callable, *xs):
-        """``fn`` over the operands; a failure fails every output."""
+        """``fn`` over the operands, recording the checks it fails."""
         out, checks = self.apply(fn, *xs)
         for mask, message in checks:
             self.fail(mask, message)
@@ -197,98 +203,92 @@ class _Pass:
         return self.each(FUNCTIONS[op], x)
 
     def dual(self, op: str, x, tx, z, tz):
-        """Dual-number semantics, one tangent per seed; ``tz`` is None for a plain ``z``."""
+        """Dual-number semantics, one rule for every seed's tangents; a plain operand's are None."""
+        if tx is None:
+            tx = self.zero
         if op == "pow":
             return self.power(x, tx, z, tz)
         if tz is None:
-            tz = [0.0] * len(tx)  # the tangents a dual-number walk lifts a float to
+            tz = self.zero
         if op == "add":
-            return x + z, [p + q for p, q in zip(tx, tz)]
+            return x + z, tx + tz
         if op == "sub":
-            return x - z, [p - q for p, q in zip(tx, tz)]
+            return x - z, tx - tz
         if op == "mul":
-            return x * z, [p * z + x * q for p, q in zip(tx, tz)]
+            return x * z, tx * z + x * tz
         if op == "div":
             self.fail(np.equal(z, 0.0), "division by zero")
             val = np.divide(x, z)
-            return val, [np.divide(p - val * q, z) for p, q in zip(tx, tz)]
+            return val, np.divide(tx - val * tz, z)
         if op == "neg":
-            return -x, [-p for p in tx]
+            return -x, -tx
         val = self.each(FUNCTIONS[op], x)
         if op == "sin":
-            d = self.each(math.cos, x)
-            return val, [d * p for p in tx]
+            return val, self.each(math.cos, x) * tx
         if op == "cos":
-            d = self.each(math.sin, x)
-            return val, [-d * p for p in tx]
+            return val, -self.each(math.sin, x) * tx
         if op == "exp":
-            return val, [val * p for p in tx]
+            return val, val * tx
         if op == "log":
-            return val, [np.divide(p, x) for p in tx]
+            return val, np.divide(tx, x)
         # sqrt: at zero the value is +0.0, and only a zero tangent survives.
         zero = np.equal(x, 0.0)
-        for k, p in enumerate(tx):
-            self.fail(zero & np.not_equal(p, 0.0), "square root not differentiable at zero", k)
-        return np.where(zero, 0.0, val), [np.where(zero, 0.0, np.divide(p, 2.0 * val)) for p in tx]
+        self.fail(zero & np.not_equal(tx, 0.0), "square root not differentiable at zero")
+        return np.where(zero, 0.0, val), np.where(zero, 0.0, np.divide(tx, 2.0 * val))
 
     def power(self, b, tb, e, te):
-        """``b ^ e`` by the dual rules, chosen per element and seed.
+        """``b ^ e`` by the dual rules, chosen per element and seed of the tangent arrays.
 
         Where the exponent's tangent is zero the power rule applies, with
         its own cases at a zero base; elsewhere the base must be positive.
         An exponent free of y and dy (``te`` None) takes the power rule
         everywhere, and every seed scales one factor e * b^(e-1).
         """
-        fixed = [True] * len(tb) if te is None else [np.equal(q, 0.0) for q in te]
-        free = [f is not True and not np.all(f) for f in fixed]
-        for k, f in enumerate(fixed):
-            if free[k]:
-                message = self.describe("base {0!r} must be positive when the exponent carries a derivative", b)
-                self.fail(~f & np.less_equal(b, 0.0), message, k)
+        fixed = True if te is None else np.equal(te, 0.0)
+        free = te is not None and not fixed.all()
+        if free:
+            message = self.describe("base {0!r} must be positive when the exponent carries a derivative", b)
+            self.fail(~fixed & np.less_equal(b, 0.0), message)
         value = self.each(pow, b, e)
         live = np.not_equal(e, 0.0)
         at_zero = np.equal(b, 0.0) & live  # the value is +0.0 here, where the walk goes on
         any_zero, all_live = at_zero.any(), live.all()
         everywhere = te is None and all_live and not any_zero  # the power rule at every point
         # A base of 1.0 keeps the power rule from failing where it does not apply.
-        base = b if everywhere else np.where(live & ~at_zero & reduce(np.logical_or, fixed), b, 1.0)
+        base = b if everywhere else np.where(live & ~at_zero & (te is None or np.any(fixed, axis=0)), b, 1.0)
         power_rule, rule_checks = self.apply(pow, base, e - 1.0)
+        for mask, message in rule_checks:
+            self.fail(mask & fixed, message)
         factor = e * power_rule  # shared by the seeds
-        log_b = self.each(math.log, np.where(np.less_equal(b, 0.0), 1.0, b)) if any(free) else None
-        tangents = []
-        for k, (f, p) in enumerate(zip(fixed, tb)):
-            for mask, message in rule_checks:
-                self.fail(mask & f, message, k)
-            tangent = factor * p if all_live else np.where(live, factor * p, 0.0)
-            if any_zero:  # only exponents >= 1, or a zero base tangent, survive
-                self.fail(f & at_zero & ~np.greater_equal(e, 1.0) & np.not_equal(p, 0.0),
-                          self.describe("power {0!r} not differentiable at zero base", e), k)
-                tangent = np.where(at_zero, np.where(np.equal(e, 1.0), p, 0.0), tangent)
-            if free[k]:
-                tangent = np.where(f, tangent, value * (te[k] * log_b + np.divide(e * p, b)))
-            tangents.append(tangent)
-        return (np.where(at_zero, 0.0, value) if any_zero else value), tangents
+        tangent = factor * tb if all_live else np.where(live, factor * tb, 0.0)
+        if any_zero:  # only exponents >= 1, or a zero base tangent, survive
+            self.fail(fixed & at_zero & ~np.greater_equal(e, 1.0) & np.not_equal(tb, 0.0),
+                      self.describe("power {0!r} not differentiable at zero base", e))
+            tangent = np.where(at_zero, np.where(np.equal(e, 1.0), tb, 0.0), tangent)
+        if free:
+            log_b = self.each(math.log, np.where(np.less_equal(b, 0.0), 1.0, b))
+            tangent = np.where(fixed, tangent, value * (te * log_b + np.divide(e * tb, b)))
+        return (np.where(at_zero, 0.0, value) if any_zero else value), tangent
 
 
-def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> tuple:
-    """Run ``program`` over (t, y, dy) and return its outputs.
+def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.ndarray:
+    """Run ``program`` over (t, y, dy) and return its output.
 
-    Without seeds the output is the value, with float semantics throughout.
-    With seeds there is one output per seed: the tangent a dual-number walk
-    with that seed would return, 0.0 for a density free of y and dy.  The
-    outputs have the broadcast shape of (t, y, dy), and a single point runs
-    as a 0-d pass whose outputs are ``np.float64``.  If an output fails
-    anywhere (a non-finite output fails too), a strict ``run`` raises the
-    ``EvalDomainError`` of the first point where any of its checks fails,
-    with the message of the first check that fails there, the first
-    output's before the second's.  One that is not strict puts nan where
-    any check fails instead; each other point holds what it holds in a
-    strict pass, and a pass in which nothing fails builds no mask.
+    Without seeds the output is the value, with float semantics throughout,
+    in the broadcast shape S of (t, y, dy).  With K seeds it has shape
+    (K,) + S: row k is the tangent a dual-number walk with seed k would
+    return, 0.0 for a density free of y and dy.  A single point runs as a
+    0-d pass.  If the output fails anywhere (a non-finite one fails too), a
+    strict ``run`` raises the ``EvalDomainError`` of its first failed entry
+    in flat order, so any seed's before the next seed's, with the message
+    of the first check that fails there.  One that is not strict puts nan
+    where any check fails instead; each other entry holds what it holds in
+    a strict pass, and a pass in which nothing fails builds no mask.
     """
     slots = tuple(np.asarray(x, dtype=float) for x in (t, y, dy))
-    state = _Pass(slots, max(len(seeds), 1))
+    state = _Pass(slots, seeds)
     vals: list = []
-    tans: list = []  # per register: one tangent per seed, or None where plain
+    tans: list = []  # per register: the tangents of every seed, or None where plain
     with np.errstate(all="ignore"):
         for op, a, b, dual in program:
             tan = None
@@ -297,31 +297,28 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> tup
             elif op == "var":
                 val = slots[a]
                 if seeds and dual:
-                    tan = [seed[a - 1] for seed in seeds]
+                    tan = state.seeds[a - 1]
             elif seeds and dual:
                 if b is None:
                     val, tan = state.dual(op, vals[a], tans[a], None, None)
                 else:
-                    val, tan = state.dual(op, vals[a], tans[a] or [0.0] * len(seeds), vals[b], tans[b])
+                    val, tan = state.dual(op, vals[a], tans[a], vals[b], tans[b])
             else:
                 val = state.plain(op, vals[a], None if b is None else vals[b])
             vals.append(val)
             tans.append(tan)
-        outs = (tans[-1] or [0.0] * len(seeds)) if seeds else [vals[-1]]
-        for k, out in enumerate(outs):
-            ok = np.isfinite(out)
-            if not ok.all():
-                state.fail(~ok, "non-finite value", k)
-    for k, failed in enumerate(state.failed):
-        if not failed:
-            continue
-        union = reduce(np.logical_or, (mask for mask, _ in failed))
-        if not strict:
-            outs[k] = np.where(union, math.nan, outs[k])
-            continue
-        i = int(np.argmax(np.broadcast_to(union, state.shape)))
-        message = next(message for mask, message in failed if state.at(mask, i))
-        raise EvalDomainError(message if isinstance(message, str) else message(i),
-                              *(float(state.at(x, i)) for x in slots))
+        out = (state.zero if tans[-1] is None else tans[-1]) if seeds else vals[-1]
+        ok = np.isfinite(out)
+        if not ok.all():
+            state.fail(~ok, "non-finite value")
     shape = state.shape
-    return tuple(out if shape and np.shape(out) == shape else np.full(shape, out)[()] for out in outs)
+    if state.failed:
+        union = np.broadcast_to(reduce(np.logical_or, (mask for mask, _ in state.failed)), shape)
+        if not strict:
+            out = np.where(union, math.nan, out)
+        elif union.any():  # a pass over no points fails nowhere
+            i = int(np.argmax(union))
+            message = next(message for mask, message in state.failed if state.at(mask, i))
+            raise EvalDomainError(message if isinstance(message, str) else message(i),
+                                  *(float(state.at(x, i)) for x in slots))
+    return out if shape and np.shape(out) == shape else np.full(shape, out)[()]

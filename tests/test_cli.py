@@ -276,6 +276,15 @@ def test_check_el_rejects_ragged_row(tmp_path, capsys):
                  "every row needs exactly two columns")
 
 
+@pytest.mark.parametrize("command", ["check-el", "eval"])
+def test_header_only_y_csv_does_not_match_the_scale(tmp_path, capsys, command):
+    prob = write_problem(tmp_path, EXAMPLE)
+    path = tmp_path / "y.csv"
+    path.write_text("t,y\n")
+    expect_error(capsys, [command, prob, "--y", str(path)],
+                 "points do not match the problem's time scale")
+
+
 @pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf", "-inf"])
 def test_check_el_rejects_bad_tolerance(tmp_path, capsys, tol):
     prob = write_problem(tmp_path, EXAMPLE)

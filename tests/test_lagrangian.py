@@ -408,6 +408,23 @@ def test_failing_pass_over_a_grid_of_candidates():
         expect(lambda: L.partials(t, u, v)[k].ravel(), [w[1 + k] for w in want], grid)
 
 
+def test_partials_report_the_first_seed_before_the_second():
+    # At (t, u, v) = (0, 1, 0) d3 fails and d2 does not; at (0, 0, 1) d2
+    # fails.  A partials pass raises d2's error at the later point, over a
+    # 1-D grid and over a 2-row stack.
+    L = parse_lagrangian("sqrt(dy) + sqrt(y)")
+    t, u, v = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    message = "square root not differentiable at zero at (t={}, u={}, v={})"
+    for args in ((t, u, v), (t, np.stack([u, u[::-1]]), np.stack([v, v[::-1]]))):
+        with pytest.raises(EvalDomainError) as exc:
+            L.partials(*args)
+        assert str(exc.value) == message.format(0.0, 0.0, 1.0)
+    with pytest.raises(EvalDomainError) as exc:
+        L.d3(0.0, 1.0, 0.0)
+    assert str(exc.value) == message.format(0.0, 1.0, 0.0)
+    assert L.d2(0.0, 1.0, 0.0) == 0.5
+
+
 def test_exp_overflows_past_its_limit():
     # math.exp overflows just past EXP_LIMIT.  A pass masks those arguments
     # instead of calling math.exp, so at the limit, past it, at +-inf and at
@@ -544,6 +561,21 @@ def test_constant_subtrees(source, message):
     for start in range(0, len(grid), 8):
         expect_passes(L, grid[start:start + 8], want[start:start + 8])
     expect_passes(L, grid, want)
+
+
+@pytest.mark.parametrize("source", ["y + 1", "y + 1e200^2", "dy + 0^-1", "sqrt(dy) + sqrt(y)"])
+def test_a_pass_over_no_points_fails_nowhere(source):
+    # Even where a constant subtree fails everywhere, a pass over empty
+    # arrays has no failing point: strict or not, values and partials are
+    # empty.
+    L = parse_lagrangian(source)
+    for shape in ((0,), (2, 0)):
+        e = np.empty(shape)
+        for strict in (True, False):
+            assert run(L.program, e, e, e, strict=strict).shape == shape
+            assert run(L.program, e, e, e, tsvar.program.SEEDS, strict).shape == (2, *shape)
+        assert L.values(e, e, e).shape == shape
+        assert [d.shape for d in L.partials(e, e, e)] == [shape, shape]
 
 
 @pytest.mark.parametrize("source,point,expected", [

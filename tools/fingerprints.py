@@ -33,7 +33,11 @@ most of which fail somewhere.  Constants: densities with subtrees free of
 t, y and dy (``2^0.5``, ``cos(1)``, ``exp(700)``, and ones that overflow,
 take a fractional power of a negative base or divide by zero), over the
 same grids and point by point, and catalog arguments that fail the same
-ways.  Hand-built: the bounded pair and
+ways.  Seeds: the value and partials passes of densities whose two
+partials fail at different points (``sqrt(dy) + sqrt(y)``, ``t^y + dy^y``,
+``y^dy``), over seeded 1-D grids, a 2-row stack and single points, and
+their ``d2`` and ``d3`` point by point, so that the order of the two
+seeds' failures is compared too.  Hand-built: the bounded pair and
 the oracle's domain-error densities rebuilt from their point callables, so
 that every pass runs point by point, each in a budgeted solve at n = 11
 (minimize and maximize) and a brute-force oracle call on the oracle's
@@ -263,6 +267,33 @@ def powers():
             yield f"powers {source!r} k={k} evaluating partials", lambda L=L, a=a: L.partials(*evaluating(L, a))
 
 
+SEED_SOURCES = ("sqrt(dy) + sqrt(y)", "t^y + dy^y", "y^dy")
+SEED_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, math.inf)
+
+
+def seeds():
+    rng = np.random.default_rng(19)
+    n = 12
+    arrays = [(rng.uniform(-0.5, 1.0, n), *rng.choice(SEED_SPECIAL, (2, n))) for _ in range(3)]
+    for _ in range(3):  # mostly inside the domain, with one zero in y or dy
+        t, u, v = rng.uniform(0.05, 1.0, n), *rng.uniform(0.1, 2.0, (2, n))
+        (u, v)[rng.integers(2)][rng.integers(n)] = 0.0
+        arrays.append((t, u, v))
+    arrays.append((arrays[3][0], np.stack([arrays[3][1], arrays[4][1]]), np.stack([arrays[3][2], arrays[4][2]])))
+    arrays.append((np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])))  # d3 fails first, d2 after
+    pts = [tuple(float(x) for x in point) for t, u, v in arrays[:4] for point in zip(t, u, v)]
+    pts += [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.0), (-0.5, 2.0, 0.0)]
+    for source in SEED_SOURCES:
+        L = T.parse_lagrangian(source)
+        for k, a in enumerate(arrays):
+            yield f"seeds {source!r} k={k} values", lambda L=L, a=a: (L.values(*a),)
+            yield f"seeds {source!r} k={k} partials", lambda L=L, a=a: L.partials(*a)
+        yield f"seeds {source!r} point passes", lambda L=L: point_outcomes(
+            lambda *point: (L.values(*point), *L.partials(*point)), pts)
+        for method in ("d2", "d3"):
+            yield f"seeds {source!r} {method}", lambda fn=getattr(L, method): point_outcomes(fn, pts)
+
+
 def hand_built():
     def by_hand(source: str):
         L = T.parse_lagrangian(source)
@@ -279,7 +310,7 @@ def hand_built():
 
 
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids, powers, hand_built):
+    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
