@@ -21,12 +21,13 @@ the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
-best cell.  It evaluates the candidates in chunks, one value pass per
-factor over each chunk's (candidates x points) array, in which a candidate
-that leaves a density's domain gets nan factors and is skipped.  Each
-candidate's J equals ``j_product`` bit for bit.  ``perturbation_audit``
-samples random boundary-respecting perturbations around a solution and
-reports whether any of them beat it.
+best cell.  Edge i's summands read only y_i and y_{i+1}, so a scan
+evaluates each density once per distinct pair of neighbouring grid values,
+in one value pass per factor, and sums the candidates' rows of those
+values chunk by chunk; a candidate with a pair outside a density's domain
+is skipped.  Each candidate's J equals ``j_product`` bit for bit.
+``perturbation_audit`` samples random boundary-respecting perturbations
+around a solution and reports whether any of them beat it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .variational import (
     ELReport,
     VariationalProblem,
     _el_reports,
+    _factor,
     _factors,
     _Partials,
     _slot_args,
@@ -77,7 +79,7 @@ def _ladder() -> np.ndarray:
 
 _STEPS = _ladder()
 
-# Candidates per value pass of the brute-force oracle; bounds its memory.
+# Candidates per chunk of the brute-force oracle's sums; bounds its memory.
 _ORACLE_CHUNK = 1024
 
 
@@ -229,21 +231,42 @@ def solve(
     )
 
 
-def _candidate_objectives(p: VariationalProblem, interiors: np.ndarray) -> np.ndarray:
-    """J of each candidate row of interior values; +inf where it fails or is not finite.
+def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
+    """J of every candidate of the grid ``axes``, in lexicographic order: (first flat index, J) per chunk.
 
-    All candidates go through one value pass per factor, in which a
-    failing candidate's factors are nan.
+    Edge i's summands read only y_i and y_{i+1}, so each factor takes one
+    non-strict value pass over every edge's distinct pairs, with the slot
+    arguments ``_slot_args`` gives them, in rows of r pairs on one edge
+    (t broadcasts along a row).  Each chunk sums its candidates' rows of
+    edge values with ``_factor``, so J equals ``j_product`` bit for bit;
+    where a pair fails, or J is not finite, it is +inf.
     """
-    vals = np.empty((len(interiors), len(p.scale)))
-    vals[:, 0] = p.alpha
-    vals[:, 1:-1] = interiors
-    vals[:, -1] = p.beta
-    jd, jn = _factors(p, _slot_args(p, vals))
-    with np.errstate(all="ignore"):
-        j = jd * jn
-    j[~np.isfinite(j)] = np.inf
-    return j
+    pts, gaps = p.scale.points, p.scale.gaps
+    ax = np.array(axes)
+    m, r = ax.shape
+    # One row per boundary edge, and r per inner edge: one per value of its left end.
+    left = np.concatenate((np.full(r, p.alpha), np.repeat(ax[:-1], r), ax[-1])).reshape(-1, r)
+    right = np.concatenate((ax[0], np.repeat(ax[1:], r, axis=0).ravel(), np.full(r, p.beta))).reshape(-1, r)
+    sizes = np.array([r, *[r * r] * (m - 1), r])
+    edge = np.repeat(np.arange(m + 1), sizes // r)[:, None]
+    with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
+        quot = (right - left) / gaps[edge]
+    ld = p.l_delta._values(pts[edge], right, quot, strict=False).ravel()
+    ln = p.l_nabla._values(pts[edge + 1], left, quot, strict=False).ravel()
+    # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
+    # number, or its one digit there on a boundary edge.  A chunk holds whole
+    # runs of the first digit (at least one), so its rows are the first
+    # chunk's plus ``step`` for each unit of the first digit it starts at.
+    div = r ** np.maximum(np.arange(m, -1, -1) - 1, 0)
+    inner, count = r ** (m - 1), r**m
+    size = min(count, max(1, _ORACLE_CHUNK // inner) * inner)
+    rows = np.arange(size)[:, None] // div % sizes + np.cumsum(sizes) - sizes
+    step = inner // div % sizes
+    for start in range(0, count, size):
+        chunk = rows[:count - start] + start // inner * step
+        with np.errstate(all="ignore"):
+            j = _factor(gaps, ld[chunk]) * _factor(gaps, ln[chunk])
+        yield start, np.where(np.isfinite(j), j, np.inf)
 
 
 def brute_force_oracle(
@@ -260,43 +283,28 @@ def brute_force_oracle(
     interior = len(p.scale) - 2
     if interior > 3:
         raise ValueError(f"brute force search limited to 3 interior points, got {interior}")
+    if not isinstance(resolution, numbers.Integral):  # a bool fails the next check
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 11:
         raise ValueError(f"resolution must be at least 11, got {resolution}")
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ValueError(f"invalid bounds ({lo!r}, {hi!r})")
+    if not (lo < hi and math.isfinite(hi - lo)):  # a finite span needs finite bounds
+        raise ValueError(f"bounds must be finite numbers lo < hi with a finite span, got ({lo!r}, {hi!r})")
 
-    def scan(axes: list[np.ndarray]) -> tuple[float, ...]:
-        best_combo: tuple[float, ...] | None = None
-        best_j = np.inf
-        # Candidates in lexicographic order, built one chunk at a time.
-        count = resolution**interior
-        for start in range(0, count, _ORACLE_CHUNK):
-            index = np.unravel_index(np.arange(start, min(start + _ORACLE_CHUNK, count)), (resolution,) * interior)
-            chunk = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
-            j = _candidate_objectives(p, chunk)
+    def scan(axes: list[np.ndarray]) -> list[float]:
+        best, best_j = None, np.inf
+        for start, j in _grid_objectives(p, axes):
             k = int(np.argmin(j))  # the first minimum keeps the lexicographic tie-break
             if j[k] < best_j:
-                best_combo = tuple(chunk[k])
-                best_j = j[k]
-        if best_combo is None:
+                best, best_j = start + k, j[k]
+        if best is None:
             raise ValueError("no feasible candidate inside the search bounds")
-        return best_combo
+        return [axis[i] for axis, i in zip(axes, np.unravel_index(best, (resolution,) * interior))]
 
-    coarse_axis = np.linspace(lo, hi, resolution)
     coarse_step = (hi - lo) / (resolution - 1)
-    best = scan([coarse_axis] * interior)
-    refined_axes = [
-        np.linspace(max(lo, c - coarse_step), min(hi, c + coarse_step), resolution)
-        for c in best
-    ]
-    best = scan(refined_axes)
-
-    final = np.empty(len(p.scale))
-    final[0] = p.alpha
-    final[1:-1] = best
-    final[-1] = p.beta
-    return GridFunction(p.scale, final)
+    best = scan([np.linspace(lo, hi, resolution)] * interior)
+    best = scan([np.linspace(max(lo, c - coarse_step), min(hi, c + coarse_step), resolution) for c in best])
+    return GridFunction(p.scale, np.array([p.alpha, *best, p.beta]))
 
 
 @dataclass(frozen=True)
@@ -312,15 +320,7 @@ class PerturbationAudit:
     classification: str
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "trials": self.trials,
-            "j_reference": self.j_reference,
-            "j_min": self.j_min,
-            "j_max": self.j_max,
-            "fraction_below": self.fraction_below,
-            "classification": self.classification,
-        }
+        return asdict(self)
 
 
 def perturbation_audit(

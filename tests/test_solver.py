@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from tsvar import (
     uniform_scale,
 )
 from tsvar.program import run
-from tsvar.solver import _candidate_objectives
+from tsvar.solver import _grid_objectives
 from tsvar.variational import _slot_args
 
 
@@ -354,35 +355,49 @@ def test_solve_at_an_infinite_objective_does_not_converge():
 
 
 @pytest.mark.parametrize("interior", [1, 2, 3])
-def test_batched_oracle_matches_j_product(interior):
-    # The oracle evaluates candidates in batches; each candidate's J equals
-    # j_product bit for bit, and a candidate that fails, or whose J is not
-    # finite, is dropped (J = inf) without dropping its batch.
+def test_batched_oracle_matches_j_product(interior, monkeypatch):
+    # The oracle evaluates each density once per distinct pair of neighbouring
+    # values and sums each candidate's row chunk by chunk; each candidate's J
+    # equals j_product bit for bit, and a candidate that fails, or whose J is
+    # not finite, is dropped (J = inf) without dropping its chunk.  The chunks
+    # cover the grid once, in lexicographic order, at any chunk size.
     rng = np.random.default_rng(30 + interior)
     ts = make_timescale(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, interior + 1)))))
+    resolution = {1: 40, 2: 13, 3: 7}[interior]
+    axes = list(rng.uniform(-1.5, 1.5, (interior, resolution)))
+    for axis in axes:
+        axis[rng.choice(resolution, 2, replace=False)] = 0.0
+    candidates = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, interior)
+    failing = (parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1e300*dy^4"))
     pairs = [
         (parse_lagrangian("dy^2 + 0.3*y^2 + 0.2*sin(y) + 1"), parse_lagrangian("dy^2 + 0.3")),
         (catalog("kinetic_minus_potential(0.2)"), catalog("dy_squared")),
-        (parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1e300*dy^4")),
+        (parse_lagrangian("dy^2 + y^2 + sin(t)*y"), parse_lagrangian("dy^2 + t*y + 1")),
+        (parse_lagrangian("dy^2 - 1e155*y + 1"), parse_lagrangian("1e155*y^2 + 1")),  # J = +-inf
+        failing,
+        tuple(Lagrangian(L.eval, L.d2, L.d3, L.origin) for L in failing),
     ]
-    candidates = rng.uniform(-1.5, 1.5, (300, interior))
-    candidates[::7] = 0.0
     for ld, ln in pairs:
         p = VariationalProblem(ts, ld, ln, 0.25, 0.75)
-        got = _candidate_objectives(p, candidates)
-        for row, j in zip(candidates, got):
-            y = GridFunction(ts, np.concatenate(([0.25], row, [0.75])))
+        want = []
+        for row in candidates:
             try:
-                want = j_product(p, y)
+                j = j_product(p, GridFunction(ts, np.concatenate(([0.25], row, [0.75]))))
             except EvalDomainError:
-                want = np.inf
-            want = want if np.isfinite(want) else np.inf
-            assert j.tobytes() == np.float64(want).tobytes()
+                j = np.inf
+            want.append(j if np.isfinite(j) else np.inf)
+        for chunk in (30, 1024):
+            monkeypatch.setattr("tsvar.solver._ORACLE_CHUNK", chunk)
+            starts, got = zip(*_grid_objectives(p, axes))
+            assert list(starts) == list(np.cumsum([0, *map(len, got[:-1])]))
+            assert np.concatenate(got).tobytes() == np.array(want).tobytes()
+    assert 0 < np.sum(np.isinf(want)) < len(want)  # the last pair fails on part of the grid
 
 
 def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch):
-    # A failing candidate gets nan factors in its chunk's pass; the chunk
-    # is not evaluated again, candidate by candidate.
+    # A failing pair of neighbouring values gets nan in its factor's pass; no
+    # candidate is evaluated again on its own.  Each factor's one pass covers
+    # the 16 + 256 + 16 distinct pairs of the three edges, as rows of 16.
     calls = []
 
     def counted(*args, **kwargs):
@@ -392,10 +407,24 @@ def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch
     monkeypatch.setattr("tsvar.lagrangian.run", counted)
     ts = make_timescale([0.0, 1.0, 2.5, 3.0])
     p = VariationalProblem(ts, parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0)
-    candidates = np.stack(np.meshgrid(np.linspace(-2.0, 2.0, 16), np.linspace(-2.0, 2.0, 16)), axis=-1).reshape(-1, 2)
-    j = _candidate_objectives(p, candidates)
-    assert calls == [(256, 3), (256, 3)]
+    j = np.concatenate([j for _, j in _grid_objectives(p, [np.linspace(-2.0, 2.0, 16)] * 2)])
+    assert calls == [(18, 16), (18, 16)]
     assert 0 < np.sum(j == np.inf) < 256 and np.all(np.isfinite(j) | (j == np.inf))
+
+
+def test_oracle_memory_stays_bounded():
+    # 101^3 candidates per scan; one factor's (candidates x edges) stack
+    # alone would take 33 MB.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 5), parse_lagrangian("dy^2 + 0.3*y^2 + 0.2*sin(y) + 1"),
+                           parse_lagrangian("dy^2 + 0.3"), 0.25, 0.75)
+    tracemalloc.start()
+    try:
+        y = brute_force_oracle(p, (-1.0, 2.0), 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.all(np.diff(y.values) > 0.0)
 
 
 def test_domain_error_at_start_propagates():
@@ -420,12 +449,37 @@ def test_solve_result_serialization():
 # --- brute force oracle ------------------------------------------------------
 
 
+@pytest.mark.parametrize("bounds, resolution, name", [
+    ((-1.0, 1.0), 10, "resolution"),
+    ((-1.0, 1.0), 21.5, "resolution"),
+    ((-1.0, 1.0), "21", "resolution"),
+    ((-1.0, 1.0), True, "resolution"),
+    ((-1.0, 1.0), np.float64(21.0), "resolution"),
+    ((1.0, 1.0), 21, "bounds"),
+    ((1.0, -1.0), 21, "bounds"),
+    ((-math.inf, 1.0), 21, "bounds"),
+    ((0.0, math.inf), 21, "bounds"),
+    ((math.nan, 1.0), 21, "bounds"),
+    ((-1e308, 1e308), 21, "bounds"),
+])
+def test_oracle_rejects_bad_input(bounds, resolution, name):
+    # Each fails before any scan, naming its argument, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} "):
+            brute_force_oracle(square_problem(), bounds, resolution)
+
+
+def test_oracle_accepts_numpy_integers_and_a_span_near_the_float_range():
+    p = square_problem()
+    assert brute_force_oracle(p, (-1.0, 3.0), np.int64(21)).values.tolist() == [0.0, 1.0, 2.0]
+    # Every J ties, so the first candidate wins both scans.
+    flat = VariationalProblem(p.scale, catalog("const(1)"), catalog("const(1)"), 0.0, 2.0)
+    assert brute_force_oracle(flat, (-8e307, 8e307), 21).values.tolist() == [0.0, -8e307, 2.0]
+
+
 def test_oracle_validation():
     p = square_problem()
-    with pytest.raises(ValueError, match="resolution"):
-        brute_force_oracle(p, (-1.0, 1.0), 10)
-    with pytest.raises(ValueError, match="bounds"):
-        brute_force_oracle(p, (1.0, 1.0), 21)
     big = VariationalProblem(uniform_scale(0.0, 1.0, 6),
                              parse_lagrangian("dy^2"),
                              parse_lagrangian("dy^2"), 0.0, 1.0)

@@ -14,8 +14,11 @@ non-uniform scale, minimize and maximize, each at a fixed iteration budget.
 A fourth pair whose large trial steps leave its density's domain, so that
 line-search trials raise without the solve diverging, at n = 11 and 101.
 All four pairs again at n = 11 and 101 from a seeded start off the chord.
-Oracle: seeded instances with 1-3 interior points, and one whose densities
-fail on part of the search box.  Probes: the objective, the gradient and
+Oracle: seeded instances with 1-3 interior points, one whose densities
+fail on part of the search box, one whose J overflows to +inf and -inf on
+most of its box while the finite rest reaches down to about -1.8e308, and
+an all-tie grid at 3 interior points (``const(1)``), so the lexicographic
+tie-break is compared too.  Probes: the objective, the gradient and
 the EL1 trace at seeded points for densities that fail on part of their
 domain, so the first failing point and its message are compared too.
 Points: the value and both partials of every probe density and of three
@@ -41,8 +44,9 @@ seeds' failures is compared too.  Hand-built: the bounded pair and
 the oracle's domain-error densities rebuilt from their point callables, so
 that every pass runs point by point, each in a budgeted solve at n = 11
 (minimize and maximize) and a brute-force oracle call on the oracle's
-domain-error scale.  Uses only the public API and runs from a checkout
-without installing the package.
+domain-error scale, and a brute-force oracle call at 3 interior points
+whose densities fail or overflow on part of the box.  Uses only the
+public API and runs from a checkout without installing the package.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ BOUNDED = (T.parse_lagrangian, "sqrt(2 - y^2) + dy^2", "dy^2 + 1")
 # values, and the oracle's 4-point scale for them.
 DOMAIN_ERRORS = ("log(y + 1) + dy^2", "sqrt(y) + 1", 0.5, 1.0)
 DOMAIN_ERROR_POINTS = [0.0, 1.0, 2.5, 3.0]
+# Finite factors whose product overflows, to +inf and to -inf, on most of the
+# oracle's box on the domain-error scale.
+OVERFLOWS = ("dy^2 - 1e155*y + 1", "1e155*y^2 + 1", 0.0, 0.0)
+# Densities that fail or overflow on part of the box at 3 interior points.
+FAILING_3I = ("log(y + 1) + dy^2", "sqrt(y) + 1e300*dy^4", 0.25, 0.75)
 BUDGET = 30
 PROBE_SOURCES = (
     ("log(y - 0.6) + dy^2", "dy^2 + 1"),
@@ -166,6 +175,13 @@ def oracles():
     p = T.VariationalProblem(T.make_timescale(DOMAIN_ERROR_POINTS), T.parse_lagrangian(ld), T.parse_lagrangian(ln),
                              alpha, beta)
     yield "oracle domain-errors", lambda: (T.brute_force_oracle(p, (-2.0, 2.0), 21).values,)
+    ld, ln, alpha, beta = OVERFLOWS
+    p = T.VariationalProblem(T.make_timescale(DOMAIN_ERROR_POINTS), T.parse_lagrangian(ld), T.parse_lagrangian(ln),
+                             alpha, beta)
+    yield "oracle overflows", lambda p=p: (T.brute_force_oracle(p, (-2.0, 2.0), 21).values,)
+    const = T.catalog("const(1)")
+    p = T.VariationalProblem(T.make_timescale([0.0, 1.0, 2.0, 3.0, 4.0]), const, const, 0.0, 0.0)
+    yield "oracle all-tie interior=3", lambda p=p: (T.brute_force_oracle(p, (-1.0, 1.0), 11).values,)
 
 
 def probes():
@@ -307,6 +323,9 @@ def hand_built():
             yield f"hand-built {name} n=11 {sense}", lambda p=p, m=maximize: solve_parts(p, m)
         q = T.VariationalProblem(T.make_timescale(DOMAIN_ERROR_POINTS), ld, ln, alpha, beta)
         yield f"hand-built {name} oracle", lambda q=q: (T.brute_force_oracle(q, (-2.0, 2.0), 21).values,)
+    ld, ln, alpha, beta = FAILING_3I
+    p = T.VariationalProblem(T.make_timescale([0.0, 0.7, 1.5, 2.8, 3.5]), by_hand(ld), by_hand(ln), alpha, beta)
+    yield "hand-built failing oracle interior=3", lambda p=p: (T.brute_force_oracle(p, (-1.5, 1.5), 11).values,)
 
 
 def main() -> int:
