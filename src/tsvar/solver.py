@@ -8,10 +8,14 @@ consecutive steps, one value pass per factor over a block's (trials x
 points) array, and accepts the block's first trial that passes: the step
 that trying one step at a time accepts, bit for bit.  A block holds k + 2
 trials, k being the rung the previous iteration accepted (0 for step 1),
-and one trial on the first iteration.  A trial that leaves a density's
-domain gets nan factors in the block's pass and fails the test.  Only
-when no rung passes is the last one evaluated again, on its own and
-strictly, for the domain error that ``StepUnderflowError`` names.
+and one trial on the first iteration, but at most 8192 // n trials (and
+at least one) at n points.  A block's pass allocates one (trials x points)
+temporary per numpy operation; at 64 KiB or less each stays under the C
+allocator's default 128 KiB threshold for fresh memory maps, so it reuses
+heap memory instead of faulting in zeroed pages.  A trial that leaves a
+density's domain gets nan factors in the block's pass and fails the
+test.  Only when no rung passes is the last one evaluated again, on its
+own and strictly, for the domain error that ``StepUnderflowError`` names.
 Everything is deterministic: same problem, configuration and start, same
 result, bit for bit.  Each iterate evaluates its partials once, in one
 grid pass per factor.  Trials evaluate the two factors only, the
@@ -81,6 +85,9 @@ _STEPS = _ladder()
 
 # Candidates per chunk of the brute-force oracle's sums; bounds its memory.
 _ORACLE_CHUNK = 1024
+# Elements per line-search block, as the module docstring says: at most
+# _BLOCK_ELEMENTS // n trial rows, so each float64 temporary is 64 KiB or less.
+_BLOCK_ELEMENTS = 8192
 
 
 class StepUnderflowError(RuntimeError):
@@ -176,6 +183,7 @@ def solve(
     jd, jn = _factors(p, args)  # then carried over with ``args`` from each accepting trial
     converged = False
     block = 1  # trials per value pass, as the module docstring says
+    cap = max(1, _BLOCK_ELEMENTS // len(vals))
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
         parts = _Partials(p, args)
@@ -215,7 +223,7 @@ def solve(
                     f"domain errors; last trial: {exc}"
                 ) from exc
             break
-        block = k + row + 2
+        block = min(k + row + 2, cap)
         vals, args = trials[row], _row(trial_args, row)
         jd, jn = float(trial_jd[row]), float(trial_jn[row])
 

@@ -1,5 +1,7 @@
 """The block line search against the one-trial-at-a-time reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,76 @@ def test_forced_domain_errors_in_a_block(monkeypatch, final_gradient):
         assert blocks[7:] == [[-2.0 ** -k, -2.0 ** -(k + 1)] for k in range(0, 996, 2)]
         assert str(got).endswith("last trial: forced failure at (t=0.0, u=-1.4932217896051502e-300, "
                                  "v=-1.4932217896051502e-300)")
+
+
+def stacked_rows(monkeypatch) -> list:
+    """The row count of every stacked ``_slot_args`` call ``solve`` makes from now on."""
+    rows = []
+
+    def counted(p, vals):
+        if vals.ndim == 2:
+            rows.append(len(vals))
+        return _slot_args(p, vals)
+
+    monkeypatch.setattr("tsvar.solver._slot_args", counted)
+    return rows
+
+
+def row_cap(n: int) -> int:
+    """Trial rows per block at n points: 8192 elements, and at least one row."""
+    return max(1, 8192 // n)
+
+
+@pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+@pytest.mark.parametrize("kind", ["uniform", "seeded"])
+@pytest.mark.parametrize("pair", ["catalog", "expr"])
+def test_capped_blocks_match_the_sequential_ladder(monkeypatch, pair, kind, maximize):
+    # At n = 2048 a block holds at most 4 trials, fewer than the rungs these
+    # searches accept, so the cap splits the blocks the search would run.
+    # Ascents accept step 1 at first; by iteration 6 each has walked past
+    # rung 3.
+    n = 2048
+    build, ld, ln = PAIRS[pair]
+    pts = np.linspace(0.0, 1.0, n) if kind == "uniform" else seeded_points(n, n)
+    p = VariationalProblem(make_timescale(pts), build(ld), build(ln), 0.0, 1.0)
+    budget = 6 if maximize else 10
+    rows = stacked_rows(monkeypatch)
+    assert_same_outcome(outcome(lambda: solve(p, SolverConfig(max_iterations=budget, maximize=maximize))),
+                        outcome(lambda: sequential_solve(p, budget, maximize)))
+    assert max(rows) == row_cap(n) == 4
+
+
+def test_one_row_blocks_match_the_sequential_ladder(monkeypatch):
+    n = 8193
+    build, ld, ln = PAIRS["catalog"]
+    p = VariationalProblem(make_timescale(seeded_points(n, n)), build(ld), build(ln), 0.0, 1.0)
+    rows = stacked_rows(monkeypatch)
+    assert_same_outcome(solve(p, SolverConfig(max_iterations=5)), sequential_solve(p, 5))
+    assert set(rows) == {row_cap(n)} == {1}
+
+
+@pytest.mark.parametrize("n", [11, 1001, 10001])
+def test_no_block_exceeds_the_row_cap(monkeypatch, n):
+    build, ld, ln = PAIRS["catalog"]
+    p = VariationalProblem(make_timescale(seeded_points(n, n)), build(ld), build(ln), 0.0, 1.0)
+    rows = stacked_rows(monkeypatch)
+    solve(p, SolverConfig(max_iterations=10))
+    assert max(rows) <= row_cap(n)
+    if n > 11:  # the searches accept rungs past the cap, so it binds
+        assert max(rows) == row_cap(n)
+
+
+def test_block_memory_stays_bounded():
+    # A block's value pass allocates one temporary per numpy operation; at
+    # most 8192 elements per block keeps the peak near 640 KiB at n = 1001,
+    # where blocks of up to 22 uncapped rows took about 1.3 MB.
+    build, ld, ln = PAIRS["catalog"]
+    p = VariationalProblem(make_timescale(seeded_points(1001, 1001)), build(ld), build(ln), 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        r = solve(p, SolverConfig(max_iterations=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.iterations == 30
+    assert peak < 900 * 1024

@@ -14,6 +14,8 @@ non-uniform scale, minimize and maximize, each at a fixed iteration budget.
 A fourth pair whose large trial steps leave its density's domain, so that
 line-search trials raise without the solve diverging, at n = 11 and 101.
 All four pairs again at n = 11 and 101 from a seeded start off the chord.
+The catalog pair at n = 8193 on a seeded scale, at a budget of 5, where
+each line-search block holds one trial.
 Oracle: seeded instances with 1-3 interior points, one whose densities
 fail on part of the search box, one whose J overflows to +inf and -inf on
 most of its box while the finite rest reaches down to about -1.8e308, and
@@ -121,8 +123,8 @@ def seeded_points(n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def solve_parts(p, maximize: bool, y0=None) -> tuple:
-    r = T.solve(p, T.SolverConfig(max_iterations=BUDGET, maximize=maximize), y0=y0)
+def solve_parts(p, maximize: bool, y0=None, budget: int = BUDGET) -> tuple:
+    r = T.solve(p, T.SolverConfig(max_iterations=budget, maximize=maximize), y0=y0)
     parts = [r.y.values, r.j_value, r.gradient_norm, r.iterations, r.converged,
              r.el1.residual_trace, r.el1.constant_c, r.el2.residual_trace,
              T.first_variation_gradient(p, r.y),
@@ -152,6 +154,9 @@ def solves():
         for maximize in (False, True):
             sense = "max" if maximize else "min"
             yield f"solve {label} start {sense}", lambda p=p, m=maximize, y0=y0: solve_parts(p, m, y0)
+    build, ld, ln = PAIRS["catalog"]
+    p = T.VariationalProblem(T.make_timescale(seeded_points(8193, 8193)), build(ld), build(ln), 0.0, 1.0)
+    yield "solve catalog n=8193 seeded min budget=5", lambda p=p: solve_parts(p, False, budget=5)
 
 
 def oracles():
