@@ -96,10 +96,10 @@ class Lagrangian:
         """The density at every point of the broadcast arrays (t, u, v)."""
         return self._values(t, u, v, strict=True)
 
-    def partials(self, t, u, v) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-        """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v): one array's rows if parsed."""
+    def partials(self, t, u, v) -> np.ndarray:
+        """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v), as one array's rows."""
         if self.program is None:
-            return tuple(_per_point((self.d2, self.d3), t, u, v))
+            return np.array(_per_point((self.d2, self.d3), t, u, v))
         return run(self.program, t, u, v, SEEDS)
 
     def _values(self, t, u, v, strict: bool) -> np.ndarray:

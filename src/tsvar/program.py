@@ -43,7 +43,7 @@ def _domain(fn: Callable, x, z=None) -> list:
 
     Each is a mask and a message template over the operands; ``fn`` must
     not see the elements they reject.  An overflowing ``pow`` is found
-    from its result instead (see ``_Pass.apply``).
+    from its result instead (see ``_Pass.each``).
     """
     if fn is pow:
         # Python's pow goes complex for a negative base under a fractional
@@ -124,16 +124,15 @@ class _Pass:
     With K seeds a register's tangents are one array with a leading seed
     axis; those of y and dy are the seed columns, shaped (K, 1, ..., 1).
     ``shape`` is the output's.  ``failed``, the pass's one failure record,
-    holds the checks that failed as (mask, message) pairs, the message a
-    string or a function of the flat index; a value check's mask
-    broadcasts over the seeds.  Checks
-    come in the order a dual-number walk meets them, so at a point that
-    already failed the earlier message stands.  A failed point's later
-    registers hold garbage that no other point sees.
+    holds each failed check as (mask, template, operands); a value check's
+    mask broadcasts over the seeds, and ``run`` formats the template with
+    the operands at the flat index it raises for.  Checks come in the
+    order a dual-number walk meets them, so at a point that already failed
+    the earlier message stands.  A failed point's later registers hold
+    garbage that no other point sees.
     """
 
     def __init__(self, slots: tuple, seeds: tuple):
-        self.slots = slots
         self.shape = np.broadcast(*slots).shape
         if seeds:
             self.seeds = np.reshape(np.transpose(seeds), (2, len(seeds)) + (1,) * len(self.shape))
@@ -141,49 +140,40 @@ class _Pass:
             self.shape = self.zero.shape[:1] + self.shape
         self.failed: list = []
 
-    def fail(self, mask, message) -> None:
-        """The check ``mask`` fails where it is true."""
+    def fail(self, mask, template: str, *operands) -> None:
+        """The check ``mask`` fails where it is true; ``template`` formats the operands there."""
         if mask.any():
-            self.failed.append((mask, message))
-
-    def describe(self, template: str, *xs) -> Callable[[int], str]:
-        """``template`` formatted with the operands ``xs`` at a flat index of the output."""
-        return lambda i: template.format(*(float(self.at(x, i)) for x in xs))
+            self.failed.append((mask, template, operands))
 
     def at(self, x, i: int):
         """Operand or mask ``x``, broadcast to the output's shape, at flat index ``i``."""
         return np.broadcast_to(x, self.shape).flat[i]
 
-    def each(self, fn: Callable, *xs):
-        """``fn`` over the operands, recording the checks it fails."""
-        out, checks = self.apply(fn, *xs)
-        for mask, message in checks:
-            self.fail(mask, message)
-        return out
-
-    def apply(self, fn: Callable, *xs):
-        """``fn`` over the operands, and the checks it fails: (mask, message) pairs.
+    def each(self, fn: Callable, *xs, where=True):
+        """``fn`` over the operands, recording the checks it fails where ``where`` is true.
 
         ``pow`` and ``sqrt`` run as numpy's ``float_power`` and ``sqrt``,
         which give libm's ``pow`` and the correctly rounded root bit for
         bit; the other functions run per element, over operands of any
         rank.  Where a check fails the first operand is 1.0 instead.
         """
-        checks = [(mask, self.describe(template, *xs)) for mask, template in _domain(fn, *xs)]
+        checks = _domain(fn, *xs)
         x = xs[0]
         if checks:
             x = np.where(reduce(np.logical_or, (mask for mask, _ in checks)), 1.0, x)
+            for mask, template in checks:
+                self.fail(mask & where, template, *xs)
         if fn is pow:
             z = xs[1]
             out = np.float_power(x, z)
             inf = np.isinf(out)
             if inf.any():  # where Python's pow raises OverflowError
-                checks.append((inf & np.isfinite(x) & np.isfinite(z), "overflow"))
-            return out, checks
+                self.fail(inf & np.isfinite(x) & np.isfinite(z) & where, "overflow")
+            return out
         if fn is math.sqrt:
-            return np.sqrt(x), checks
+            return np.sqrt(x)
         # The map never raises: the checks keep fn in its domain.
-        return np.fromiter(map(fn, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x)), checks
+        return np.fromiter(map(fn, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))
 
     def plain(self, op: str, x, z):
         """Float semantics: the value walk, and every subtree free of y and dy."""
@@ -210,19 +200,17 @@ class _Pass:
             return self.power(x, tx, z, tz)
         if tz is None:
             tz = self.zero
+        val = self.plain(op, x, z)
         if op == "add":
-            return x + z, tx + tz
+            return val, tx + tz
         if op == "sub":
-            return x - z, tx - tz
+            return val, tx - tz
         if op == "mul":
-            return x * z, tx * z + x * tz
+            return val, tx * z + x * tz
         if op == "div":
-            self.fail(np.equal(z, 0.0), "division by zero")
-            val = np.divide(x, z)
             return val, np.divide(tx - val * tz, z)
         if op == "neg":
-            return -x, -tx
-        val = self.each(FUNCTIONS[op], x)
+            return val, -tx
         if op == "sin":
             return val, self.each(math.cos, x) * tx
         if op == "cos":
@@ -247,8 +235,8 @@ class _Pass:
         fixed = True if te is None else np.equal(te, 0.0)
         free = te is not None and not fixed.all()
         if free:
-            message = self.describe("base {0!r} must be positive when the exponent carries a derivative", b)
-            self.fail(~fixed & np.less_equal(b, 0.0), message)
+            self.fail(~fixed & np.less_equal(b, 0.0),
+                      "base {0!r} must be positive when the exponent carries a derivative", b)
         value = self.each(pow, b, e)
         live = np.not_equal(e, 0.0)
         at_zero = np.equal(b, 0.0) & live  # the value is +0.0 here, where the walk goes on
@@ -256,14 +244,11 @@ class _Pass:
         everywhere = te is None and all_live and not any_zero  # the power rule at every point
         # A base of 1.0 keeps the power rule from failing where it does not apply.
         base = b if everywhere else np.where(live & ~at_zero & (te is None or np.any(fixed, axis=0)), b, 1.0)
-        power_rule, rule_checks = self.apply(pow, base, e - 1.0)
-        for mask, message in rule_checks:
-            self.fail(mask & fixed, message)
-        factor = e * power_rule  # shared by the seeds
+        factor = e * self.each(pow, base, e - 1.0, where=fixed)  # shared by the seeds
         tangent = factor * tb if all_live else np.where(live, factor * tb, 0.0)
         if any_zero:  # only exponents >= 1, or a zero base tangent, survive
             self.fail(fixed & at_zero & ~np.greater_equal(e, 1.0) & np.not_equal(tb, 0.0),
-                      self.describe("power {0!r} not differentiable at zero base", e))
+                      "power {0!r} not differentiable at zero base", e)
             tangent = np.where(at_zero, np.where(np.equal(e, 1.0), tb, 0.0), tangent)
         if free:
             log_b = self.each(math.log, np.where(np.less_equal(b, 0.0), 1.0, b))
@@ -313,12 +298,12 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.
             state.fail(~ok, "non-finite value")
     shape = state.shape
     if state.failed:
-        union = np.broadcast_to(reduce(np.logical_or, (mask for mask, _ in state.failed)), shape)
+        union = np.broadcast_to(reduce(np.logical_or, (mask for mask, _, _ in state.failed)), shape)
         if not strict:
             out = np.where(union, math.nan, out)
         elif union.any():  # a pass over no points fails nowhere
             i = int(np.argmax(union))
-            message = next(message for mask, message in state.failed if state.at(mask, i))
-            raise EvalDomainError(message if isinstance(message, str) else message(i),
+            template, xs = next((template, xs) for mask, template, xs in state.failed if state.at(mask, i))
+            raise EvalDomainError(template.format(*(float(state.at(x, i)) for x in xs)),
                                   *(float(state.at(x, i)) for x in slots))
     return out if shape and np.shape(out) == shape else np.full(shape, out)[()]

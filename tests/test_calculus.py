@@ -16,6 +16,7 @@ from tsvar import (
     compose_sigma,
     delta_derivative,
     delta_integral,
+    kappa_set,
     make_timescale,
     nabla_derivative,
     nabla_integral,
@@ -46,6 +47,13 @@ def test_grid_function_validation():
         GridFunction(ts, [0.0, 1.0])
     with pytest.raises(ValueError, match="non-finite value at index 1"):
         GridFunction(ts, [0.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="^expected an object with exactly the keys 'scale' and 'values'$"):
+        GridFunction.from_dict({"scale": [0, 1, 2]})
+    domain = kappa_set(make_timescale([0.0, 1.0, 3.0, 4.0]), KappaKind.UPPER)
+    with pytest.raises(ValueError, match=r"^need one value per domain index: expected 3, got \(2,\)$"):
+        PartialGridFunction(ts, domain, [0.0, 1.0])
+    with pytest.raises(ValueError, match="^non-finite value at domain position 1$"):
+        PartialGridFunction(ts, domain, [0.0, np.nan, 1.0])
 
 
 def test_grid_function_values_read_only():
@@ -218,6 +226,13 @@ def test_parts_formulas_hand_example():
     res = check_parts_formulas(f, f)
     assert len(res) == 4
     assert max(res) == 0.0
+
+
+def test_parts_formulas_reject_mixed_scales():
+    f = GridFunction(make_timescale([0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    g = GridFunction(make_timescale([0.0, 1.0, 3.0]), [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^grid functions live on different scales$"):
+        check_parts_formulas(f, g)
 
 
 def test_parts_formulas_constant_f():

@@ -78,6 +78,24 @@ def test_solve_reports_non_convergence(tmp_path, capsys):
     assert "converged: no" in capsys.readouterr().out
 
 
+def test_solve_numeric_failure_exits_2_and_writes_nothing(tmp_path, capsys):
+    data = {
+        "timescale": {"uniform": {"a": 0, "b": 1, "n": 11}},
+        "lagrangian_delta": "1e300*dy^2",
+        "lagrangian_nabla": "1e300*(dy^2 + y^2)",
+        "alpha": 0,
+        "beta": 1,
+        "solver": {"max_iterations": 5},
+    }
+    out = tmp_path / "out"
+    rc = cli.main(["solve", write_problem(tmp_path, data), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: line search step underflowed while the Lagrangian kept raising domain errors; "
+        "last trial: non-finite value at (t=0.0, u=-inf, v=-inf)\n")
+    assert not out.exists()
+
+
 def test_solve_maximize_flag(tmp_path, capsys):
     data = dict(EXAMPLE)
     data["lagrangian_delta"] = "-dy^2"
@@ -202,6 +220,31 @@ def test_bad_uniform_object(tmp_path, capsys):
     data["timescale"] = {"uniform": {"a": 0.0, "b": 1.0}}
     expect_error(capsys, ["solve", write_problem(tmp_path, data)],
                  "'uniform' needs exactly the keys")
+
+
+@pytest.mark.parametrize("command,change,message", [
+    ("solve", {"timescale": {"linear": {}}}, "'timescale' object must contain exactly the key 'uniform'"),
+    ("solve", {"timescale": {"uniform": {"a": 0.0, "b": 1.0, "n": 5.0}}}, "'n' must be an integer"),
+    ("solve", {"timescale": "0,1,2"}, "'timescale' must be an array or a 'uniform' object"),
+    ("solve", {"lagrangian_delta": {"expr": "dy"}},
+     "'lagrangian_delta' object must contain exactly a string key 'catalog'"),
+    ("solve", {"lagrangian_nabla": 3}, "'lagrangian_nabla' must be an expression string or a catalog object"),
+    ("solve", None, "top level must be an object"),
+    ("solve", {"solver": [1]}, "'solver' must be an object"),
+    ("eval", {}, "[Errno 2] No such file or directory"),
+], ids=["timescale-object", "n-float", "timescale-string", "lagrangian-object", "lagrangian-number",
+        "top-level-array", "solver-array", "eval-missing-y"])
+def test_malformed_input_exits_1(tmp_path, capsys, command, change, message):
+    data = [EXAMPLE] if change is None else {**EXAMPLE, **change}
+    prob = write_problem(tmp_path, data)
+    if command == "eval":
+        culprit = str(tmp_path / "missing.csv")
+        argv = ["eval", prob, "--y", culprit]
+    else:
+        culprit = prob
+        argv = ["solve", prob, "--out", str(tmp_path / "out")]
+    expect_error(capsys, argv, f"error: {culprit}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_numeric_boundary(tmp_path, capsys):

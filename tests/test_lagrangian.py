@@ -183,6 +183,7 @@ def test_partials_hit_domain_errors_too():
     ("y % t", 3),
     ("sin y", 3),
     ("3 4", 3),
+    ("sin(y", 5),
 ])
 def test_syntax_error_offsets(source, position):
     with pytest.raises(ParseError) as exc:
@@ -718,10 +719,13 @@ def test_hand_built_densities_run_point_by_point():
                    recorded("d3", lambda t, u, v: u), "u*v")
     t, u, v = np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0])
     assert L.values(t, u, v).tolist() == [8.0, 15.0]
-    d2, d3 = L.partials(t, u, v)
+    d2, d3 = partials = L.partials(t, u, v)
+    assert type(partials) is np.ndarray and partials.shape == (2, 2)
     assert (d2.tolist(), d3.tolist()) == ([4.0, 5.0], [2.0, 3.0])
     assert [c[0] for c in calls] == ["eval", "eval", "d2", "d2", "d3", "d3"]
     assert calls[0][1:] == (0.0, 2.0, 4.0) and all(type(x) is float for x in calls[0][1:])
+    point = L.partials(1.0, 3.0, 5.0)  # one array for a single point too, as for a parsed density
+    assert type(point) is np.ndarray and point.shape == (2,) and point.tolist() == [5.0, 3.0]
     bad = parse_lagrangian("log(y)")
     fussy = Lagrangian(bad.eval, bad.d2, bad.d3, "log(y)")
     for lag in (bad, fussy):
@@ -742,6 +746,7 @@ def test_catalog_partials_match_finite_differences():
 @pytest.mark.parametrize("spec,message", [
     ("wat", "unknown catalog"),
     ("wat(1)", "unknown catalog"),
+    ("1abc", "^malformed catalog name '1abc'$"),
     ("const", "needs a constant argument"),
     ("const(y)", "must not reference variables"),
     ("const(1 +)", "syntax error"),

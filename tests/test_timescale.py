@@ -78,6 +78,11 @@ def test_rejects_non_finite_points():
         make_timescale([0.0, 1.0, np.inf])
 
 
+def test_rejects_nested_points():
+    with pytest.raises(TimeScaleError, match="^points must form a one-dimensional sequence$"):
+        make_timescale([[0, 1, 2], [3, 4, 5]])
+
+
 def test_jump_operators_clamp_at_boundary():
     ts = make_timescale([0.0, 1.0, 4.0, 5.0])
     assert sigma(ts, 0) == 1
@@ -186,6 +191,8 @@ def test_uniform_scale():
         uniform_scale(0.0, 0.0, 5)
     with pytest.raises(ValueError):
         uniform_scale(0.0, 1.0, 2)
+    with pytest.raises(TimeScaleError, match="^endpoints must be finite$"):
+        uniform_scale(0.0, np.inf, 5)
 
 
 def test_json_round_trip_is_bit_exact():
