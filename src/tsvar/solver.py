@@ -27,9 +27,20 @@ the final iterate's pass.
 scans a full grid over the interior values, then rescans once across the
 best cell.  Edge i's summands read only y_i and y_{i+1}, so a scan
 evaluates each density once per distinct pair of neighbouring grid values,
-in one value pass per factor, and sums the candidates' rows of those
-values chunk by chunk; a candidate with a pair outside a density's domain
-is skipped.  Each candidate's J equals ``j_product`` bit for bit.
+in one value pass per factor.  It then visits the candidates in slabs of
+at most ``_BLOCK_ELEMENTS``, in lexicographic order, in two stages.  First
+each factor's edge terms are broadcast over the slab and summed, and the
+product is an estimate A of each candidate's J, with one bound E per slab
+on |A - J|: a sum of m + 1 products in any order is within gamma_{m+1} =
+(m+1)u / (1 - (m+1)u) times its sum of |products| of the exact sum
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).
+Then only the candidates whose A - E is at most the least A + E so far
+have their rows of values summed exactly, so each one's J equals
+``j_product`` bit for bit, and every candidate that attains the minimum
+is among them: the answer is the first exact minimum, as before.  A slab
+with a failing or infinite term, or a grid that fits one exact batch, is
+summed whole; a candidate with a pair outside a density's domain is
+skipped.
 ``perturbation_audit`` samples random boundary-respecting perturbations
 around a solution and reports whether any of them beat it.
 """
@@ -83,8 +94,6 @@ def _ladder() -> np.ndarray:
 
 _STEPS = _ladder()
 
-# Candidates per chunk of the brute-force oracle's sums; bounds its memory.
-_ORACLE_CHUNK = 1024
 # Elements per line-search block, as the module docstring says: at most
 # _BLOCK_ELEMENTS // n trial rows, so each float64 temporary is 64 KiB or less.
 _BLOCK_ELEMENTS = 8192
@@ -240,14 +249,16 @@ def solve(
 
 
 def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
-    """J of every candidate of the grid ``axes``, in lexicographic order: (first flat index, J) per chunk.
+    """J of the candidates of the grid ``axes`` that can still be its minimum: (flat indices, J) per batch.
 
     Edge i's summands read only y_i and y_{i+1}, so each factor takes one
     non-strict value pass over every edge's distinct pairs, with the slot
     arguments ``_slot_args`` gives them, in rows of r pairs on one edge
-    (t broadcasts along a row).  Each chunk sums its candidates' rows of
-    edge values with ``_factor``, so J equals ``j_product`` bit for bit;
-    where a pair fails, or J is not finite, it is +inf.
+    (t broadcasts along a row).  ``_survivors`` drops the candidates whose
+    J is sure to be above another's; the others, in lexicographic order,
+    have their rows of edge values summed with ``_factor`` in batches, so
+    each J equals ``j_product`` bit for bit.  Where a pair fails, or J is
+    not finite, J is +inf.  A grid that fits in one batch is summed whole.
     """
     pts, gaps = p.scale.points, p.scale.gaps
     ax = np.array(axes)
@@ -262,19 +273,88 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
     ld = p.l_delta._values(pts[edge], right, quot, strict=False).ravel()
     ln = p.l_nabla._values(pts[edge + 1], left, quot, strict=False).ravel()
     # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
-    # number, or its one digit there on a boundary edge.  A chunk holds whole
-    # runs of the first digit (at least one), so its rows are the first
-    # chunk's plus ``step`` for each unit of the first digit it starts at.
+    # number, or its one digit there on a boundary edge.
     div = r ** np.maximum(np.arange(m, -1, -1) - 1, 0)
-    inner, count = r ** (m - 1), r**m
-    size = min(count, max(1, _ORACLE_CHUNK // inner) * inner)
-    rows = np.arange(size)[:, None] // div % sizes + np.cumsum(sizes) - sizes
-    step = inner // div % sizes
-    for start in range(0, count, size):
-        chunk = rows[:count - start] + start // inner * step
-        with np.errstate(all="ignore"):
-            j = _factor(gaps, ld[chunk]) * _factor(gaps, ln[chunk])
-        yield start, np.where(np.isfinite(j), j, np.inf)
+    offsets = np.cumsum(sizes) - sizes
+    batch = max(1, _BLOCK_ELEMENTS // (m + 1))  # a factor's rows of a batch
+    kept = [np.arange(r**m)] if r**m <= batch else _survivors(ld, ln, gaps, edge, m)
+    for keep in kept:
+        for i in range(0, len(keep), batch):
+            f = keep[i:i + batch]
+            rows = f[:, None] // div % sizes + offsets
+            with np.errstate(all="ignore"):
+                j = _factor(gaps, ld[rows]) * _factor(gaps, ln[rows])
+            yield f, np.where(np.isfinite(j), j, np.inf)
+
+
+def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarray, m: int):
+    """Flat indices, slab by slab, of the candidates whose J can still be the grid's minimum.
+
+    A slab fixes a candidate's first ``fixed`` digits, runs the next over at
+    most ``run`` values and leaves the ``free`` others whole, one axis per
+    digit.  A candidate stays if its estimate A - E is at most the least
+    A + E so far; rounding is monotone, so one left out has a J above some
+    other candidate's.  A slab with a failing or infinite term keeps all.
+    """
+    r = len(ld) // len(edge)
+    free = max(k for k in range(m) if r**k <= _BLOCK_ELEMENTS)
+    fixed, run = m - 1 - free, min(r, _BLOCK_ELEMENTS // r**free)
+    # Edge i's terms gaps[i] * value lie on the axes of its digits, i-1 and i
+    # (one on a boundary edge).  The edges on free digits alone add up to the
+    # same tail in every slab; ``most`` holds each factor's largest sum of
+    # |terms| over the free digits, for each value of the others.
+    lead, tail, most = [], np.zeros((2,) + (1,) * (free + 1)), 0.0
+    rows = [0, 1, *range(1 + r, len(edge), r), len(edge)]
+    with np.errstate(all="ignore"):  # a term that overflows, or a sum of inf - inf, is not finite
+        terms = np.stack((ld, ln)).reshape(2, -1, r) * gaps[edge]
+        for span, lo, hi in zip([(0,), *[(i - 1, i) for i in range(1, m)], (m - 1,)], rows, rows[1:]):
+            t = terms[:, lo:hi].reshape(2, *(r if d in span else 1 for d in range(m)))
+            most = most + np.abs(t).max(axis=tuple(range(fixed + 2, m + 1)), keepdims=True)
+            if span[0] <= fixed:
+                lead.append((span, t))
+            else:
+                tail = tail + t[(slice(None), *(0,) * fixed)]
+    most = most.reshape(2, -1, r)  # (factor, prefix, run digit)
+    threshold = np.inf  # the least A + E so far: the minimum J is at most this
+    start = 0
+    for n, prefix in enumerate(np.ndindex(*(r,) * fixed)):
+        for a in range(0, r, run):
+            size = (min(a + run, r) - a) * r**free
+            bound = _estimate_bound(m, *most[:, n, a:a + run].max(axis=1).tolist())
+            if bound == np.inf:
+                keep = np.arange(start, start + size)
+            else:
+                # Each lead edge's terms in the slab; a fixed digit drops its axis.
+                digits = (*prefix, slice(a, a + run))
+                at = [tuple(d if i in span else 0 if i < fixed else slice(None) for i, d in enumerate(digits))
+                      for span, _ in lead]
+                # All terms are finite and no sum can overflow, so nothing here warns.
+                estimate, other = (sum(t[(k, *i)] for (_, t), i in zip(lead, at)) + tail[k] for k in (0, 1))
+                estimate *= other
+                least = float(estimate.min()) + bound
+                if least < threshold:
+                    threshold = least
+                estimate -= bound
+                keep = start + np.flatnonzero(estimate <= threshold)
+                del estimate, other  # free the slab before its survivors are summed
+            yield keep
+            start += size
+
+
+def _estimate_bound(m: int, pd: float, pn: float) -> float:
+    """A bound on |A - J| for a slab whose factors' sums of |gaps[i] * value| are at most pd and pn.
+
+    The estimate's factors and ``_factor``'s are sums of m + 1 products, each
+    within gamma_{m+1} times its sum of |products| of the exact sum, whatever
+    the order or use of fused multiply-adds, and each product rounds once
+    more: |A - J| <= 5 gamma (1 + gamma)^2 pd pn / (1 - u)^2.  E is twice
+    that, for the rounding of E itself, plus a margin for underflow; it is
+    inf where a sum or the product could overflow.
+    """
+    if not (pd <= 2.0**1020 and pn <= 2.0**1020 and pd * pn <= 2.0**1020):  # nan fails too
+        return np.inf
+    gamma = (m + 1) * 2.0**-53 / (1 - (m + 1) * 2.0**-53)
+    return 10 * gamma * pd * pn + (pd + pn + 1) * 2.0**-1069
 
 
 def brute_force_oracle(
@@ -301,10 +381,10 @@ def brute_force_oracle(
 
     def scan(axes: list[np.ndarray]) -> list[float]:
         best, best_j = None, np.inf
-        for start, j in _grid_objectives(p, axes):
+        for f, j in _grid_objectives(p, axes):
             k = int(np.argmin(j))  # the first minimum keeps the lexicographic tie-break
             if j[k] < best_j:
-                best, best_j = start + k, j[k]
+                best, best_j = int(f[k]), j[k]
         if best is None:
             raise ValueError("no feasible candidate inside the search bounds")
         return [axis[i] for axis, i in zip(axes, np.unravel_index(best, (resolution,) * interior))]
@@ -347,10 +427,12 @@ def perturbation_audit(
     """
     if not result.converged:
         raise ValueError("perturbation audit requires a converged result")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    # bool is an int subclass, so it is ruled out by name; NaN fails the comparison.
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not 0 < radius < math.inf:
+        raise ValueError(f"radius must be a positive finite number, got {radius!r}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    radius, trials = float(radius), int(trials)  # plain numbers, so the audit serializes
     rng = np.random.default_rng(seed)
     base = result.y.values
     n = base.size

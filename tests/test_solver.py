@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -357,10 +358,12 @@ def test_solve_at_an_infinite_objective_does_not_converge():
 @pytest.mark.parametrize("interior", [1, 2, 3])
 def test_batched_oracle_matches_j_product(interior, monkeypatch):
     # The oracle evaluates each density once per distinct pair of neighbouring
-    # values and sums each candidate's row chunk by chunk; each candidate's J
-    # equals j_product bit for bit, and a candidate that fails, or whose J is
-    # not finite, is dropped (J = inf) without dropping its chunk.  The chunks
-    # cover the grid once, in lexicographic order, at any chunk size.
+    # values, estimates every candidate's J slab by slab, and sums exactly only
+    # the candidates whose estimate can still be the minimum.  Each of those
+    # J equals j_product bit for bit, and a candidate that fails, or whose J
+    # is not finite, gets J = inf without dropping its slab.  They come in
+    # lexicographic order, and every candidate that attains the minimum is
+    # among them, at any slab size.
     rng = np.random.default_rng(30 + interior)
     ts = make_timescale(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, interior + 1)))))
     resolution = {1: 40, 2: 13, 3: 7}[interior]
@@ -374,6 +377,8 @@ def test_batched_oracle_matches_j_product(interior, monkeypatch):
         (catalog("kinetic_minus_potential(0.2)"), catalog("dy_squared")),
         (parse_lagrangian("dy^2 + y^2 + sin(t)*y"), parse_lagrangian("dy^2 + t*y + 1")),
         (parse_lagrangian("dy^2 - 1e155*y + 1"), parse_lagrangian("1e155*y^2 + 1")),  # J = +-inf
+        # Rounding in the sums is far above the differences between neighbours.
+        (parse_lagrangian("1e14*(t - 1) + dy^2 + 0.3*y^2 + 0.2*sin(y) + 1"), catalog("const(1)")),
         failing,
         tuple(Lagrangian(L.eval, L.d2, L.d3, L.origin) for L in failing),
     ]
@@ -386,12 +391,94 @@ def test_batched_oracle_matches_j_product(interior, monkeypatch):
             except EvalDomainError:
                 j = np.inf
             want.append(j if np.isfinite(j) else np.inf)
-        for chunk in (30, 1024):
-            monkeypatch.setattr("tsvar.solver._ORACLE_CHUNK", chunk)
-            starts, got = zip(*_grid_objectives(p, axes))
-            assert list(starts) == list(np.cumsum([0, *map(len, got[:-1])]))
-            assert np.concatenate(got).tobytes() == np.array(want).tobytes()
+        want = np.array(want)
+        for block in (5, 30, 8192):
+            monkeypatch.setattr("tsvar.solver._BLOCK_ELEMENTS", block)
+            f, got = (np.concatenate(part) for part in zip(*_grid_objectives(p, axes)))
+            assert np.all(np.diff(f) > 0)
+            assert got.tobytes() == want[f].tobytes()
+            assert set(np.flatnonzero(want == want.min())) <= set(f.tolist())
     assert 0 < np.sum(np.isinf(want)) < len(want)  # the last pair fails on part of the grid
+
+
+def exhaustive_oracle(p, bounds, resolution):
+    """The oracle's two scans, each the first minimum of a list of every candidate's j_product.
+
+    Returns the answer and, per scan, how many candidates attain its minimum.
+    """
+    ties = []
+
+    def scan(axes):
+        rows = list(itertools.product(*axes))
+        js = []
+        for row in rows:
+            try:
+                j = j_product(p, GridFunction(p.scale, np.array([p.alpha, *row, p.beta])))
+            except EvalDomainError:
+                j = math.inf
+            js.append(j if math.isfinite(j) else math.inf)
+        if min(js) == math.inf:
+            raise ValueError("no feasible candidate inside the search bounds")
+        ties.append(js.count(min(js)))
+        return rows[js.index(min(js))]
+
+    lo, hi = bounds
+    step = (hi - lo) / (resolution - 1)
+    best = scan([np.linspace(lo, hi, resolution)] * (len(p.scale) - 2))
+    best = scan([np.linspace(max(lo, c - step), min(hi, c + step), resolution) for c in best])
+    return np.array([p.alpha, *best, p.beta]), ties
+
+
+@pytest.mark.parametrize("interior", [1, 2, 3])
+def test_oracle_is_the_first_minimum_of_every_j_product(interior, monkeypatch):
+    # Seeded instances: expression and catalog pairs, densities that fail on
+    # part of the box, J = +-inf on most of it, an all-tie grid, a tie
+    # between mirror-image candidates, and a pair scaled by 1e150, where the
+    # estimate's bound is widest.  At the default slab size and at 16
+    # elements, where the threshold carries across many slabs, the answer is
+    # the exhaustive one byte for byte, and no numpy warning escapes.
+    rng = np.random.default_rng(50 + interior)
+    seeded = make_timescale(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, interior + 1)))))
+    unit = make_timescale(np.arange(interior + 2.0))
+    c = float(rng.uniform(0.1, 0.5))
+    alpha, beta = (float(x) for x in rng.uniform(-0.5, 0.5, 2))
+    box = (min(alpha, beta) - 0.5, max(alpha, beta) + 0.5)
+    expr = (f"dy^2 + {c!r}*y^2 + 0.2*sin(y) + 1", f"dy^2 + {c!r}")
+    resolution = {1: 41, 2: 15, 3: 11}[interior]
+    cases = [
+        (seeded, *map(parse_lagrangian, expr), alpha, beta, box, resolution),
+        (seeded, catalog(f"kinetic_minus_potential({0.5 * c!r})"), catalog("dy_squared"), alpha, beta, box,
+         resolution),
+        (seeded, *(parse_lagrangian(f"1e150*({s})") for s in expr), alpha, beta, box, resolution),
+        (seeded, parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0, (-2.0, 2.0),
+         resolution),
+        (seeded, parse_lagrangian("dy^2 - 1e155*y + 1"), parse_lagrangian("1e155*y^2 + 1"), 0.0, 0.0, (-2.0, 2.0),
+         resolution),
+        (seeded, catalog("const(1)"), catalog("const(1)"), 0.0, 0.0, (-1.0, 1.0), 11),
+        # Terms near 1e14 that cancel between edges: rounding in the sums
+        # is far above the differences between neighbouring candidates' J.
+        (seeded, parse_lagrangian(f"1e14*(t - 1) + {expr[0]}"), catalog("const(1)"), alpha, beta, box, resolution),
+        # Even in y and dy, with alpha = beta = 0 on unit gaps and a grid of
+        # integers, so mirror-image candidates tie exactly.
+        (unit, parse_lagrangian("(y^2 - 4)^2 + dy^2"), catalog("const(1)"), 0.0, 0.0, (-5.0, 5.0), 11),
+    ]
+    for ts, ld, ln, a, b, bounds, res in cases:
+        p = VariationalProblem(ts, ld, ln, a, b)
+        try:
+            want, ties = exhaustive_oracle(p, bounds, res)
+        except ValueError as exc:
+            want, ties = str(exc), None
+        for block in (8192, 16):
+            monkeypatch.setattr("tsvar.solver._BLOCK_ELEMENTS", block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = brute_force_oracle(p, bounds, res).values.tobytes()
+                except ValueError as exc:
+                    got = str(exc)
+            assert got == (want if ties is None else want.tobytes())
+        if ld.origin in ("const(1)", "(y^2 - 4)^2 + dy^2"):
+            assert ties[0] >= 2
 
 
 def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch):
@@ -562,6 +649,36 @@ def test_audit_validation():
         perturbation_audit(p, r, radius=0.0, trials=10)
     with pytest.raises(ValueError):
         perturbation_audit(p, r, radius=0.1, trials=0)
+
+
+@pytest.mark.parametrize("radius, trials, name", [
+    (0.0, 10, "radius"),
+    (-0.1, 10, "radius"),
+    (math.nan, 10, "radius"),
+    (math.inf, 10, "radius"),
+    (True, 10, "radius"),
+    ("0.1", 10, "radius"),
+    (0.1, 0, "trials"),
+    (0.1, 2.5, "trials"),
+    (0.1, True, "trials"),
+    (0.1, "3", "trials"),
+    (0.1, np.float64(3.0), "trials"),
+])
+def test_audit_rejects_bad_input(radius, trials, name):
+    # Each fails before any sample, naming its argument, with no numpy warning.
+    p = square_problem()
+    r = solve(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} "):
+            perturbation_audit(p, r, radius=radius, trials=trials)
+
+
+def test_audit_stores_plain_numbers():
+    p = square_problem()
+    audit = perturbation_audit(p, solve(p), radius=np.float32(0.25), trials=np.int64(3))
+    assert type(audit.radius) is float and type(audit.trials) is int
+    assert json.loads(json.dumps(audit.to_dict()))["trials"] == 3
 
 
 def test_audit_is_deterministic_per_seed():

@@ -20,7 +20,9 @@ Oracle: seeded instances with 1-3 interior points, one whose densities
 fail on part of the search box, one whose J overflows to +inf and -inf on
 most of its box while the finite rest reaches down to about -1.8e308, and
 an all-tie grid at 3 interior points (``const(1)``), so the lexicographic
-tie-break is compared too.  Probes: the objective, the gradient and
+tie-break is compared too, and two at 3 interior points where the oracle's
+estimate prunes the grid: one at resolution 41, whose scans span several
+slabs, and one with its densities scaled by 1e150.  Probes: the objective, the gradient and
 the EL1 trace at seeded points for densities that fail on part of their
 domain, so the first failing point and its message are compared too.
 Points: the value and both partials of every probe density and of three
@@ -187,6 +189,13 @@ def oracles():
     const = T.catalog("const(1)")
     p = T.VariationalProblem(T.make_timescale([0.0, 1.0, 2.0, 3.0, 4.0]), const, const, 0.0, 0.0)
     yield "oracle all-tie interior=3", lambda p=p: (T.brute_force_oracle(p, (-1.0, 1.0), 11).values,)
+    # 41^3 candidates: a scan spans eleven slabs of the estimate.  Then the
+    # densities scaled by 1e150, so J is near 1e300 and the bound is widest.
+    pts = [0.0, 0.8, 1.7, 2.9, 3.6]
+    for label, scale, resolution in (("interior=3 resolution=41", "", 41), ("scaled 1e150 interior=3", "1e150*", 21)):
+        ld, ln = (T.parse_lagrangian(f"{scale}({s})") for s in ("dy^2 + 0.3*y^2 + 0.2*sin(y) + 1", "dy^2 + 0.3"))
+        p = T.VariationalProblem(T.make_timescale(pts), ld, ln, 0.2, -0.3)
+        yield f"oracle {label}", lambda p=p, r=resolution: (T.brute_force_oracle(p, (-0.8, 0.7), r).values,)
 
 
 def probes():
