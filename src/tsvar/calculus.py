@@ -60,9 +60,9 @@ class GridFunction:
             raise ValueError(
                 f"need one value per point: expected {len(self.scale)}, got {vals.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ValueError(f"non-finite value at index {int(bad[0])}")
+        finite = np.isfinite(vals)
+        if np.count_nonzero(finite) < vals.size:
+            raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -113,9 +113,9 @@ class PartialGridFunction:
             raise ValueError(
                 f"need one value per domain index: expected {len(self.domain)}, got {vals.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ValueError(f"non-finite value at domain position {int(bad[0])}")
+        finite = np.isfinite(vals)
+        if np.count_nonzero(finite) < vals.size:
+            raise ValueError(f"non-finite value at domain position {int(np.argmin(finite))}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

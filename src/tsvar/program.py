@@ -24,7 +24,7 @@ not strict puts nan at every failed point instead.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,7 @@ def _domain(fn: Callable, x, z=None) -> list:
             z = float(z)
             if z >= 0.0 and z.is_integer():
                 return []
-        if not np.less_equal(x, 0.0).any():  # both rules need a base <= 0
+        if not np.count_nonzero(np.less_equal(x, 0.0)):  # both rules need a base <= 0
             return []
         fractional = np.not_equal(z - np.trunc(z), 0.0)  # inf and nan too, as float.is_integer says
         checks = [(np.less(x, 0.0) & fractional, "negative base {0!r} with non-integer exponent {1!r}"),
@@ -65,13 +65,26 @@ def _domain(fn: Callable, x, z=None) -> list:
         checks = [(np.greater(x, EXP_LIMIT) & np.less(x, math.inf), "overflow")]
     else:  # math.sin and math.cos raise ValueError at +-inf
         checks = [(np.isinf(x), f"{fn.__name__} of infinite value {{0!r}}")]
-    return [check for check in checks if check[0].any()]
+    return [check for check in checks if np.count_nonzero(check[0])]
 
 
 # The tangents of (y, dy) in each seed: d/du first, then d/dv.
 SEED_U = (1.0, 0.0)
 SEED_V = (0.0, 1.0)
 SEEDS = (SEED_U, SEED_V)
+
+
+@lru_cache(maxsize=16)
+def _seed_columns(seeds: tuple, rank: int) -> tuple:
+    """The tangents of y and dy in each seed, and the zero tangents, for points of rank ``rank``.
+
+    Each is shaped (K, 1, ..., 1) with ``rank`` ones, built once and
+    read-only: every pass shares them, and ``run`` returns none of them.
+    """
+    columns = np.reshape(np.transpose(seeds), (2, len(seeds)) + (1,) * rank)
+    zero = np.zeros_like(columns[0])  # the tangents a dual-number walk lifts a float to
+    columns.flags.writeable = zero.flags.writeable = False
+    return (columns[0], columns[1]), zero
 
 
 class EvalDomainError(ArithmeticError):
@@ -122,7 +135,7 @@ class _Pass:
     """The bookkeeping of one run of a program.
 
     With K seeds a register's tangents are one array with a leading seed
-    axis; those of y and dy are the seed columns, shaped (K, 1, ..., 1).
+    axis; those of y and dy are the shared seed columns, shaped (K, 1, ..., 1).
     ``shape`` is the output's.  ``failed``, the pass's one failure record,
     holds each failed check as (mask, template, operands); a value check's
     mask broadcasts over the seeds, and ``run`` formats the template with
@@ -135,14 +148,13 @@ class _Pass:
     def __init__(self, slots: tuple, seeds: tuple):
         self.shape = np.broadcast(*slots).shape
         if seeds:
-            self.seeds = np.reshape(np.transpose(seeds), (2, len(seeds)) + (1,) * len(self.shape))
-            self.zero = np.zeros_like(self.seeds[0])  # the tangents a dual-number walk lifts a float to
-            self.shape = self.zero.shape[:1] + self.shape
+            self.seeds, self.zero = _seed_columns(seeds, len(self.shape))
+            self.shape = (len(seeds),) + self.shape
         self.failed: list = []
 
     def fail(self, mask, template: str, *operands) -> None:
         """The check ``mask`` fails where it is true; ``template`` formats the operands there."""
-        if mask.any():
+        if np.count_nonzero(mask):
             self.failed.append((mask, template, operands))
 
     def at(self, x, i: int):
@@ -167,13 +179,14 @@ class _Pass:
             z = xs[1]
             out = np.float_power(x, z)
             inf = np.isinf(out)
-            if inf.any():  # where Python's pow raises OverflowError
+            if np.count_nonzero(inf):  # where Python's pow raises OverflowError
                 self.fail(inf & np.isfinite(x) & np.isfinite(z) & where, "overflow")
             return out
         if fn is math.sqrt:
             return np.sqrt(x)
         # The map never raises: the checks keep fn in its domain.
-        return np.fromiter(map(fn, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))
+        x = np.asarray(x)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
     def plain(self, op: str, x, z):
         """Float semantics: the value walk, and every subtree free of y and dy."""
@@ -230,17 +243,24 @@ class _Pass:
         Where the exponent's tangent is zero the power rule applies, with
         its own cases at a zero base; elsewhere the base must be positive.
         An exponent free of y and dy (``te`` None) takes the power rule
-        everywhere, and every seed scales one factor e * b^(e-1).
+        everywhere, and every seed scales one factor e * b^(e-1); a literal
+        exponent, a float, decides its cases as Python bools.
         """
         fixed = True if te is None else np.equal(te, 0.0)
-        free = te is not None and not fixed.all()
+        free = te is not None and np.count_nonzero(fixed) < fixed.size
         if free:
             self.fail(~fixed & np.less_equal(b, 0.0),
                       "base {0!r} must be positive when the exponent carries a derivative", b)
         value = self.each(pow, b, e)
-        live = np.not_equal(e, 0.0)
-        at_zero = np.equal(b, 0.0) & live  # the value is +0.0 here, where the walk goes on
-        any_zero, all_live = at_zero.any(), live.all()
+        # At a zero base under a live exponent the value is +0.0, and the walk goes on.
+        if te is None and isinstance(e, float):
+            live = all_live = e != 0.0
+            at_zero = np.equal(b, 0.0) if live else np.False_
+        else:
+            live = np.not_equal(e, 0.0)
+            at_zero = np.equal(b, 0.0) & live
+            all_live = np.count_nonzero(live) == np.size(live)
+        any_zero = np.count_nonzero(at_zero) > 0
         everywhere = te is None and all_live and not any_zero  # the power rule at every point
         # A base of 1.0 keeps the power rule from failing where it does not apply.
         base = b if everywhere else np.where(live & ~at_zero & (te is None or np.any(fixed, axis=0)), b, 1.0)
@@ -294,16 +314,17 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.
             tans.append(tan)
         out = (state.zero if tans[-1] is None else tans[-1]) if seeds else vals[-1]
         ok = np.isfinite(out)
-        if not ok.all():
+        if np.count_nonzero(ok) < ok.size:
             state.fail(~ok, "non-finite value")
     shape = state.shape
     if state.failed:
         union = np.broadcast_to(reduce(np.logical_or, (mask for mask, _, _ in state.failed)), shape)
         if not strict:
             out = np.where(union, math.nan, out)
-        elif union.any():  # a pass over no points fails nowhere
+        elif np.count_nonzero(union):  # a pass over no points fails nowhere
             i = int(np.argmax(union))
             template, xs = next((template, xs) for mask, template, xs in state.failed if state.at(mask, i))
             raise EvalDomainError(template.format(*(float(state.at(x, i)) for x in xs)),
                                   *(float(state.at(x, i)) for x in slots))
-    return out if shape and np.shape(out) == shape else np.full(shape, out)[()]
+    shared = seeds and (tans[-1] is None or program[-1][0] == "var")  # a seed column or the zero tangents
+    return out if shape and np.shape(out) == shape and not shared else np.full(shape, out)[()]

@@ -92,13 +92,14 @@ class TimeScale:
             raise TimeScaleError("points must form a one-dimensional sequence")
         if pts.size < 3:
             raise TimeScaleError(f"need at least 3 points, got {pts.size}")
-        bad = np.flatnonzero(~np.isfinite(pts))
-        if bad.size:
-            raise TimeScaleError(f"non-finite point at index {int(bad[0])}")
+        # One reduction per check; the index is looked up only to name a failure.
+        finite = np.isfinite(pts)
+        if np.count_nonzero(finite) < pts.size:
+            raise TimeScaleError(f"non-finite point at index {int(np.argmin(finite))}")
         diffs = np.diff(pts)
-        bad = np.flatnonzero(diffs <= DUPLICATE_TOLERANCE)
-        if bad.size:
-            i = int(bad[0])
+        close = diffs <= DUPLICATE_TOLERANCE
+        if np.count_nonzero(close):
+            i = int(np.argmax(close))
             if abs(float(diffs[i])) <= DUPLICATE_TOLERANCE:
                 raise TimeScaleError(f"duplicate point at index {i + 1}")
             raise TimeScaleError(f"points not increasing at index {i + 1}")
@@ -187,6 +188,17 @@ def nu(ts: TimeScale, i: int) -> float:
     return float(ts.gaps[i - 1])
 
 
+# The number of points each truncation drops at the left and at the right end.
+_KAPPA_DROPS = {
+    KappaKind.FULL: (0, 0),
+    KappaKind.UPPER: (0, 1),
+    KappaKind.LOWER: (1, 0),
+    KappaKind.UPPER_SQUARED: (0, 2),
+    KappaKind.LOWER_SQUARED: (2, 0),
+    KappaKind.BOTH: (1, 1),
+}
+
+
 def kappa_set(ts: TimeScale, kind: KappaKind | str) -> KappaSet:
     """The index range for a truncation of the scale.
 
@@ -203,13 +215,5 @@ def kappa_set(ts: TimeScale, kind: KappaKind | str) -> KappaSet:
     n = len(ts)
     if kind in (KappaKind.UPPER_SQUARED, KappaKind.LOWER_SQUARED) and n < 4:
         raise TimeScaleError(f"scale too short for {kind.value}: need at least 4 points, got {n}")
-    ranges = {
-        KappaKind.FULL: (0, n),
-        KappaKind.UPPER: (0, n - 1),
-        KappaKind.LOWER: (1, n),
-        KappaKind.UPPER_SQUARED: (0, n - 2),
-        KappaKind.LOWER_SQUARED: (2, n),
-        KappaKind.BOTH: (1, n - 1),
-    }
-    start, stop = ranges[kind]
-    return KappaSet(kind, start, stop)
+    left, right = _KAPPA_DROPS[kind]
+    return KappaSet(kind, left, n - right)

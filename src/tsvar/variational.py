@@ -177,7 +177,8 @@ def _slot_args(p: VariationalProblem, vals: np.ndarray):
 def _factor(gaps: np.ndarray, values: np.ndarray):
     """The weighted sum of one row of density values, or of each row of a stack.
 
-    A stacked product sums each row exactly as ``np.dot(gaps, row)`` does.
+    A (rows, k) stack sums each row exactly as ``np.dot(gaps, row)`` does;
+    a stack with more leading axes may not (2 ulps off for a (2, 343, 4) one).
     """
     with np.errstate(all="ignore"):  # an overflowing sum is a non-finite factor
         sums = np.matmul(values[..., None, :], gaps[:, None])[..., 0, 0]

@@ -47,6 +47,8 @@ def test_grid_function_validation():
         GridFunction(ts, [0.0, 1.0])
     with pytest.raises(ValueError, match="non-finite value at index 1"):
         GridFunction(ts, [0.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="^non-finite value at index 1$"):
+        GridFunction(ts, [0.0, -np.inf, np.nan])
     with pytest.raises(ValueError, match="^expected an object with exactly the keys 'scale' and 'values'$"):
         GridFunction.from_dict({"scale": [0, 1, 2]})
     domain = kappa_set(make_timescale([0.0, 1.0, 3.0, 4.0]), KappaKind.UPPER)
@@ -54,6 +56,8 @@ def test_grid_function_validation():
         PartialGridFunction(ts, domain, [0.0, 1.0])
     with pytest.raises(ValueError, match="^non-finite value at domain position 1$"):
         PartialGridFunction(ts, domain, [0.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="^non-finite value at domain position 1$"):
+        PartialGridFunction(ts, domain, [0.0, np.nan, np.inf])
 
 
 def test_grid_function_values_read_only():
@@ -287,6 +291,26 @@ def test_integral_splitting_hand_example():
     # nabla keeps the endpoint value instead: 19 = 1 + 2*9
     assert nabla_integral(f) == nabla_integral(f, 0, 1) + 2.0 * f.values[2]
     assert max(check_integral_splitting(f)) == 0.0
+
+
+UNIFORM_21 = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("points", [
+    np.sort(np.concatenate((UNIFORM_21, UNIFORM_21[[1, 4, 9]] + 1e-11, UNIFORM_21[[13, 20]] - 1e-11))),
+    np.concatenate(([0.0], np.cumsum(np.tile([1e3, 1e-11], 8)))),
+], ids=["uniform-21-and-five-close-points", "gaps-1e3-beside-1e-11"])
+def test_identities_next_to_1e_11_gaps(points):
+    # Gaps of 1e-11, ten times the duplicate tolerance, beside gaps of 0.05
+    # or of 1e3: every identity still holds to 1e-10 relative.
+    ts = make_timescale(points)
+    assert np.min(ts.gaps) < 2e-11
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        f, g = random_grid(rng, ts), random_grid(rng, ts)
+        residuals = (check_parts_formulas(f, g) + check_derivative_relation(f)
+                     + check_integral_conversion(f) + check_integral_splitting(f))
+        assert max(residuals) <= 1e-10
 
 
 # --- norm ---------------------------------------------------------------

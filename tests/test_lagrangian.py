@@ -511,15 +511,18 @@ PASSIVE_BASES = (0.0, -0.0, -2.0, -0.5, 5e-324, 0.5, 1.0, 3.0, math.inf, -math.i
 
 
 @pytest.mark.parametrize("source", ["y^0", "dy^1", "y^2 + dy^3", "y^0.5", "dy^-1", "y^-2", "y^t",
-                                    "dy^(t - 1)", "(y - 1)^(2*t)", "(-y)^0", "(-dy)^(t - 1)"])
+                                    "dy^(t - 1)", "(y - 1)^(2*t)", "(-y)^0", "(-dy)^(t - 1)",
+                                    "y^(2^0.5)", "dy^(-0)", "y^(1 - 1)", "dy^(0.5*2)",
+                                    "y^(3 - 1) + dy^(-1 - 1)", "(y + dy)^(6/3)"])
 def test_exponent_free_of_y_and_dy(source):
     # An exponent free of y and dy takes the power rule everywhere, zero
-    # exponents and zero bases included.  At every combination of edge
-    # values, alone, in grids of eight and over all points, the passes
-    # match the walk bit for bit, the sign of zero included, and fail where
-    # it fails, with its message for the first failing point; so do the
-    # passes over the points where the value, or all three results, are
-    # finite.
+    # exponents and zero bases included, and so does a literal exponent
+    # that a constant subtree computes (``2^0.5`` is an np.float64).  At
+    # every combination of edge values, alone, in grids of eight and over
+    # all points, the passes match the walk bit for bit, the sign of zero
+    # included, and fail where it fails, with its message for the first
+    # failing point; so do the passes over the points where the value, or
+    # all three results, are finite.
     ast, L = parse(source), parse_lagrangian(source)
     grid = list(itertools.product(PASSIVE_T, PASSIVE_BASES, PASSIVE_BASES))
     want = [reference(ast, *point) for point in grid]
@@ -533,6 +536,21 @@ def test_exponent_free_of_y_and_dy(source):
         kept = [(point, w) for point, w in zip(grid, want) if keep(w)]
         assert len(kept) >= 100
         expect_passes(L, [point for point, _ in kept], [w for _, w in kept])
+
+
+@pytest.mark.parametrize("source", ["y", "dy", "t", "1"])
+def test_partials_hand_out_no_shared_state(source):
+    # Every pass returns an array of its own, at a single point, over a
+    # grid and over a stack of rows: writing into one leaves the next
+    # pass's result as it was.
+    L = parse_lagrangian(source)
+    point = (0.5, 1.5, -2.0)
+    for args in [point] + [tuple(np.full(shape, x) for x in point) for shape in ((), (1,), (5,), (2, 5))]:
+        first = L.partials(*args)
+        want = first.tobytes()
+        assert first.shape == (2, *np.shape(args[0])) and first.flags.writeable
+        first[...] = 7.0
+        assert L.partials(*args).tobytes() == want
 
 
 @pytest.mark.parametrize("source,message", [

@@ -76,6 +76,11 @@ def test_rejects_non_finite_points():
         make_timescale([0.0, np.nan, 2.0])
     with pytest.raises(TimeScaleError, match="non-finite"):
         make_timescale([0.0, 1.0, np.inf])
+    # Several failures: the first index is named.
+    with pytest.raises(TimeScaleError, match="^non-finite point at index 2$"):
+        make_timescale([0.0, 1.0, np.inf, 3.0, np.nan])
+    with pytest.raises(TimeScaleError, match="^points not increasing at index 2$"):
+        make_timescale([0.0, 1.0, 0.5, 0.5, 0.25])
 
 
 def test_rejects_nested_points():
