@@ -39,7 +39,7 @@ from .calculus import (
 from .lagrangian import Lagrangian, catalog, parse_lagrangian
 from .solver import SolveResult, SolverConfig, StepUnderflowError, solve
 from .timescale import TimeScale, make_timescale, uniform_scale
-from .variational import VariationalProblem, _checked_pass, _el_reports, j_delta, j_nabla
+from .variational import VariationalProblem, _checked_pass, _el_reports, _factors, _slot_args
 
 __all__ = [
     "ProblemFileError",
@@ -268,9 +268,8 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     problem, _ = load_problem_file(args.problem)
-    y = read_y_csv(args.y, problem.scale)
-    jd = j_delta(problem, y)
-    jn = j_nabla(problem, y)
+    y = read_y_csv(args.y, problem.scale)  # pinned to the problem's scale: no alignment check is needed
+    jd, jn = _factors(problem, _slot_args(problem, y.values))
     print(
         json.dumps(
             {"j_delta": jd, "j_nabla": jn, "j": jd * jn, "norm": c1_diamond_norm(y)}

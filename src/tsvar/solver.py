@@ -27,10 +27,11 @@ the final iterate's pass.
 scans a full grid over the interior values, then rescans once across the
 best cell.  Edge i's summands read only y_i and y_{i+1}, so a scan
 evaluates each density once per distinct pair of neighbouring grid values,
-in one value pass per factor.  It then visits the candidates in slabs of
-at most ``_BLOCK_ELEMENTS``, in lexicographic order, in two stages.  First
-each factor's edge terms are broadcast over the slab and summed, and the
-product is an estimate A of each candidate's J, with one bound E per slab
+in one value pass per factor.  It then visits the candidates in
+lexicographic order, in slabs of whole first-digit values (at most
+``_BLOCK_ELEMENTS`` candidates, or one value), in two stages.  First each
+factor's edge terms are broadcast over the slab and summed, and the
+product is an estimate A of each candidate's J, with one bound E per scan
 on |A - J|: a sum of m + 1 products in any order is within gamma_{m+1} =
 (m+1)u / (1 - (m+1)u) times its sum of |products| of the exact sum
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).
@@ -38,9 +39,9 @@ Then only the candidates whose A - E is at most the least A + E so far
 have their rows of values summed exactly, so each one's J equals
 ``j_product`` bit for bit, and every candidate that attains the minimum
 is among them: the answer is the first exact minimum, as before.  A slab
-with a failing or infinite term, or a grid that fits one exact batch, is
-summed whole; a candidate with a pair outside a density's domain is
-skipped.
+with a failing or infinite term on some first-digit value, or a grid that
+fits one exact batch, is summed whole; a candidate with a pair outside a
+density's domain is skipped.
 ``perturbation_audit`` samples random boundary-respecting perturbations
 around a solution and reports whether any of them beat it.
 """
@@ -290,59 +291,47 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
 def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarray, m: int):
     """Flat indices, slab by slab, of the candidates whose J can still be the grid's minimum.
 
-    A slab fixes a candidate's first ``fixed`` digits, runs the next over at
-    most ``run`` values and leaves the ``free`` others whole, one axis per
-    digit.  A candidate stays if its estimate A - E is at most the least
-    A + E so far; rounding is monotone, so one left out has a J above some
-    other candidate's.  A slab with a failing or infinite term keeps all.
+    A slab runs over ``run`` whole first-digit values.  Per factor and
+    first-digit value, the edges' largest |terms| add up to at least each
+    candidate's sum of |terms|; one E serves the scan, from the largest of
+    those sums that is finite.  A slab with a first-digit value where one is
+    not finite (a term fails or overflows) keeps all.  A candidate stays if
+    its A - E is at most the least A + E so far; rounding is monotone, so
+    one left out has a J above some other candidate's.
     """
     r = len(ld) // len(edge)
-    free = max(k for k in range(m) if r**k <= _BLOCK_ELEMENTS)
-    fixed, run = m - 1 - free, min(r, _BLOCK_ELEMENTS // r**free)
+    run = max(1, _BLOCK_ELEMENTS // r ** (m - 1))  # first-digit values per slab
     # Edge i's terms gaps[i] * value lie on the axes of its digits, i-1 and i
-    # (one on a boundary edge).  The edges on free digits alone add up to the
-    # same tail in every slab; ``most`` holds each factor's largest sum of
-    # |terms| over the free digits, for each value of the others.
-    lead, tail, most = [], np.zeros((2,) + (1,) * (free + 1)), 0.0
+    # (one on a boundary edge).  Edges 0 and 1 read the first digit; the
+    # others add up to the same tail in every slab.
     rows = [0, 1, *range(1 + r, len(edge), r), len(edge)]
     with np.errstate(all="ignore"):  # a term that overflows, or a sum of inf - inf, is not finite
         terms = np.stack((ld, ln)).reshape(2, -1, r) * gaps[edge]
-        for span, lo, hi in zip([(0,), *[(i - 1, i) for i in range(1, m)], (m - 1,)], rows, rows[1:]):
-            t = terms[:, lo:hi].reshape(2, *(r if d in span else 1 for d in range(m)))
-            most = most + np.abs(t).max(axis=tuple(range(fixed + 2, m + 1)), keepdims=True)
-            if span[0] <= fixed:
-                lead.append((span, t))
-            else:
-                tail = tail + t[(slice(None), *(0,) * fixed)]
-    most = most.reshape(2, -1, r)  # (factor, prefix, run digit)
+        edges = [terms[:, lo:hi].reshape(2, *(r if d in span else 1 for d in range(m)))
+                 for span, lo, hi in zip([(0,), *[(i - 1, i) for i in range(1, m)], (m - 1,)], rows, rows[1:])]
+        tail = sum(edges[2:], np.zeros((2,) + (1,) * m))
+        most = sum(np.abs(t).max(axis=tuple(range(2, m + 1))) for t in edges)
+    finite = np.isfinite(most)
+    bad = ~finite.all(axis=0)  # per first-digit value
+    bound = _estimate_bound(m, *np.where(finite, most, 0.0).max(axis=1).tolist())
     threshold = np.inf  # the least A + E so far: the minimum J is at most this
-    start = 0
-    for n, prefix in enumerate(np.ndindex(*(r,) * fixed)):
-        for a in range(0, r, run):
-            size = (min(a + run, r) - a) * r**free
-            bound = _estimate_bound(m, *most[:, n, a:a + run].max(axis=1).tolist())
-            if bound == np.inf:
-                keep = np.arange(start, start + size)
-            else:
-                # Each lead edge's terms in the slab; a fixed digit drops its axis.
-                digits = (*prefix, slice(a, a + run))
-                at = [tuple(d if i in span else 0 if i < fixed else slice(None) for i, d in enumerate(digits))
-                      for span, _ in lead]
-                # All terms are finite and no sum can overflow, so nothing here warns.
-                estimate, other = (sum(t[(k, *i)] for (_, t), i in zip(lead, at)) + tail[k] for k in (0, 1))
-                estimate *= other
-                least = float(estimate.min()) + bound
-                if least < threshold:
-                    threshold = least
-                estimate -= bound
-                keep = start + np.flatnonzero(estimate <= threshold)
-                del estimate, other  # free the slab before its survivors are summed
-            yield keep
-            start += size
+    size = r ** (m - 1)
+    for a in range(0, r, run):
+        if bound == np.inf or bad[a:a + run].any():
+            yield np.arange(a * size, min(a + run, r) * size)
+            continue
+        # All terms are finite and no sum can overflow, so nothing here warns.
+        estimate, other = (sum(t[k, a:a + run] for t in edges[:2]) + tail[k] for k in (0, 1))
+        estimate *= other
+        threshold = min(threshold, float(estimate.min()) + bound)
+        estimate -= bound
+        keep = a * size + np.flatnonzero(estimate <= threshold)
+        del estimate, other  # free the slab before its survivors are summed
+        yield keep
 
 
 def _estimate_bound(m: int, pd: float, pn: float) -> float:
-    """A bound on |A - J| for a slab whose factors' sums of |gaps[i] * value| are at most pd and pn.
+    """A bound on |A - J| for candidates whose factors' sums of |gaps[i] * value| are at most pd and pn.
 
     The estimate's factors and ``_factor``'s are sums of m + 1 products, each
     within gamma_{m+1} times its sum of |products| of the exact sum, whatever

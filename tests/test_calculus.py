@@ -313,6 +313,26 @@ def test_identities_next_to_1e_11_gaps(points):
         assert max(residuals) <= 1e-10
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [11, 21, 41, 81, 161])
+def test_derivatives_on_a_q_scale_are_jacksons(n, a):
+    # The quantum scale {a q^k : k = 0..n-1}, q = 2^(1/(n-1)), has sigma(t) = qt
+    # and rho(t) = t/q, so mu(t) = (q - 1) t, the delta derivative is Jackson's
+    # q-derivative and the nabla derivative its backward form, to rounding
+    # relative to each array's largest entry.
+    q = 2.0 ** (1.0 / (n - 1))
+    t = a * q ** np.arange(n)
+    ts = make_timescale(t)
+    assert np.max(np.abs(ts.gaps - (q - 1.0) * t[:-1]) / ts.gaps) <= 1e-12
+    up, down = t[:-1], t[1:]
+    for f in (np.sin, np.exp, lambda x: x**3 - 2.0 * x, np.log):
+        y = GridFunction(ts, f(t))
+        jackson = (f(q * up) - f(up)) / ((q - 1.0) * up)
+        backward = (f(down) - f(down / q)) / ((1.0 - 1.0 / q) * down)
+        for got, want in ((delta_derivative(y).values, jackson), (nabla_derivative(y).values, backward)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # --- norm ---------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tsvar import ParseError, cli, parse_lagrangian
+from tsvar import EvalDomainError, ParseError, cli, j_delta, j_nabla, parse_lagrangian
 
 
 EXAMPLE = {
@@ -345,6 +345,25 @@ def test_eval_prints_functional_values(tmp_path, capsys):
     assert cli.main(["eval", prob, "--y", ycsv]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"j_delta": 2.0, "j_nabla": 2.0, "j": 4.0, "norm": 4.0}
+
+
+@pytest.mark.parametrize("delta, failure", [("log(y) + dy^2", "log of non-positive value"),
+                                            ("dy^2 + y", "square root of negative value")],
+                         ids=["delta-fails", "nabla-fails"])
+def test_eval_outside_a_density_domain_names_the_first_failure(tmp_path, capsys, delta, failure):
+    # eval's one pass reports the error that j_delta, then j_nabla, raise for the same y.
+    data = {**EXAMPLE, "timescale": [0.0, 0.25, 0.5, 0.75, 1.0], "lagrangian_delta": delta,
+            "lagrangian_nabla": "sqrt(y) + 1", "alpha": 1.0, "beta": 1.0}
+    prob = write_problem(tmp_path, data)
+    path = tmp_path / "y.csv"
+    path.write_text("t,y\n0,1\n0.25,0.5\n0.5,-0.5\n0.75,0.5\n1,1\n")
+    problem, _ = cli.load_problem_file(prob)
+    y = cli.read_y_csv(str(path), problem.scale)
+    with pytest.raises(EvalDomainError) as info:
+        j_delta(problem, y)
+        j_nabla(problem, y)
+    assert str(info.value).startswith(failure)
+    expect_error(capsys, ["eval", prob, "--y", str(path)], f"error: {info.value}\n")
 
 
 # --- verify-identities ----------------------------------------------------------

@@ -499,6 +499,49 @@ def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch
     assert 0 < np.sum(j == np.inf) < 256 and np.all(np.isfinite(j) | (j == np.inf))
 
 
+def summed_per_scan(monkeypatch, p, bounds, resolution):
+    """Each oracle scan's axes and the flat indices of the candidates it sums exactly."""
+    scans = []
+
+    def counted(p, axes):
+        scans.append((axes, []))
+        for f, j in _grid_objectives(p, axes):
+            scans[-1][1].append(f)
+            yield f, j
+
+    monkeypatch.setattr("tsvar.solver._grid_objectives", counted)
+    brute_force_oracle(p, bounds, resolution)
+    return [(axes, np.concatenate(f)) for axes, f in scans]
+
+
+PRUNED_POINTS = [0.0, 0.7, 1.5, 2.2, 3.0]
+
+
+def test_oracle_sums_few_candidates_exactly(monkeypatch):
+    # The estimate prunes: of the 2 * 25^3 candidates of both scans the
+    # oracle sums at most 16 exactly.
+    p = VariationalProblem(make_timescale(PRUNED_POINTS), parse_lagrangian("dy^2 + 0.3*y^2 + 0.2*sin(y) + 1"),
+                           parse_lagrangian("dy^2 + 0.3"), 0.25, 0.75)
+    scans = summed_per_scan(monkeypatch, p, (-1.0, 2.0), 25)
+    assert 0 < sum(len(f) for _, f in scans) <= 16
+
+
+def test_oracle_sums_slabs_with_failing_first_digits_whole(monkeypatch):
+    # log(y + 1 + 10*t) fails where y_1 <= -1 on the first scan's grid.  The
+    # slabs of those first-digit values are summed whole, and the estimate
+    # still prunes: fewer than half of the 2 * 41^3 candidates are summed.
+    p = VariationalProblem(make_timescale(PRUNED_POINTS), parse_lagrangian("log(y + 1 + 10*t) + dy^2"),
+                           parse_lagrangian("dy^2 + 0.3"), 0.25, 0.75)
+    scans = summed_per_scan(monkeypatch, p, (-2.0, 2.0), 41)
+    assert 0 < sum(len(f) for _, f in scans) < 41**3
+    (axes, first), _ = scans
+    size = 41**2
+    failing = np.flatnonzero(axes[0] <= -1.0)
+    assert len(failing) == 11
+    for d in failing:
+        assert np.isin(np.arange(d * size, (d + 1) * size), first).all()
+
+
 def test_oracle_memory_stays_bounded():
     # 101^3 candidates per scan; one factor's (candidates x edges) stack
     # alone would take 33 MB.

@@ -22,9 +22,12 @@ most of its box while the finite rest reaches down to about -1.8e308, and
 an all-tie grid at 3 interior points (``const(1)``), so the lexicographic
 tie-break is compared too, and two at 3 interior points where the oracle's
 estimate prunes the grid: one at resolution 41, whose scans span several
-slabs, and one with its densities scaled by 1e150.  Probes: the objective, the gradient and
-the EL1 trace at seeded points for densities that fail on part of their
-domain, so the first failing point and its message are compared too.
+slabs, and one with its densities scaled by 1e150; one at 3 interior
+points and resolution 101, whose slabs are single first-digit values, and
+one at resolution 41 whose delta density fails on some first-digit values
+only.  Probes: the objective, the gradient and the EL1 trace at seeded
+points for densities that fail on part of their domain, so the first
+failing point and its message are compared too.
 Points: the value and both partials of every probe density and of three
 catalog entries, point by point at seeded and special points (signed
 zeros, infinities, points outside the domain), and the errors of bad
@@ -196,6 +199,16 @@ def oracles():
         ld, ln = (T.parse_lagrangian(f"{scale}({s})") for s in ("dy^2 + 0.3*y^2 + 0.2*sin(y) + 1", "dy^2 + 0.3"))
         p = T.VariationalProblem(T.make_timescale(pts), ld, ln, 0.2, -0.3)
         yield f"oracle {label}", lambda p=p, r=resolution: (T.brute_force_oracle(p, (-0.8, 0.7), r).values,)
+    # 101^3 candidates: a slab is one first-digit value of 101^2 candidates.
+    # Then a delta density that fails on part of the first-digit values only.
+    nabla = T.parse_lagrangian("dy^2 + 0.3")
+    for label, pts, ld, bounds, resolution in (
+            ("uniform n=5 interior=3 resolution=101", np.linspace(0.0, 1.0, 5), "dy^2 + 0.3*y^2 + 0.2*sin(y) + 1",
+             (-1.0, 2.0), 101),
+            ("partial failures interior=3 resolution=41", [0.0, 0.7, 1.5, 2.2, 3.0], "log(y + 1 + 10*t) + dy^2",
+             (-2.0, 2.0), 41)):
+        p = T.VariationalProblem(T.make_timescale(pts), T.parse_lagrangian(ld), nabla, 0.25, 0.75)
+        yield f"oracle {label}", lambda p=p, b=bounds, r=resolution: (T.brute_force_oracle(p, b, r).values,)
 
 
 def probes():
