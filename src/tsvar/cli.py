@@ -1,6 +1,7 @@
 """Command line interface.
 
-Four subcommands: ``solve``, ``check-el``, ``verify-identities``, ``eval``.
+Four subcommands: ``solve``, ``check-el``, ``verify-identities``, ``eval``;
+``tsvar --version`` prints the package version.
 Problem files are JSON objects under the versioned schema "tsvar/1":
 
     {
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .calculus import (
     GridFunction,
     c1_diamond_norm,
@@ -283,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tsvar",
         description="Variational calculus on finite time scales: solve, check, verify.",
     )
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="minimize the product objective of a problem file")

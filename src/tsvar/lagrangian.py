@@ -23,7 +23,10 @@ numpy does not promise libm's results for them.  The per-point callables
 ``eval``, ``d2`` and ``d3`` run the same instructions as a pass over 0-d
 arrays, so a grid pass gives bit for bit what they give at each point.  A
 ``Lagrangian(eval, d2, d3, origin)`` built by hand has no instruction list;
-its ``values`` and ``partials`` call its callables once per point.
+its ``values`` and ``partials`` call its callables once per point.  The
+product functional (``tsvar.variational``) runs a pair of parsed
+densities by one ``tsvar.program.Plan``, so the two passes share the
+registers they can; a pair with a hand-built density shares none.
 
 Expression grammar, tightest binding first: parentheses and function
 application; ``^`` (right-associative); unary minus; ``*`` and ``/``;

@@ -19,6 +19,15 @@ one record of the checks that failed, and ``run`` raises the first
 failure's ``EvalDomainError`` with the message of the first check that
 fails there: the error a dual-number walk of that point raises.  A run that is
 not strict puts nan at every failed point instead.
+
+A ``Plan`` lets the two passes of a delta/nabla density pair share
+registers.  Both read one array of difference quotients as dy, so the
+nabla pass takes over each delta register that it repeats and that reads
+only dy and literals (``dy^2`` in ``dy^2 + y^2`` / ``dy^2 + 1``); and the
+registers that read only t are computed once for every pass over one t.
+A register taken over replays the failure records it made where the
+taker's walk reaches it, so every value, partial, nan and error stays bit
+for bit what the pass alone gives.
 """
 
 from __future__ import annotations
@@ -137,12 +146,12 @@ class _Pass:
     With K seeds a register's tangents are one array with a leading seed
     axis; those of y and dy are the shared seed columns, shaped (K, 1, ..., 1).
     ``shape`` is the output's.  ``failed``, the pass's one failure record,
-    holds each failed check as (mask, template, operands); a value check's
-    mask broadcasts over the seeds, and ``run`` formats the template with
-    the operands at the flat index it raises for.  Checks come in the
-    order a dual-number walk meets them, so at a point that already failed
-    the earlier message stands.  A failed point's later registers hold
-    garbage that no other point sees.
+    holds each failed check as (mask, template, operands) and the register
+    it failed in; a value check's mask broadcasts over the seeds, and
+    ``run`` formats the template with the operands at the flat index it
+    raises for.  Checks come in the order a dual-number walk meets them, so
+    at a point that already failed the earlier message stands.  A failed
+    point's later registers hold garbage that no other point sees.
     """
 
     def __init__(self, slots: tuple, seeds: tuple):
@@ -151,11 +160,12 @@ class _Pass:
             self.seeds, self.zero = _seed_columns(seeds, len(self.shape))
             self.shape = (len(seeds),) + self.shape
         self.failed: list = []
+        self.vals: list = []  # per register, its value; the next one is being computed
 
     def fail(self, mask, template: str, *operands) -> None:
         """The check ``mask`` fails where it is true; ``template`` formats the operands there."""
         if np.count_nonzero(mask):
-            self.failed.append((mask, template, operands))
+            self.failed.append((mask, template, operands, len(self.vals)))
 
     def at(self, x, i: int):
         """Operand or mask ``x``, broadcast to the output's shape, at flat index ``i``."""
@@ -276,7 +286,7 @@ class _Pass:
         return (np.where(at_zero, 0.0, value) if any_zero else value), tangent
 
 
-def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.ndarray:
+def run(program, t, y, dy, seeds: tuple = (), strict: bool = True, keep: dict | None = None) -> np.ndarray:
     """Run ``program`` over (t, y, dy) and return its output.
 
     Without seeds the output is the value, with float semantics throughout,
@@ -289,10 +299,17 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.
     of the first check that fails there.  One that is not strict puts nan
     where any check fails instead; each other entry holds what it holds in
     a strict pass, and a pass in which nothing fails builds no mask.
+
+    ``run`` sets each register that ``keep`` maps to what it computed
+    there: (value, tangents, records), the records being the (mask,
+    template, operands) of its failed checks.  An instruction ("take",
+    (value, tangents, records), None, dual) takes such a register over
+    from another pass and replays its records where the walk reaches it,
+    so every result and error stays what computing it here gives.
     """
     slots = tuple(np.asarray(x, dtype=float) for x in (t, y, dy))
     state = _Pass(slots, seeds)
-    vals: list = []
+    vals = state.vals
     tans: list = []  # per register: the tangents of every seed, or None where plain
     with np.errstate(all="ignore"):
         for op, a, b, dual in program:
@@ -303,6 +320,9 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.
                 val = slots[a]
                 if seeds and dual:
                     tan = state.seeds[a - 1]
+            elif op == "take":
+                val, tan, records = a
+                state.failed += [(*record, len(vals)) for record in records]
             elif seeds and dual:
                 if b is None:
                     val, tan = state.dual(op, vals[a], tans[a], None, None)
@@ -312,19 +332,90 @@ def run(program: tuple, t, y, dy, seeds: tuple = (), strict: bool = True) -> np.
                 val = state.plain(op, vals[a], None if b is None else vals[b])
             vals.append(val)
             tans.append(tan)
+        if keep:
+            for i in keep:
+                keep[i] = vals[i], tans[i], [record[:3] for record in state.failed if record[3] == i]
         out = (state.zero if tans[-1] is None else tans[-1]) if seeds else vals[-1]
         ok = np.isfinite(out)
         if np.count_nonzero(ok) < ok.size:
             state.fail(~ok, "non-finite value")
     shape = state.shape
     if state.failed:
-        union = np.broadcast_to(reduce(np.logical_or, (mask for mask, _, _ in state.failed)), shape)
+        union = np.broadcast_to(reduce(np.logical_or, (record[0] for record in state.failed)), shape)
         if not strict:
             out = np.where(union, math.nan, out)
         elif np.count_nonzero(union):  # a pass over no points fails nowhere
             i = int(np.argmax(union))
-            template, xs = next((template, xs) for mask, template, xs in state.failed if state.at(mask, i))
+            template, xs = next((template, xs) for mask, template, xs, _ in state.failed if state.at(mask, i))
             raise EvalDomainError(template.format(*(float(state.at(x, i)) for x in xs)),
                                   *(float(state.at(x, i)) for x in slots))
-    shared = seeds and (tans[-1] is None or program[-1][0] == "var")  # a seed column or the zero tangents
+    # A seed column, the zero tangents or another pass's register: copied, so no caller shares it.
+    last = program[-1][0]
+    shared = last == "take" or seeds and (tans[-1] is None or last == "var")
     return out if shape and np.shape(out) == shape and not shared else np.full(shape, out)[()]
+
+
+def _taking(program, taken: dict) -> list:
+    """``program`` with each register that ``taken`` maps replaced by a "take" of what it maps to."""
+    code = list(program)
+    for i, registers in taken.items():
+        code[i] = ("take", registers, None, program[i][3])
+    return code
+
+
+class Plan:
+    """The registers that the delta and nabla passes of one density pair can share.
+
+    On an isolated scale both passes read one array of difference quotients
+    as dy (see ``tsvar.variational``).  So a nabla register that equals,
+    as a subtree, a delta register reading only dy and literals holds what
+    that register holds, tangents and failure records too: ``shared`` pairs
+    each such (nabla, delta) register, and ``passes`` has the nabla pass
+    take them over.  ``t_only`` lists each side's registers that read t and
+    literals alone; ``fix`` computes them once for all passes over one t.
+    """
+
+    def __init__(self, delta: tuple, nabla: tuple):
+        self.programs = (delta, nabla)
+        ids: dict = {}  # one id per distinct subtree of either program
+        self.t_only, dy_only = [], []
+        for program in self.programs:
+            key: dict = {}
+            reads: dict = {}  # the slots each register's subtree reads, as bits
+            for i, (op, a, b, _) in enumerate(program):
+                if op in ("num", "var"):
+                    key[i] = ids.setdefault((op, repr(a)), len(ids))
+                    reads[i] = 1 << a if op == "var" else 0
+                else:
+                    key[i] = ids.setdefault((op, key[a], key.get(b)), len(ids))
+                    reads[i] = reads[a] | reads.get(b, 0) | 8  # 8: the register computes something
+            self.t_only.append([i for i, r in reads.items() if r == 1 | 8])
+            dy_only.append([(i, key[i]) for i, r in reads.items() if r == 4 | 8])
+        delta = {k: i for i, k in dy_only[0]}
+        self.shared = [(j, delta[k]) for j, k in dy_only[1] if k in delta]
+
+    def fix(self, t_delta, t_nabla) -> tuple:
+        """Both programs, each register that reads only t taken over from one pass over the side's t."""
+        programs = []
+        for program, regs, t in zip(self.programs, self.t_only, (t_delta, t_nabla)):
+            keep = dict.fromkeys(regs)
+            if regs:  # no register kept here reads y or dy
+                run(program, t, math.nan, math.nan, strict=False, keep=keep)
+            programs.append(_taking(program, keep))
+        return tuple(programs)
+
+    def passes(self, delta_args, nabla_args, seeds: tuple = (), strict: bool = True, fixed=None) -> tuple:
+        """Both sides' ``run`` outputs; the nabla pass takes the shared registers over from the delta pass.
+
+        ``fixed`` holds the programs that ``fix`` gave for the passes' t, or is None.
+        """
+        delta, nabla = fixed or self.programs
+        keep = dict.fromkeys(i for _, i in self.shared)
+        out = run(delta, *delta_args, seeds, strict, keep)
+        return out, run(_taking(nabla, {j: keep[i] for j, i in self.shared}), *nabla_args, seeds, strict)
+
+
+def pair_plan(delta: tuple | None, nabla: tuple | None) -> Plan | None:
+    """The ``Plan`` of two programs, or None where either is missing or they have nothing to share."""
+    plan = None if delta is None or nabla is None else Plan(delta, nabla)
+    return plan if plan and (plan.shared or any(plan.t_only)) else None

@@ -39,25 +39,32 @@ equations, which ``classic_el_residuals`` evaluates directly on the
 doubly-truncated index sets.
 
 Each factor's densities are evaluated over the whole grid at once: one
-``Lagrangian.values`` call per factor for the values, and one
-``Lagrangian.partials`` call per factor for both first partials.  The
-difference quotients, the factor sums, the gradient's and the EL trace's
-products with the factors, and the trace's mean and deviation are computed
-with numpy's floating-point warnings off.  An overflow shows as a
-non-finite density value (which the density rejects as a domain error), a
-non-finite factor, gradient or trace, or a nan deviation, which fails
-``passes``.
+value pass per factor for the values, and one partials pass per factor
+for both first partials.  The delta slot reads the difference quotient
+q_i at t_i and the nabla slot the same q_i at t_{i+1}, so the two passes
+of parsed densities run by the pair's plan (``tsvar.program.Plan``): the
+nabla pass takes over every delta register it repeats that reads only
+dy, failure records included, and a solve computes the registers that
+read only t once.  Hand-built densities run one ``Lagrangian`` call per
+factor.  The difference quotients, the factor sums, the gradient's and
+the EL trace's products with the factors, and the trace's mean and
+deviation are computed with numpy's floating-point warnings off.  An
+overflow shows as a non-finite density value (which the density rejects
+as a domain error), a non-finite factor, gradient or trace, or a nan
+deviation, which fails ``passes``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import GridFunction, PartialGridFunction
 from .lagrangian import Lagrangian
+from .program import SEEDS, pair_plan
 from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
 
 __all__ = [
@@ -88,6 +95,11 @@ class VariationalProblem:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("boundary values must be finite")
+
+    @cached_property
+    def _plan(self):
+        """The registers the two densities' passes share (``tsvar.program.Plan``), or None."""
+        return pair_plan(self.l_delta.program, self.l_nabla.program)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,17 +197,21 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
     return float(sums) if values.ndim == 1 else sums
 
 
-def _factors(p: VariationalProblem, args):
+def _factors(p: VariationalProblem, args, fixed=None):
     """Both factor values from the slot arguments; one value pass per factor.
 
     One row of values gives floats and raises the first ``EvalDomainError``
     of its passes.  A stack of rows gives arrays with one entry per row,
-    nan for each row whose own pass would raise.
+    nan for each row whose own pass would raise.  A pair with a plan runs
+    both passes by it, with ``fixed``'s programs when given.
     """
     gaps, delta, nabla = args
     strict = delta[1].ndim == 1
-    return (_factor(gaps, p.l_delta._values(*delta, strict=strict)),
-            _factor(gaps, p.l_nabla._values(*nabla, strict=strict)))
+    if p._plan is None:
+        return (_factor(gaps, p.l_delta._values(*delta, strict=strict)),
+                _factor(gaps, p.l_nabla._values(*nabla, strict=strict)))
+    ld, ln = p._plan.passes(delta, nabla, (), strict, fixed)
+    return _factor(gaps, ld), _factor(gaps, ln)
 
 
 class _Partials:
@@ -203,11 +219,14 @@ class _Partials:
 
     __slots__ = ("gaps", "d2d", "d3d", "d2n", "d3n")
 
-    def __init__(self, p: VariationalProblem, args):
+    def __init__(self, p: VariationalProblem, args, fixed=None):
         gaps, delta, nabla = args
         self.gaps = gaps
-        self.d2d, self.d3d = p.l_delta.partials(*delta)
-        self.d2n, self.d3n = p.l_nabla.partials(*nabla)
+        if p._plan is None:
+            self.d2d, self.d3d = p.l_delta.partials(*delta)
+            self.d2n, self.d3n = p.l_nabla.partials(*nabla)
+        else:
+            (self.d2d, self.d3d), (self.d2n, self.d3n) = p._plan.passes(delta, nabla, SEEDS, fixed=fixed)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).

@@ -1,12 +1,17 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsvar
 from tsvar import EvalDomainError, ParseError, cli, j_delta, j_nabla, parse_lagrangian
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 EXAMPLE = {
@@ -413,6 +418,18 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     for name in ("solve", "check-el", "verify-identities", "eval"):
         assert name in proc.stdout
+
+
+def test_version_is_the_package_version(capsys):
+    # ``tsvar --version`` prints the version that pyproject.toml declares, and nothing else.
+    declared = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (declared + "\n", "")
+    assert tsvar.__version__ == declared
+    proc = subprocess.run([sys.executable, "-m", "tsvar", "--version"], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, declared + "\n", "")
 
 
 def test_console_script(tmp_path):

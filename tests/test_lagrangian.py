@@ -20,7 +20,7 @@ from tsvar.lagrangian import (
     register_catalog,
     to_source,
 )
-from tsvar.program import run
+from tsvar.program import SEEDS, pair_plan, run
 
 
 PROBES = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-0.5, 0.7, -1.3), (2.0, -4.0, 0.25)]
@@ -538,19 +538,31 @@ def test_exponent_free_of_y_and_dy(source):
         expect_passes(L, [point for point, _ in kept], [w for _, w in kept])
 
 
-@pytest.mark.parametrize("source", ["y", "dy", "t", "1"])
+@pytest.mark.parametrize("source", ["y", "dy", "t", "1", "dy^2 / dy^2"])
 def test_partials_hand_out_no_shared_state(source):
     # Every pass returns an array of its own, at a single point, over a
     # grid and over a stack of rows: writing into one leaves the next
-    # pass's result as it was.
-    L = parse_lagrangian(source)
+    # pass's result as it was.  Identical densities for both factors (as in
+    # problems/square_3pt.json) run as one pair, whose nabla pass takes its
+    # last register over from the delta pass; no array that the pair's
+    # partials or value passes return shares memory with another.
+    densities = [parse_lagrangian(s) for s in source.split(" / ")]
+    plan = pair_plan(*(L.program for L in densities)) if len(densities) == 2 else None
     point = (0.5, 1.5, -2.0)
     for args in [point] + [tuple(np.full(shape, x) for x in point) for shape in ((), (1,), (5,), (2, 5))]:
-        first = L.partials(*args)
-        want = first.tobytes()
-        assert first.shape == (2, *np.shape(args[0])) and first.flags.writeable
-        first[...] = 7.0
-        assert L.partials(*args).tobytes() == want
+        def passes():
+            if plan is None:
+                return [densities[0].partials(*args)]
+            values = plan.passes(args, args) if np.ndim(args[0]) else ()  # 0-d values are scalars
+            return [*plan.passes(args, args, SEEDS), *values]
+        first = passes()
+        want = [x.tobytes() for x in first]
+        assert all(x.flags.writeable for x in first)
+        assert [x.shape for x in first[:len(densities)]] == [(2, *np.shape(args[0]))] * len(densities)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(first, 2))
+        for x in first:
+            x[...] = 7.0
+        assert [x.tobytes() for x in passes()] == want
 
 
 @pytest.mark.parametrize("source,message", [

@@ -1,15 +1,19 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import tsvar.program
 from tsvar import (
     EvalDomainError,
     GridFunction,
     KappaKind,
     Lagrangian,
+    SolverConfig,
     VariationalProblem,
+    brute_force_oracle,
     catalog,
     chord,
     classic_el_residuals,
@@ -25,11 +29,12 @@ from tsvar import (
     make_timescale,
     nabla_derivative,
     parse_lagrangian,
+    solve,
     uniform_scale,
 )
 
 from conftest import fd_gradient_oracle, hat_gradient_oracle, random_scale
-from tsvar.variational import _factor, _factors, _slot_args
+from tsvar.variational import _factor, _factors, _Partials, _slot_args
 
 
 def square_problem(pts, beta):
@@ -492,3 +497,114 @@ def test_factors_of_one_row_raise_and_of_a_stack_give_nan():
     assert jd.shape == jn.shape == (1,)
     assert np.isnan(jd[0])
     assert jn[0] == j_nabla(p, GridFunction(p.scale, row))
+
+
+# --- registers shared by the two passes ---------------------------------
+
+
+def counting_each(monkeypatch):
+    """Every ``_Pass.each`` call of the passes to come, as (function, first operand)."""
+    calls = []
+    each = tsvar.program._Pass.each
+
+    def counted(self, fn, *xs, where=True):
+        calls.append((fn, xs[0]))
+        return each(self, fn, *xs, where=where)
+
+    monkeypatch.setattr(tsvar.program._Pass, "each", counted)
+    return calls
+
+
+def test_shared_registers_run_once_per_pair_of_passes(monkeypatch):
+    # The delta and nabla slots read one quotient array as dy, so the nabla
+    # pass takes ``dy^2`` over from the delta pass: its pow runs once per
+    # pair of value passes and once per pair of partials passes (the value
+    # and the power rule's b^(e-1)), where each pass ran it before.  A
+    # register that reads only t runs once per side in a whole solve.
+    rng = np.random.default_rng(5)
+    pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 12))))
+    p = VariationalProblem(make_timescale(pts), parse_lagrangian("dy^2 + y^2 + sin(t)*y"),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    vals = chord(p).values + np.sin(pts)
+    vals[-1] = 1.0
+    args = _slot_args(p, vals)
+    quot = args[1][2]
+    calls = counting_each(monkeypatch)
+    _factors(p, args)
+    assert [fn for fn, x in calls if fn is pow and np.array_equal(x, quot)] == [pow]
+    del calls[:]
+    _Partials(p, args)
+    assert [fn for fn, x in calls if fn is pow and np.array_equal(x, quot)] == [pow, pow]
+
+    p = VariationalProblem(p.scale, p.l_delta, parse_lagrangian("dy^2 + cos(t)*y + 1"), 0.0, 1.0)
+    del calls[:]
+    r = solve(p, SolverConfig(max_iterations=5))
+    assert r.iterations == 5
+    assert [(fn, x.tobytes()) for fn, x in calls if fn in (math.sin, math.cos)] == [
+        (math.sin, pts[:-1].tobytes()), (math.cos, pts[1:].tobytes())]
+    assert sum(fn is pow for fn, _ in calls) > 5  # the solve's own passes ran under the count
+
+
+# Both densities read exp(40*dy), which overflows on large jumps; log(y + 2)
+# fails below y = -2 in the nabla density alone.
+SHARED_FAILING = ("exp(40*dy) + y^2", "exp(40*dy) + log(y + 2)")
+
+
+def bits(x):
+    """Every float of ``x`` (nested tuples of numbers and arrays) as bytes."""
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def outcome(fn):
+    """The bits of what ``fn`` returns, or the type, message and probe point of its error."""
+    try:
+        return bits(fn())
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc), [getattr(exc, k, None) for k in ("t", "u", "v")]
+
+
+def solve_bits(p, maximize):
+    r = solve(p, SolverConfig(max_iterations=10, maximize=maximize))
+    return (r.y.values, r.j_value, r.gradient_norm, r.iterations, r.converged,
+            r.el1.residual_trace, r.el2.residual_trace)
+
+
+def test_shared_failing_register_replays_its_failures():
+    # A pair sharing a dy-only subtree that overflows or fails gives what the
+    # same densities give rebuilt by hand, which share nothing and run point
+    # by point: values, gradients, the nan rows of a block, a budgeted solve
+    # that meets overflowing trials, an oracle call whose box overflows and
+    # leaves log's domain, and every error with its message and probe point.
+    planned = [parse_lagrangian(s) for s in SHARED_FAILING]
+    by_hand = [Lagrangian(L.eval, L.d2, L.d3, L.origin) for L in planned]
+    rng = np.random.default_rng(3)
+    pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 10))))
+    scale = make_timescale(pts / pts[-1])
+    p, q = (VariationalProblem(scale, *pair, 0.0, 0.2) for pair in (planned, by_hand))
+    assert p._plan.shared and q._plan is None
+    base = chord(p).values
+    rows = [base, base + np.where(pts == pts[3], 3.0, 0.0), base + np.where(pts == pts[6], 3.0, 0.0),
+            base - np.where(pts == pts[4], 0.3, 0.0)]  # two overflowing jumps, then neither
+    rows.append(np.array([0.0, -2.5, -2.2, -1.8, -1.4, -1.0, -0.6, -0.3, 0.0, 0.1, 0.2]))  # log fails
+    stack = np.array(rows)
+    got = [_factors(x, _slot_args(x, stack)) for x in (p, q)]
+    assert bits(got[0]) == bits(got[1])
+    assert np.isnan(got[0]).tolist() == [[False, True, True, False, False], [False, True, True, False, True]]
+    errors = []
+    for row in rows:
+        for fn in (j_product, first_variation_gradient, lambda x, y: el_residual_1(x, y).residual_trace):
+            want, have = (outcome(lambda x=x: fn(x, GridFunction(scale, row))) for x in (q, p))
+            assert have == want
+            errors += [have[1]] if isinstance(have[0], type) else []
+    assert any(e.startswith("overflow at") for e in errors)
+    assert any(e.startswith("log of non-positive value") for e in errors)
+    for maximize in (False, True):
+        want, have = (outcome(lambda x=x: solve_bits(x, maximize)) for x in (q, p))
+        assert have == want
+    box = VariationalProblem(make_timescale([0.0, 0.1, 0.25, 0.3]), planned[0], planned[1], 0.0, 0.5)
+    boxed = VariationalProblem(box.scale, *by_hand, 0.0, 0.5)
+    want, have = (outcome(lambda x=x: brute_force_oracle(x, (-3.0, 3.0), 15).values) for x in (boxed, box))
+    assert have == want and not isinstance(have[0], type)
+

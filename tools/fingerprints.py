@@ -52,8 +52,14 @@ the oracle's domain-error densities rebuilt from their point callables, so
 that every pass runs point by point, each in a budgeted solve at n = 11
 (minimize and maximize) and a brute-force oracle call on the oracle's
 domain-error scale, and a brute-force oracle call at 3 interior points
-whose densities fail or overflow on part of the box.  Uses only the
-public API and runs from a checkout without installing the package.
+whose densities fail or overflow on part of the box.  Sharing: pairs
+whose delta and nabla passes share registers, each in budgeted solves at
+n = 11 and 101 (uniform and seeded, minimize and maximize): one whose
+shared dy-only subtree ``exp(6*dy)`` overflows on large trial steps, with
+a brute-force oracle call whose box overflows it and leaves the nabla
+density's domain, one with subtrees that read only t on both sides, and
+identical densities.  Uses only the public API and runs from a checkout
+without installing the package.
 """
 
 from __future__ import annotations
@@ -355,8 +361,25 @@ def hand_built():
     yield "hand-built failing oracle interior=3", lambda p=p: (T.brute_force_oracle(p, (-1.5, 1.5), 11).values,)
 
 
+SHARING = {
+    "shared-overflow": (T.parse_lagrangian, "exp(6*dy) + y^2", "exp(6*dy) + log(y + 2)"),
+    "t-only": (T.parse_lagrangian, "dy^2 + sin(t)*y + exp(t)", "dy^2 + cos(3*t)*y + t^2"),
+    "identical": (T.parse_lagrangian, "dy^2 + y^2 + 1", "dy^2 + y^2 + 1"),
+}
+
+
+def sharing():
+    for label, p in problems(SHARING, SIZES[:2]):
+        for maximize in (False, True):
+            sense = "max" if maximize else "min"
+            yield f"sharing solve {label} {sense}", lambda p=p, m=maximize: solve_parts(p, m)
+    build, ld, ln = SHARING["shared-overflow"]
+    p = T.VariationalProblem(T.make_timescale([0.0, 0.01, 0.025, 0.03]), build(ld), build(ln), 0.0, 0.5)
+    yield "sharing oracle shared-overflow", lambda p=p: (T.brute_force_oracle(p, (-3.0, 3.0), 21).values,)
+
+
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built):
+    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
