@@ -11,22 +11,24 @@ second slot (the shifted state ``u``) and the third slot (the derivative
   expression source (``dy*dy``, ``0.5``, ``0.5*dy*dy - 0.5*4.0*y*y``) and
   is parsed like any other.
 
-A parsed density is flattened once into a flat instruction list (see
-``tsvar.program``).  ``Lagrangian.values`` runs it over whole arrays of
-(t, u, v); ``Lagrangian.partials`` runs it once carrying two forward-mode
+A parsed density is flattened once into a flat instruction list and
+compiled into rule steps (``tsvar.program.Program``).
+``Lagrangian.values`` runs them over whole arrays of (t, u, v);
+``Lagrangian.partials`` runs them once carrying two forward-mode
 tangents, seeded in ``y`` and in ``dy``.  ``+ - * /``, negation, ``^``
 and ``sqrt`` run as numpy array operations that round as Python's
-arithmetic, ``pow`` and ``math.sqrt`` do (``^`` as ``float_power``, which
-calls libm's ``pow``; numpy's ``power`` does not match it); ``exp``,
-``log``, ``sin`` and ``cos`` run per element through ``math``, because
-numpy does not promise libm's results for them.  The per-point callables
-``eval``, ``d2`` and ``d3`` run the same instructions as a pass over 0-d
-arrays, so a grid pass gives bit for bit what they give at each point.  A
-``Lagrangian(eval, d2, d3, origin)`` built by hand has no instruction list;
-its ``values`` and ``partials`` call its callables once per point.  The
-product functional (``tsvar.variational``) runs a pair of parsed
-densities by one ``tsvar.program.Plan``, so the two passes share the
-registers they can; a pair with a hand-built density shares none.
+arithmetic, ``pow`` and ``math.sqrt`` do (``^`` as ``float_power``,
+which calls libm's ``pow``; numpy's ``power`` does not match it);
+``exp``, ``log``, ``sin`` and ``cos`` run per element through ``math``,
+because numpy does not promise libm's results for them.  The per-point
+callables ``eval``, ``d2`` and ``d3`` run the same instructions as a
+pass over 0-d arrays, so a grid pass gives bit for bit what they give at
+each point.  A ``Lagrangian(eval, d2, d3, origin)`` built by hand has no
+program; its ``values`` and ``partials`` call its callables once per
+point.  The product functional (``tsvar.variational``) runs a pair of
+parsed densities by one ``tsvar.program.Plan``, under one
+``np.errstate``, so the two passes share the registers they can; a pair
+with a hand-built density shares none.
 
 Expression grammar, tightest binding first: parentheses and function
 application; ``^`` (right-associative); unary minus; ``*`` and ``/``;
@@ -57,7 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, EvalDomainError, flatten, run
+from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, EvalDomainError, Program, flatten, run
 
 __all__ = [
     "CATALOG_BUILDERS",
@@ -93,7 +95,7 @@ class Lagrangian:
     d2: Callable[[float, float, float], float]
     d3: Callable[[float, float, float], float]
     origin: str
-    program: tuple | None = None
+    program: Program | None = None
 
     def values(self, t, u, v) -> np.ndarray:
         """The density at every point of the broadcast arrays (t, u, v)."""
@@ -285,7 +287,7 @@ def _render(node: tuple, context: int) -> str:
     return text
 
 
-def _point(program: tuple, seeds: tuple, t: float, u: float, v: float) -> float:
+def _point(program: Program, seeds: tuple, t: float, u: float, v: float) -> float:
     """The value (no seeds) or the one seeded partial at a single point."""
     out = run(program, float(t), float(u), float(v), seeds)
     return float(out[0] if seeds else out)
@@ -293,7 +295,7 @@ def _point(program: tuple, seeds: tuple, t: float, u: float, v: float) -> float:
 
 def parse_lagrangian(source: str) -> Lagrangian:
     """Build a Lagrangian from expression source; partials by forward-mode tangents."""
-    program = flatten(parse(source))
+    program = Program(flatten(parse(source)))
     return Lagrangian(
         eval=partial(_point, program, ()),
         d2=partial(_point, program, (SEED_U,)),
@@ -306,11 +308,11 @@ def parse_lagrangian(source: str) -> Lagrangian:
 def _constant_argument(text: str, name: str) -> float:
     if text is None or not text.strip():
         raise ValueError(f"catalog entry {name!r} needs a constant argument")
-    program = flatten(parse(text))
-    if any(op == "var" for op, *_ in program):
+    code = flatten(parse(text))
+    if any(op == "var" for op, *_ in code):
         raise ValueError(f"catalog argument {text!r} must not reference variables")
     try:
-        return float(run(program, 0.0, 0.0, 0.0))
+        return float(run(Program(code), 0.0, 0.0, 0.0))
     except EvalDomainError as exc:
         raise ValueError(f"catalog argument {text!r}: {exc.reason}") from None
 

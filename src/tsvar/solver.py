@@ -18,13 +18,13 @@ test.  Only when no rung passes is the last one evaluated again, on its
 own and strictly, for the domain error that ``StepUnderflowError`` names.
 Everything is deterministic: same problem, configuration and start, same
 result, bit for bit.  Each iterate evaluates its partials once, in one
-grid pass per factor.  Every pass of a solve reads one t per side, so the
-density registers that read only t are computed once per solve, and the
-nabla pass takes the delta pass's shared registers over (see
-``tsvar.variational``).  Trials evaluate the two factors only, the
-accepting trial's factors and slot-argument rows carry over to the next
-iterate, and the result's J, gradient sup-norm and EL1/EL2 reports reuse
-the final iterate's pass.
+grid pass per factor.  Every pass of a solve reads the problem's one t
+per side, so the density registers that read only t are computed once
+per problem, and the nabla pass takes the delta pass's shared registers
+over (see ``tsvar.variational``).  Trials evaluate the two factors only,
+the accepting trial's factors and slot-argument rows carry over to the
+next iterate, and the result's J, gradient sup-norm and EL1/EL2 reports
+reuse the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
@@ -194,14 +194,13 @@ def solve(
 
     vals = np.array(y0.values, dtype=float, copy=True)
     args = _slot_args(p, vals)
-    fixed = p._plan and p._plan.fix(args[1][0], args[2][0])  # the pair's programs for these t
-    jd, jn = _factors(p, args, fixed)  # then carried over with ``args`` from each accepting trial
+    jd, jn = _factors(p, args)  # then carried over with ``args`` from each accepting trial
     converged = False
     block = 1  # trials per value pass, as the module docstring says
     cap = max(1, _BLOCK_ELEMENTS // len(vals))
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
-        parts = _Partials(p, args, fixed)
+        parts = _Partials(p, args)
         grad = sign * parts.gradient(jd, jn)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.gradient_tolerance:
@@ -213,14 +212,15 @@ def solve(
         f0 = sign * jd * jn
         # An exact power-of-two rescale keeps |grad|^2 finite past |grad| ~ 1e154.
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
-        slope = float(np.dot(grad / scale, grad / scale))
+        with np.errstate(all="ignore"):  # an infinite component overflows the slope
+            slope = float(np.dot(grad / scale, grad / scale))
         k = 0  # the ladder's first rung not yet tried
         while k < len(_STEPS):
             steps = _STEPS[k:k + block]
             trials = np.repeat(vals[None, :], len(steps), axis=0)
             trials[:, 1:-1] -= steps[:, None] * grad
             trial_args = _slot_args(p, trials)
-            trial_jd, trial_jn = _factors(p, trial_args, fixed)  # nan for a trial that leaves the domain
+            trial_jd, trial_jn = _factors(p, trial_args)  # nan for a trial that leaves the domain
             f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
             passed = [math.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
                       for f, step in zip(f1, steps.tolist())]
@@ -231,7 +231,7 @@ def solve(
         else:
             # No step passes: the last rung on its own raises if domain errors trapped the search.
             try:
-                _factors(p, _row(trial_args, -1), fixed)
+                _factors(p, _row(trial_args, -1))
             except EvalDomainError as exc:
                 raise StepUnderflowError(
                     "line search step underflowed while the Lagrangian kept raising "
@@ -276,11 +276,11 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
     edge = np.repeat(np.arange(m + 1), sizes // r)[:, None]
     with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
         quot = (right - left) / gaps[edge]
-    delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
-    if p._plan is None:
-        ld, ln = p.l_delta._values(*delta, strict=False), p.l_nabla._values(*nabla, strict=False)
-    else:
-        ld, ln = p._plan.passes(delta, nabla, strict=False)
+        delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
+        if p._plan is None:
+            ld, ln = p.l_delta._values(*delta, strict=False), p.l_nabla._values(*nabla, strict=False)
+        else:
+            ld, ln = p._plan.passes(delta, nabla, strict=False)
     ld, ln = ld.ravel(), ln.ravel()
     # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
     # number, or its one digit there on a boundary edge.

@@ -44,14 +44,15 @@ for both first partials.  The delta slot reads the difference quotient
 q_i at t_i and the nabla slot the same q_i at t_{i+1}, so the two passes
 of parsed densities run by the pair's plan (``tsvar.program.Plan``): the
 nabla pass takes over every delta register it repeats that reads only
-dy, failure records included, and a solve computes the registers that
-read only t once.  Hand-built densities run one ``Lagrangian`` call per
-factor.  The difference quotients, the factor sums, the gradient's and
-the EL trace's products with the factors, and the trace's mean and
-deviation are computed with numpy's floating-point warnings off.  An
-overflow shows as a non-finite density value (which the density rejects
-as a domain error), a non-finite factor, gradient or trace, or a nan
-deviation, which fails ``passes``.
+dy, failure records included, and a problem computes the registers that
+read only t once (``_fixed``).  Hand-built densities run one
+``Lagrangian`` call per factor.  The difference quotients, the passes,
+the factor sums, the gradient's and the EL trace's products with the
+factors, and the trace's mean and deviation are computed with numpy's
+floating-point warnings off: the two passes of a pair and their sums
+under one ``np.errstate``.  An overflow shows as a non-finite density
+value (which the density rejects as a domain error), a non-finite
+factor, gradient or trace, or a nan deviation, which fails ``passes``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class VariationalProblem:
     def _plan(self):
         """The registers the two densities' passes share (``tsvar.program.Plan``), or None."""
         return pair_plan(self.l_delta.program, self.l_nabla.program)
+
+    @cached_property
+    def _fixed(self):
+        """The plan with the registers that read only t computed once, over this scale's slots."""
+        return self._plan and self._plan.fix(self.scale.points[:-1], self.scale.points[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,26 +198,27 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
     A (rows, k) stack sums each row exactly as ``np.dot(gaps, row)`` does;
     a stack with more leading axes may not (2 ulps off for a (2, 343, 4) one).
     """
-    with np.errstate(all="ignore"):  # an overflowing sum is a non-finite factor
-        sums = np.matmul(values[..., None, :], gaps[:, None])[..., 0, 0]
+    sums = np.matmul(values[..., None, :], gaps[:, None])[..., 0, 0]  # under the caller's np.errstate
     return float(sums) if values.ndim == 1 else sums
 
 
-def _factors(p: VariationalProblem, args, fixed=None):
+def _factors(p: VariationalProblem, args):
     """Both factor values from the slot arguments; one value pass per factor.
 
     One row of values gives floats and raises the first ``EvalDomainError``
     of its passes.  A stack of rows gives arrays with one entry per row,
     nan for each row whose own pass would raise.  A pair with a plan runs
-    both passes by it, with ``fixed``'s programs when given.
+    both passes by ``p._fixed``.  Both passes and both sums run under one
+    ``np.errstate``; an overflowing sum is a non-finite factor.
     """
     gaps, delta, nabla = args
     strict = delta[1].ndim == 1
-    if p._plan is None:
-        return (_factor(gaps, p.l_delta._values(*delta, strict=strict)),
-                _factor(gaps, p.l_nabla._values(*nabla, strict=strict)))
-    ld, ln = p._plan.passes(delta, nabla, (), strict, fixed)
-    return _factor(gaps, ld), _factor(gaps, ln)
+    with np.errstate(all="ignore"):
+        if p._plan is None:
+            ld, ln = p.l_delta._values(*delta, strict=strict), p.l_nabla._values(*nabla, strict=strict)
+        else:
+            ld, ln = p._fixed.passes(delta, nabla, (), strict)
+        return _factor(gaps, ld), _factor(gaps, ln)
 
 
 class _Partials:
@@ -219,14 +226,15 @@ class _Partials:
 
     __slots__ = ("gaps", "d2d", "d3d", "d2n", "d3n")
 
-    def __init__(self, p: VariationalProblem, args, fixed=None):
+    def __init__(self, p: VariationalProblem, args):
         gaps, delta, nabla = args
         self.gaps = gaps
         if p._plan is None:
             self.d2d, self.d3d = p.l_delta.partials(*delta)
             self.d2n, self.d3n = p.l_nabla.partials(*nabla)
         else:
-            (self.d2d, self.d3d), (self.d2n, self.d3n) = p._plan.passes(delta, nabla, SEEDS, fixed=fixed)
+            with np.errstate(all="ignore"):
+                (self.d2d, self.d3d), (self.d2n, self.d3n) = p._fixed.passes(delta, nabla, SEEDS)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).
@@ -263,14 +271,16 @@ def j_delta(p: VariationalProblem, y: GridFunction) -> float:
     """The delta-type factor of the objective."""
     _check_alignment(p, y)
     gaps, delta, _ = _slot_args(p, y.values)
-    return _factor(gaps, p.l_delta.values(*delta))
+    with np.errstate(all="ignore"):
+        return _factor(gaps, p.l_delta.values(*delta))
 
 
 def j_nabla(p: VariationalProblem, y: GridFunction) -> float:
     """The nabla-type factor of the objective."""
     _check_alignment(p, y)
     gaps, _, nabla = _slot_args(p, y.values)
-    return _factor(gaps, p.l_nabla.values(*nabla))
+    with np.errstate(all="ignore"):
+        return _factor(gaps, p.l_nabla.values(*nabla))
 
 
 def j_product(p: VariationalProblem, y: GridFunction) -> float:

@@ -326,6 +326,80 @@ def test_random_ast_round_trip(ast, grid):
     expect_passes(L, grid, [reference(ast, *point) for point in grid])
 
 
+def subtrees(node):
+    """Every subtree of the AST ``node`` that computes something, with the variables it reads."""
+    tag = node[0]
+    if tag in ("num", "var"):
+        return [], {node[1]} if tag == "var" else set()
+    found, reads = [], set()
+    for child in node[2:] if tag == "call" else node[1:]:
+        below, names = subtrees(child)
+        found += below
+        reads |= names
+    return found + [(node, reads)], reads
+
+
+def pair_outcome(fn):
+    """The bytes of each array ``fn`` returns, or the message and probe point of its ``EvalDomainError``."""
+    try:
+        with np.errstate(all="ignore"):  # the caller of Plan.passes holds np.errstate
+            return [np.asarray(x).tobytes() for x in fn()]
+    except EvalDomainError as exc:
+        return str(exc), (exc.t, exc.u, exc.v)
+
+
+@given(st.recursive(ast_leaves, _extend, max_leaves=10), st.recursive(ast_leaves, _extend, max_leaves=6),
+       st.data(), st.lists(st.tuples(*[GRID_VALUES] * 5), min_size=1, max_size=6))
+def test_random_pairs_share_registers_bit_for_bit(delta, other, data, grid):
+    # A nabla density that reuses a subtree of the delta density reading
+    # only dy, or only t, runs as a pair by its plan, alone and fixed for
+    # its t.  Each pass gives what each density gives run alone, bit for
+    # bit: strict values and partials of a row, the first failure's message
+    # and probe point, and values over a stack of rows with nan at the
+    # failed points.
+    shared = [node for node, reads in subtrees(delta)[0] if reads in ({"dy"}, {"t"})]
+    if not shared:
+        shared = [("call", "sin", ("var", "dy"))]
+        delta = ("add", delta, shared[0])
+    pick = data.draw(st.sampled_from(shared))
+    nabla = data.draw(st.sampled_from([(op, pick, other) for op in ("add", "mul", "pow")] + [("sub", other, pick)]))
+    pair = [parse_lagrangian(to_source(ast)) for ast in (delta, nabla)]
+    plan = pair_plan(*(L.program for L in pair))
+    assert plan is not None
+    td, tn, yd, yn, quot = (np.array(column) for column in zip(*grid))
+    rows = [yd, yd[::-1], np.where(yd < 0.5, math.nan, yd)], [yn, -yn, yn], [quot, quot, quot[::-1]]
+    stacks = [np.array(r) for r in rows]
+    for planned in (plan, plan.fix(td, tn)):
+        for seeds in ((), SEEDS):
+            args = (td, yd, quot), (tn, yn, quot)
+            alone = pair_outcome(lambda: [run(L.program, *a, seeds) for L, a in zip(pair, args)])
+            assert pair_outcome(lambda: planned.passes(*args, seeds)) == alone
+        args = (td, stacks[0], stacks[2]), (tn, stacks[1], stacks[2])
+        alone = pair_outcome(lambda: [run(L.program, *a, strict=False) for L, a in zip(pair, args)])
+        assert pair_outcome(lambda: planned.passes(*args, strict=False)) == alone
+
+
+def test_failures_keep_the_walk_order():
+    # Where two registers fail at one point the earlier one's message
+    # stands, as in a dual-number walk, although a partials pass computes
+    # the registers free of y and dy first, and a plan fixed for its t
+    # computes the registers that read only t before any pass.
+    point = (-2.0, -1.0, 20.0)
+    for source in ("log(y) + log(t)", "sqrt(y) * sqrt(t)", "log(-dy) + log(t)"):
+        want = reference(parse(source), *point)
+        assert want[0] != reference(parse(source), point[0], 1.0, -1.0)[0]  # the second log fails alone
+        expect_points(parse_lagrangian(source), point, want)
+        expect_passes(parse_lagrangian(source), [point], [want])
+    pair = [parse_lagrangian(s) for s in ("dy^2 + log(t)", "log(y) + dy^2 + log(t)")]
+    plan = pair_plan(*(L.program for L in pair))
+    args = tuple(np.array([x]) for x in (1.0, 1.0, 20.0)), tuple(np.array([x]) for x in (-2.0, -1.0, 20.0))
+    for planned in (plan, plan.fix(args[0][0], args[1][0])):
+        for seeds in ((), SEEDS):
+            alone = pair_outcome(lambda: [run(L.program, *a, seeds) for L, a in zip(pair, args)])
+            assert alone[0] == "log of non-positive value -1.0 at (t=-2.0, u=-1.0, v=20.0)"
+            assert pair_outcome(lambda: planned.passes(*args, seeds)) == alone
+
+
 def expect_points(L, point, want):
     """The per-point callables at ``point`` match the walk's (value, d2, d3)."""
     for method, w in zip((L.eval, L.d2, L.d3), want):
@@ -563,6 +637,24 @@ def test_partials_hand_out_no_shared_state(source):
         for x in first:
             x[...] = 7.0
         assert [x.tobytes() for x in passes()] == want
+
+
+@pytest.mark.parametrize("source", ["y", "dy", "t"])
+def test_values_of_a_bare_variable_are_a_copy(source):
+    # A value pass of a density that is one variable returns an array of
+    # its own, never the caller's input or a view of it, strict or not:
+    # writing into the result leaves the input as it was.
+    L = parse_lagrangian(source)
+    for shape in ((), (1,), (5,), (2, 5)):
+        v = np.full(shape, 1.5)
+        for args in ((v, v, v), (0.0, v, v)):
+            want = np.broadcast_to(args[("t", "y", "dy").index(source)], shape).tobytes()
+            for out in (L.values(*args), L._values(*args, strict=False)):
+                assert out is not v and not np.shares_memory(out, v)
+                assert out.tobytes() == want
+                if np.ndim(out):
+                    out[...] = 7.0
+                    assert np.all(v == 1.5)
 
 
 @pytest.mark.parametrize("source,message", [

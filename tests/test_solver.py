@@ -329,6 +329,18 @@ def test_overflowing_product_warns_nothing(ld, ln):
     assert not el1.passes()
 
 
+def test_infinite_gradient_component_warns_nothing():
+    # A divergent ascent reaches an iterate whose gradient has an infinite
+    # component: the sup-norm is inf, the power-of-two rescale is 1, and
+    # the slope's dot product overflows.  It does so with numpy's warnings
+    # off (the suite turns a RuntimeWarning into an error), and the search
+    # still ends in StepUnderflowError.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 101), parse_lagrangian("exp(8*dy) + y^2"),
+                           parse_lagrangian("exp(8*dy) + log(y + 2)"), 0.0, 1.0)
+    with pytest.raises(StepUnderflowError, match="last trial: "):
+        solve(p, SolverConfig(max_iterations=30, maximize=True))
+
+
 def test_solve_at_a_hundred_thousand_points():
     # Two descent steps on the expression pair at n = 100,000 lower J below
     # the chord's, stay finite, warn nothing, and repeat bit for bit.

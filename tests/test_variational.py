@@ -503,15 +503,24 @@ def test_factors_of_one_row_raise_and_of_a_stack_give_nan():
 
 
 def counting_each(monkeypatch):
-    """Every ``_Pass.each`` call of the passes to come, as (function, first operand)."""
+    """Every libm call of the passes to come, as (function, first operand).
+
+    ``^`` runs as ``np.float_power`` and ``exp``, ``log``, ``sin`` and ``cos``
+    as ``tsvar.program._map``; both are looked up when a rule runs.
+    """
     calls = []
-    each = tsvar.program._Pass.each
+    float_power, each = np.float_power, tsvar.program._map
 
-    def counted(self, fn, *xs, where=True):
-        calls.append((fn, xs[0]))
-        return each(self, fn, *xs, where=where)
+    def counted_pow(x, z):
+        calls.append((pow, x))
+        return float_power(x, z)
 
-    monkeypatch.setattr(tsvar.program._Pass, "each", counted)
+    def counted(fn, x):
+        calls.append((fn, x))
+        return each(fn, x)
+
+    monkeypatch.setattr(tsvar.program.np, "float_power", counted_pow)
+    monkeypatch.setattr(tsvar.program, "_map", counted)
     return calls
 
 

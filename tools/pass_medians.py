@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Median times of a density pair's passes, at n = 11, 101 and 1001.
+
+For the expression pair ``dy^2 + y^2 + sin(t)*y`` / ``dy^2 + 1`` and the
+catalog pair ``kinetic_minus_potential(2)`` / ``dy_squared`` (the descent
+workloads' densities), on a uniform scale over [0, 1] from a seeded y off
+the chord, it times three calls the way a solve makes them:
+
+- ``values-row``: both value passes over one row and their factor sums;
+- ``values-block``: the same over a block of 8192 // n rows, the largest
+  line-search block at n points;
+- ``partials``: both partials passes.
+
+Each sample times a batch of calls (about 2 ms), and the samples of all
+rows are taken in turn, so a drift in machine speed reaches every row
+alike.  It prints the median and the quartiles of the time per call, in
+microseconds, over ``--repeat`` samples per row.  It imports the package
+from the ``src`` of the checkout it sits in; to compare two checkouts,
+copy it into both, as for ``tools/fingerprints.py``:
+
+    python3 tools/pass_medians.py --repeat 30
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import tsvar as T  # noqa: E402
+from tsvar.variational import _factors, _Partials, _slot_args  # noqa: E402
+
+PAIRS = {
+    "expr": (T.parse_lagrangian, "dy^2 + y^2 + sin(t)*y", "dy^2 + 1"),
+    "catalog": (T.catalog, "kinetic_minus_potential(2)", "dy_squared"),
+}
+SIZES = (11, 101, 1001)
+FIXED = "fixed" in inspect.signature(_factors).parameters
+
+
+def cases():
+    """(pair, n, pass, call) for every row of the table."""
+    rng = np.random.default_rng(7)
+    for name, (build, delta, nabla) in PAIRS.items():
+        for n in SIZES:
+            p = T.VariationalProblem(T.make_timescale(np.linspace(0.0, 1.0, n)), build(delta), build(nabla), 0.0, 1.0)
+            y = T.chord(p).values.copy()
+            y[1:-1] += 0.1 * rng.standard_normal(n - 2)
+            rows = np.repeat(y[None, :], 8192 // n, axis=0)
+            rows[:, 1:-1] += 1e-3 * rng.standard_normal((len(rows), n - 2))
+            row, block = _slot_args(p, y), _slot_args(p, rows)
+            # Where the passes take the plan a solve fixes for its t as an argument, pass it too.
+            f = (p._plan and p._plan.fix(row[1][0], row[2][0]),) if FIXED else ()
+            yield name, n, "values-row", lambda p=p, a=row, f=f: _factors(p, a, *f)
+            yield name, n, "values-block", lambda p=p, a=block, f=f: _factors(p, a, *f)
+            yield name, n, "partials", lambda p=p, a=row, f=f: _Partials(p, a, *f)
+
+
+def batch(call, number: int) -> float:
+    """Seconds per call over ``number`` calls."""
+    start = time.perf_counter()
+    for _ in range(number):
+        call()
+    return (time.perf_counter() - start) / number
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=30, help="samples per row (default 30)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    rows = list(cases())
+    numbers = [max(1, round(2e-3 / batch(call, 3))) for *_, call in rows]  # about 2 ms per sample
+    samples: list[list[float]] = [[] for _ in rows]
+    for _ in range(args.repeat):
+        for (*_, call), number, got in zip(rows, numbers, samples):
+            got.append(batch(call, number) * 1e6)
+    print(f"{'pair':8} {'n':>5} {'pass':13} {'median_us':>10} {'q1_us':>10} {'q3_us':>10}")
+    for (name, n, kind, _), got in zip(rows, samples):
+        q1, _, q3 = statistics.quantiles(got, n=4) if len(got) > 1 else got * 3
+        median = statistics.median(got)
+        print(f"{name:8} {n:5d} {kind:13} {median:10.1f} {q1:10.1f} {q3:10.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
