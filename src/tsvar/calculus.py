@@ -14,10 +14,12 @@ calculi hold with zero discretization error:
   (and vice versa),
 * peeling a single endpoint cell off either integral.
 
-The ``check_*`` functions below evaluate both sides of each identity from
-the primitive operations and return relative residuals, defined as
-``|lhs - rhs| / (1 + |rhs|)``.  On valid inputs these are rounding noise,
-several orders below the 1e-10 budget the test suite enforces.
+The ``check_*`` functions below evaluate both sides of each identity
+straight from the value and gap arrays, with the primitives' arithmetic
+but none of their intermediate objects, and return relative residuals,
+defined as ``|lhs - rhs| / (1 + |rhs|)``.  On valid inputs these are
+rounding noise, several orders below the 1e-10 budget the test suite
+enforces.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .timescale import KappaKind, KappaSet, TimeScale, kappa_set, rho, sigma
+from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
 
 __all__ = [
     "GridFunction",
@@ -47,6 +49,14 @@ __all__ = [
 ]
 
 
+def _require_finite(vals: np.ndarray, where: str) -> np.ndarray:
+    """``vals``, after raising if an entry is not finite; ``where`` names its index."""
+    finite = np.isfinite(vals)
+    if np.count_nonzero(finite) < vals.size:
+        raise ValueError(f"non-finite value at {where} {int(np.argmin(finite))}")
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A finite real-valued function sampled at every point of a scale."""
@@ -60,9 +70,7 @@ class GridFunction:
             raise ValueError(
                 f"need one value per point: expected {len(self.scale)}, got {vals.shape}"
             )
-        finite = np.isfinite(vals)
-        if np.count_nonzero(finite) < vals.size:
-            raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
+        _require_finite(vals, "index")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -113,9 +121,7 @@ class PartialGridFunction:
             raise ValueError(
                 f"need one value per domain index: expected {len(self.domain)}, got {vals.shape}"
             )
-        finite = np.isfinite(vals)
-        if np.count_nonzero(finite) < vals.size:
-            raise ValueError(f"non-finite value at domain position {int(np.argmin(finite))}")
+        _require_finite(vals, "domain position")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -201,6 +207,16 @@ def _residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
+def _checked_quotients(f: GridFunction) -> np.ndarray:
+    """The difference quotients of ``f``, one per gap.
+
+    Entry i is f's delta derivative at point i and its nabla derivative at
+    point i + 1.  Raises as ``delta_derivative`` does if one is not finite.
+    """
+    vals = f.values
+    return _require_finite((vals[1:] - vals[:-1]) / f.scale.gaps, "domain position")
+
+
 def check_parts_formulas(f: GridFunction, g: GridFunction) -> tuple[float, float, float, float]:
     """Relative residuals of the four integration-by-parts identities.
 
@@ -216,27 +232,22 @@ def check_parts_formulas(f: GridFunction, g: GridFunction) -> tuple[float, float
     _same_scale(f, g)
     gaps = f.scale.gaps
     fv, gv = f.values, g.values
-    fd = delta_derivative(f).values
-    gd = delta_derivative(g).values
-    fn = nabla_derivative(f).values
-    gn = nabla_derivative(g).values
-    fs = compose_sigma(f).values
-    gs = compose_sigma(g).values
-    fr = compose_rho(f).values
-    gr = compose_rho(g).values
+    fd = fn = _checked_quotients(f)
+    gd = gn = _checked_quotients(g)
 
     boundary = float(fv[-1] * gv[-1] - fv[0] * gv[0])
 
     # Delta integrands live on the upper-kappa indices (drop the last point),
-    # nabla integrands on the lower-kappa indices (drop the first point).
-    lhs1 = float(np.dot(gaps, fs[:-1] * gd))
+    # where a sigma shift reads v[1:]; nabla integrands on the lower-kappa
+    # indices (drop the first point), where a rho shift reads v[:-1].
+    lhs1 = float(np.dot(gaps, fv[1:] * gd))
     rhs1 = boundary - float(np.dot(gaps, fd * gv[:-1]))
     lhs2 = float(np.dot(gaps, fv[:-1] * gd))
-    rhs2 = boundary - float(np.dot(gaps, fd * gs[:-1]))
-    lhs3 = float(np.dot(gaps, fr[1:] * gn))
+    rhs2 = boundary - float(np.dot(gaps, fd * gv[1:]))
+    lhs3 = float(np.dot(gaps, fv[:-1] * gn))
     rhs3 = boundary - float(np.dot(gaps, fn * gv[1:]))
     lhs4 = float(np.dot(gaps, fv[1:] * gn))
-    rhs4 = boundary - float(np.dot(gaps, fn * gr[1:]))
+    rhs4 = boundary - float(np.dot(gaps, fn * gv[:-1]))
 
     return (
         _residual(lhs1, rhs1),
@@ -255,14 +266,12 @@ def check_derivative_relation(f: GridFunction) -> tuple[float, float]:
     Both quotients reference the same point pair, so the residuals are zero
     up to rounding.
     """
-    fd = delta_derivative(f)
-    fn = nabla_derivative(f)
-    # (f^delta o rho)(i) for i in lower-kappa is f^delta(i-1).
-    shifted_delta = fd.values
-    r1 = float(np.max(np.abs(fn.values - shifted_delta) / (1.0 + np.abs(shifted_delta))))
-    # (f^nabla o sigma)(i) for i in upper-kappa is f^nabla(i+1).
-    shifted_nabla = fn.values
-    r2 = float(np.max(np.abs(fd.values - shifted_nabla) / (1.0 + np.abs(shifted_nabla))))
+    fd = _checked_quotients(f)
+    fn = _checked_quotients(f)
+    # (f^delta o rho)(i) for i in lower-kappa is f^delta(i-1), entry i-1 of fd.
+    r1 = float(np.max(np.abs(fn - fd) / (1.0 + np.abs(fd))))
+    # (f^nabla o sigma)(i) for i in upper-kappa is f^nabla(i+1), entry i of fn.
+    r2 = float(np.max(np.abs(fd - fn) / (1.0 + np.abs(fn))))
     return r1, r2
 
 
@@ -272,8 +281,10 @@ def check_integral_conversion(f: GridFunction) -> tuple[float, float]:
     A delta integral equals the nabla integral of the backward shift, and a
     nabla integral equals the delta integral of the forward shift.
     """
-    r1 = _residual(delta_integral(f), nabla_integral(compose_rho(f)))
-    r2 = _residual(nabla_integral(f), delta_integral(compose_sigma(f)))
+    gaps, fv = f.scale.gaps, f.values
+    # f^rho over lower-kappa reads fv[:-1], f^sigma over upper-kappa fv[1:].
+    r1 = _residual(float(np.dot(gaps, fv[:-1])), float(np.dot(gaps, fv[:-1])))
+    r2 = _residual(float(np.dot(gaps, fv[1:])), float(np.dot(gaps, fv[1:])))
     return r1, r2
 
 
@@ -285,20 +296,16 @@ def check_integral_splitting(f: GridFunction) -> tuple[float, float, float, floa
     spans.  Which value of ``f`` the stray cell picks up differs between the
     delta and nabla cases; that asymmetry is the content being checked.
     """
-    ts = f.scale
-    pts = ts.points
-    last = len(ts) - 1
-    prev = rho(ts, last)
-    second = sigma(ts, 0)
-    fv = f.values
+    gaps, fv = f.scale.gaps, f.values
+    first, last = float(gaps[0]), float(gaps[-1])
 
-    d_full = delta_integral(f)
-    n_full = nabla_integral(f)
+    d_full = float(np.dot(gaps, fv[:-1]))
+    n_full = float(np.dot(gaps, fv[1:]))
 
-    r1 = _residual(d_full, delta_integral(f, 0, prev) + float(pts[last] - pts[prev]) * float(fv[prev]))
-    r2 = _residual(d_full, float(pts[second] - pts[0]) * float(fv[0]) + delta_integral(f, second, last))
-    r3 = _residual(n_full, nabla_integral(f, 0, prev) + float(pts[last] - pts[prev]) * float(fv[last]))
-    r4 = _residual(n_full, float(pts[second] - pts[0]) * float(fv[second]) + nabla_integral(f, second, last))
+    r1 = _residual(d_full, float(np.dot(gaps[:-1], fv[:-2])) + last * float(fv[-2]))
+    r2 = _residual(d_full, first * float(fv[0]) + float(np.dot(gaps[1:], fv[1:-1])))
+    r3 = _residual(n_full, float(np.dot(gaps[:-1], fv[1:-1])) + last * float(fv[-1]))
+    r4 = _residual(n_full, first * float(fv[1]) + float(np.dot(gaps[1:], fv[2:])))
     return r1, r2, r3, r4
 
 
@@ -313,6 +320,6 @@ def c1_diamond_norm(y: GridFunction) -> float:
     # y^sigma on interior index i reads vals[i+1], i = 1..n-2; y^rho reads vals[i-1].
     sup_sigma = float(np.max(np.abs(vals[2:])))
     sup_rho = float(np.max(np.abs(vals[:-2])))
-    sup_delta = delta_derivative(y).sup_norm()
-    sup_nabla = nabla_derivative(y).sup_norm()
-    return sup_sigma + sup_rho + sup_delta + sup_nabla
+    # Both derivatives take their values from the one quotient array.
+    sup_derivative = float(np.max(np.abs(_checked_quotients(y))))
+    return sup_sigma + sup_rho + sup_derivative + sup_derivative

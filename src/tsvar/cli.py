@@ -26,6 +26,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,10 +39,14 @@ from .calculus import (
     check_integral_splitting,
     check_parts_formulas,
 )
-from .lagrangian import Lagrangian, catalog, parse_lagrangian
-from .solver import SolveResult, SolverConfig, StepUnderflowError, solve
 from .timescale import TimeScale, make_timescale, uniform_scale
-from .variational import VariationalProblem, _checked_pass, _el_reports, _factors, _slot_args
+
+# The commands import lagrangian, solver and variational when they run, so
+# that verify-identities, which needs none of them, never loads them.
+if TYPE_CHECKING:
+    from .lagrangian import Lagrangian
+    from .solver import SolverConfig
+    from .variational import VariationalProblem
 
 __all__ = [
     "ProblemFileError",
@@ -57,7 +62,6 @@ IDENTITY_TOLERANCE = 1e-10
 
 _TOP_KEYS = {"schema", "timescale", "lagrangian_delta", "lagrangian_nabla", "alpha", "beta", "solver"}
 _REQUIRED_KEYS = {"timescale", "lagrangian_delta", "lagrangian_nabla", "alpha", "beta"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 class ProblemFileError(ValueError):
@@ -96,6 +100,8 @@ def _load_scale(spec, path: str) -> TimeScale:
 
 
 def _load_lagrangian(spec, key: str, path: str) -> Lagrangian:
+    from .lagrangian import catalog, parse_lagrangian
+
     if isinstance(spec, str):
         return parse_lagrangian(spec)
     if isinstance(spec, dict):
@@ -109,6 +115,9 @@ def _load_lagrangian(spec, key: str, path: str) -> Lagrangian:
 
 def load_problem_file(path: str) -> tuple[VariationalProblem, SolverConfig]:
     """Parse and validate one problem file."""
+    from .solver import SolverConfig
+    from .variational import VariationalProblem
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -141,7 +150,7 @@ def load_problem_file(path: str) -> tuple[VariationalProblem, SolverConfig]:
     overrides = data.get("solver", {})
     if not isinstance(overrides, dict):
         raise ProblemFileError(f"{path}: 'solver' must be an object")
-    unknown = set(overrides) - _SOLVER_KEYS
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(SolverConfig)}
     if unknown:
         raise ProblemFileError(f"{path}: unknown solver keys: {', '.join(sorted(unknown))}")
     config = SolverConfig(**overrides)
@@ -184,6 +193,8 @@ def _print_report(report) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import StepUnderflowError, solve
+
     problem, config = load_problem_file(args.problem)
     if args.maximize:
         config = dataclasses.replace(config, maximize=True)
@@ -208,6 +219,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check_el(args: argparse.Namespace) -> int:
+    from .variational import _checked_pass, _el_reports
+
     if not (np.isfinite(args.tol) and args.tol >= 0.0):
         raise ProblemFileError("--tol must be a finite non-negative number")
     problem, _ = load_problem_file(args.problem)
@@ -269,6 +282,8 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .variational import _factors, _slot_args
+
     problem, _ = load_problem_file(args.problem)
     y = read_y_csv(args.y, problem.scale)  # pinned to the problem's scale: no alignment check is needed
     jd, jn = _factors(problem, _slot_args(problem, y.values))

@@ -16,6 +16,7 @@ live only in ``TimeScale.points``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -75,7 +76,7 @@ class KappaSet:
         return self.stop - self.start
 
     def __contains__(self, index: object) -> bool:
-        return isinstance(index, int) and self.start <= index < self.stop
+        return self.start <= _as_index(index) < self.stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,27 +155,37 @@ def uniform_scale(a: float, b: float, n_points: int) -> TimeScale:
     return TimeScale(np.linspace(a, b, n_points))
 
 
-def _check_index(ts: TimeScale, i: int) -> None:
+def _as_index(i: object) -> int:
+    """``i`` as an int: Python and numpy integers pass, bools and the rest raise ``TypeError``."""
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise TypeError(f"point index must be an integer, got {i!r}")
+
+
+def _check_index(ts: TimeScale, i: object) -> int:
+    i = _as_index(i)
     n = len(ts)
     if not 0 <= i < n:
         raise IndexError(f"point index {i} out of range for scale of {n} points")
+    return i
 
 
 def sigma(ts: TimeScale, i: int) -> int:
     """Forward jump: index of the next point, clamped at the right endpoint."""
-    _check_index(ts, i)
-    return min(i + 1, len(ts) - 1)
+    return min(_check_index(ts, i) + 1, len(ts) - 1)
 
 
 def rho(ts: TimeScale, i: int) -> int:
     """Backward jump: index of the previous point, clamped at the left endpoint."""
-    _check_index(ts, i)
-    return max(i - 1, 0)
+    return max(_check_index(ts, i) - 1, 0)
 
 
 def mu(ts: TimeScale, i: int) -> float:
     """Forward graininess t_{i+1} - t_i; undefined at the last point."""
-    _check_index(ts, i)
+    i = _check_index(ts, i)
     if i == len(ts) - 1:
         raise ValueError("forward graininess undefined at the last point")
     return float(ts.gaps[i])
@@ -182,7 +193,7 @@ def mu(ts: TimeScale, i: int) -> float:
 
 def nu(ts: TimeScale, i: int) -> float:
     """Backward graininess t_i - t_{i-1}; undefined at the first point."""
-    _check_index(ts, i)
+    i = _check_index(ts, i)
     if i == 0:
         raise ValueError("backward graininess undefined at the first point")
     return float(ts.gaps[i - 1])

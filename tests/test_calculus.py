@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsvar import (
@@ -21,7 +21,9 @@ from tsvar import (
     nabla_derivative,
     nabla_integral,
 )
+from tsvar import calculus
 
+import identities as reference
 from conftest import hat, random_grid, random_scale
 
 
@@ -115,6 +117,15 @@ def test_partial_grid_function_value_at():
     with pytest.raises(IndexError):
         d.value_at(0)
     assert d.sup_norm() == 4.0
+
+
+def test_value_at_takes_numpy_integers_and_rejects_non_indices():
+    ts = make_timescale([0.0, 1.0, 3.0, 4.0])
+    d = delta_derivative(GridFunction(ts, [0.0, 1.0, 9.0, 16.0]))
+    assert d.value_at(np.int64(1)) == d.value_at(1) == 4.0
+    for index in (1.5, True):
+        with pytest.raises(TypeError, match=f"^point index must be an integer, got {index!r}$"):
+            d.value_at(index)
 
 
 def test_derivative_of_constant_is_zero():
@@ -311,6 +322,49 @@ def test_identities_next_to_1e_11_gaps(points):
         residuals = (check_parts_formulas(f, g) + check_derivative_relation(f)
                      + check_integral_conversion(f) + check_integral_splitting(f))
         assert max(residuals) <= 1e-10
+
+
+def identity_outcomes(checks, f, g) -> list[str]:
+    """Every residual tuple and both norms, by ``repr``, or the error raised instead."""
+    calls = (
+        lambda: checks.check_parts_formulas(f, g),
+        lambda: checks.check_derivative_relation(f),
+        lambda: checks.check_integral_conversion(f),
+        lambda: checks.check_integral_splitting(f),
+        lambda: (checks.c1_diamond_norm(f), checks.c1_diamond_norm(g)),
+    )
+    out = []
+    for errors in ("ignore", "raise"):
+        with np.errstate(all=errors):
+            for call in calls:
+                try:
+                    out.append(repr(call()))
+                except (ValueError, FloatingPointError) as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@st.composite
+def identity_inputs(draw):
+    # A seeded draw, so that a failure shrinks in a few steps.
+    n = draw(st.integers(min_value=3, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    gaps = 10.0 ** rng.uniform(draw(st.floats(min_value=-11.0, max_value=3.0)), 3.0, n - 1)
+    try:
+        ts = make_timescale(rng.uniform(-10.0, 10.0) + np.concatenate(([0.0], np.cumsum(gaps))))
+    except ValueError:  # a 1e-11 gap lost to rounding in the sum
+        assume(False)
+    # Up to 1e300, so that products, then difference quotients, overflow.
+    magnitude = draw(st.sampled_from([1.0, 1e5, 1e150, 1e300]))
+    fv, gv = magnitude * rng.standard_normal((2, n))
+    return GridFunction(ts, fv), GridFunction(ts, gv)
+
+
+@settings(max_examples=400)
+@given(identity_inputs())
+def test_identity_checks_match_the_object_built_reference(fg):
+    f, g = fg
+    assert identity_outcomes(calculus, f, g) == identity_outcomes(reference, f, g)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])

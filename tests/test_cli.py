@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import tsvar
-from tsvar import EvalDomainError, ParseError, cli, j_delta, j_nabla, parse_lagrangian
+from tsvar import EvalDomainError, GridFunction, ParseError, cli, j_delta, j_nabla, make_timescale, parse_lagrangian
+
+import identities as reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -390,6 +392,44 @@ def test_verify_identities_is_deterministic(capsys):
     cli.main(["verify-identities", "--cases", "10", "--seed", "5"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_verify_identities_matches_the_object_built_checks(capsys, seed):
+    # The same draws, checked by the reference in tests/identities.py.
+    cases, rng, worst = 200, np.random.default_rng(seed), np.zeros(12)
+    for _ in range(cases):
+        n = int(rng.integers(5, 51))
+        gaps = 10.0 ** rng.uniform(-3.0, 1.0, n - 1)
+        start = float(rng.uniform(-10.0, 10.0))
+        ts = make_timescale(start + np.concatenate(([0.0], np.cumsum(gaps))))
+        f = GridFunction(ts, rng.standard_normal(n))
+        g = GridFunction(ts, rng.standard_normal(n))
+        residuals = (reference.check_parts_formulas(f, g) + reference.check_derivative_relation(f)
+                     + reference.check_integral_conversion(f) + reference.check_integral_splitting(f))
+        np.maximum(worst, residuals, out=worst)
+    expected = "".join(f"{label}: worst residual = {value:.3e}\n" for label, value in zip(cli._IDENTITY_LABELS, worst))
+    assert cli.main(["verify-identities", "--cases", str(cases), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == expected + f"{cases} cases: all identities hold to 1e-10 relative\n"
+
+
+def test_verify_identities_loads_only_what_it_runs():
+    # The tsvar modules loaded by one run of ``python -m tsvar verify-identities``.
+    wrapper = (
+        "import runpy, sys\n"
+        "sys.argv = ['tsvar', 'verify-identities', '--cases', '1']\n"
+        "try:\n"
+        "    runpy.run_module('tsvar', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('tsvar.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "all identities hold" in proc.stdout
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert {"tsvar.calculus", "tsvar.cli", "tsvar.timescale"} <= loaded
+    assert not loaded & {"tsvar.lagrangian", "tsvar.program", "tsvar.solver", "tsvar.variational"}
 
 
 def test_verify_identities_zero_cases_warns(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ def test_index_out_of_range():
             fn(ts, -1)
 
 
+@pytest.mark.parametrize("fn", [sigma, rho, mu, nu])
+def test_index_operators_take_numpy_integers(fn):
+    ts = make_timescale([0.0, 1.0, 4.0, 5.0])
+    for i in (1, 2):
+        assert fn(ts, np.int64(i)) == fn(ts, np.int32(i)) == fn(ts, i)
+
+
+@pytest.mark.parametrize("index", [1.5, True, np.float64(1.0), np.True_, "1"], ids=repr)
+@pytest.mark.parametrize("fn", [sigma, rho, mu, nu])
+def test_index_operators_reject_non_indices(fn, index):
+    ts = make_timescale([0.0, 1.0, 4.0, 5.0])
+    with pytest.raises(TypeError, match=f"^point index must be an integer, got {re.escape(repr(index))}$"):
+        fn(ts, index)
+
+
 @given(scales)
 def test_jump_operator_identities(ts):
     n = len(ts)
@@ -173,6 +189,10 @@ def test_kappa_membership():
     assert 0 in ks and 2 in ks
     assert 3 not in ks
     assert -1 not in ks
+    assert np.int64(2) in ks and np.int64(3) not in ks
+    for index in (1.5, True):
+        with pytest.raises(TypeError, match=f"^point index must be an integer, got {index!r}$"):
+            index in ks
 
 
 @given(scales)

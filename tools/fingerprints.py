@@ -58,7 +58,12 @@ n = 11 and 101 (uniform and seeded, minimize and maximize): one whose
 shared dy-only subtree ``exp(6*dy)`` overflows on large trial steps, with
 a brute-force oracle call whose box overflows it and leaves the nabla
 density's domain, one with subtrees that read only t on both sides, and
-identical densities.  Uses only the public API and runs from a checkout
+identical densities.  Identities: the twelve residuals of the calculus
+identity checks and ``c1_diamond_norm`` of both grid functions, per case:
+200 cases at each of two seeds, drawn as ``verify-identities`` draws them,
+then 3-point scales, scales with 1e-11 gaps beside gaps of 1 to 1e3, and
+values scaled by 1e150 and 1e300, so that products and then difference
+quotients overflow, each as it comes and with numpy's warnings off.  Uses only the public API and runs from a checkout
 without installing the package.
 """
 
@@ -378,8 +383,53 @@ def sharing():
     yield "sharing oracle shared-overflow", lambda p=p: (T.brute_force_oracle(p, (-3.0, 3.0), 21).values,)
 
 
+def identity_cases():
+    """Points and two value vectors per case, with the case's label."""
+    for seed in (0, 41):
+        rng = np.random.default_rng(seed)
+        for k in range(200):  # as verify-identities draws them
+            n = int(rng.integers(5, 51))
+            gaps = 10.0 ** rng.uniform(-3.0, 1.0, n - 1)
+            start = float(rng.uniform(-10.0, 10.0))
+            yield f"seed={seed} k={k}", start + np.concatenate(([0.0], np.cumsum(gaps))), *rng.standard_normal((2, n))
+    rng = np.random.default_rng(23)
+    for k in range(20):
+        yield f"3-point k={k}", np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, 3)), *rng.standard_normal((2, 3))
+    for k in range(20):
+        n = int(rng.integers(4, 41))
+        gaps = np.where(rng.random(n - 1) < 0.5, 1e-11, 10.0 ** rng.uniform(0.0, 3.0, n - 1))
+        yield f"1e-11 gaps k={k}", np.concatenate(([0.0], np.cumsum(gaps))), *rng.standard_normal((2, n))
+    for scale in (1e150, 1e300):
+        for k in range(10):
+            n = int(rng.integers(3, 21))
+            gaps = 10.0 ** rng.uniform(-11.0, 3.0, n - 1)
+            yield (f"scaled {scale:g} k={k}", np.concatenate(([0.0], np.cumsum(gaps))),
+                   *scale * rng.standard_normal((2, n)))
+
+
+def identity_outcomes(f, g) -> tuple:
+    """The residuals and the norms, as they come and with numpy's warnings off."""
+    def residuals():
+        return (T.check_parts_formulas(f, g) + T.check_derivative_relation(f) + T.check_integral_conversion(f)
+                + T.check_integral_splitting(f))
+
+    def norms():
+        return T.c1_diamond_norm(f), T.c1_diamond_norm(g)
+
+    with np.errstate(all="ignore"):  # so that overflowing cases give their inf, nan or error
+        quiet = outcome(residuals), outcome(norms)
+    return outcome(residuals), outcome(norms), *quiet
+
+
+def identities():
+    for label, pts, fv, gv in identity_cases():
+        ts = T.make_timescale(pts)
+        f, g = T.GridFunction(ts, fv), T.GridFunction(ts, gv)
+        yield f"identities {label}", lambda f=f, g=g: identity_outcomes(f, g)
+
+
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing):
+    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing, identities):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
