@@ -26,9 +26,8 @@ pass over 0-d arrays, so a grid pass gives bit for bit what they give at
 each point.  A ``Lagrangian(eval, d2, d3, origin)`` built by hand has no
 program; its ``values`` and ``partials`` call its callables once per
 point.  The product functional (``tsvar.variational``) runs a pair of
-parsed densities by one ``tsvar.program.Plan``, under one
-``np.errstate``, so the two passes share the registers they can; a pair
-with a hand-built density shares none.
+parsed densities as one hash-consed tape, which computes each subtree
+they share once.
 
 Expression grammar, tightest binding first: parentheses and function
 application; ``^`` (right-associative); unary minus; ``*`` and ``/``;

@@ -15,26 +15,26 @@ promise libm's results for them.  Every check of the real domain, and
 every error ``math`` would raise, is a mask with a message, so the map
 never raises.  A pass records each failed check under its register and
 raises the first failure's ``EvalDomainError`` with the message of the
-first check, in register order, that fails there, as a dual-number walk
+first check, in walk order, that fails there, as a dual-number walk
 of that point does; one that is not strict puts nan at every failed point
 instead.  A pass sets up only its register file, the shared seed columns
 and a failure list, computes the broadcast shape only to locate a failure
 or to fill an output that is not a fresh array of it; in partials it
 skips the values of ``add``, ``sub``, ``mul`` and ``neg`` no rule reads.
 
-A ``Plan`` lets the two passes of a delta/nabla density pair share
-registers, under the caller's one ``np.errstate``.  Both read one array
-of difference quotients as dy, so the nabla pass takes over each delta
-register that it repeats and that reads only dy and literals (``dy^2`` in
-``dy^2 + y^2`` / ``dy^2 + 1``); and the registers that read only t are
-computed once for every pass over one t.  A register taken over replays
-its failure records under the taker's register, so every value, partial,
-nan and error stays bit for bit what the pass alone gives.
+A ``Program`` is one hash-consed tape: each distinct subtree of a density,
+or of a delta/nabla density pair, gets one register.  The two densities
+of a pair read one array of difference quotients as dy, so they share
+every subtree that reads only dy and literals (``dy^2`` in ``dy^2 + y^2``
+/ ``dy^2 + 1``); ``fix`` computes the registers that read only t once for
+every pass over one t.  A pass runs each step once, then finishes each
+density's output with the failure records in that density's cone, sorted
+by its own walk order, so every value, partial, nan and error stays bit
+for bit what the density alone gives.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from functools import cached_property, lru_cache, partial, reduce
 from operator import itemgetter
@@ -241,22 +241,45 @@ _TANGENT = {"add": lambda f, j, x, tx, z, tz: (None, tx + tz), "sub": lambda f, 
             "mul": lambda f, j, x, tx, z, tz: (None, tx * z + x * tz), "neg": lambda f, j, x, tx, z, tz: (None, -tx)}
 
 
-class Program:
-    """A flattened density, compiled into rule steps once per mode, on first use.
+# The bit of ``Program.reads`` for a register that computes something; each slot has a bit below it.
+COMPUTES = 1 << 5
 
-    ``code`` is ``flatten``'s instructions, ``reads[i]`` the slots register
-    i's subtree reads as bits (1 t, 2 y, 4 dy; 8 if it computes something).
-    ``given`` maps a register to (value, tangents, records) that another
-    pass computed there, or to the register of the ``keep`` entry holding
-    that; a pass keeps the ``kept`` registers, with their failed checks.
+
+class Program:
+    """A density, or a delta/nabla pair of them, as one hash-consed tape, compiled into rule steps once per mode.
+
+    ``codes`` holds each density's ``flatten`` instructions.  ``code`` is the
+    tape: the slots first, (t, y, dy) for one density or (t, y, dy, t, y)
+    for a pair, whose nabla density reads the delta density's dy, then one
+    register per distinct subtree of either density, after its operands'.
+    ``reads[r]`` has the bit of each slot register r reads, and ``COMPUTES``
+    if it computes something.  ``outs`` holds per density its root register,
+    its walk order (each register's first position in the density's own
+    ``flatten``, by which its failure records are sorted) and its slots.
+    ``given`` maps a register to the value and failure records ``fix`` gave it.
     """
 
-    def __init__(self, code: tuple, given: dict | None = None, kept=()):
-        self.code, self.given, self.kept = code, given or {}, tuple(kept)
-        self.reads: list = []
-        for op, a, b, _ in code:
-            self.reads.append(1 << a if op == "var" else 0 if op == "num" else
-                              self.reads[a] | (0 if b is None else self.reads[b]) | 8)
+    def __init__(self, *codes: tuple, given: dict | None = None):
+        self.codes, self.given = codes, given or {}
+        self.code = [("var", k % 3, None, k % 3 != 0) for k in range(2 * len(codes) + 1)]
+        self.reads, self.outs = [1 << k for k in range(len(self.code))], []
+        ids: dict = {}  # the register of each distinct subtree
+        for code, slots in zip(codes, ((0, 1, 2), (3, 4, 2))):
+            reg, order = [], {}  # each instruction's register, and each register's first position
+            for i, (op, a, b, dual) in enumerate(code):
+                if op == "var":
+                    reg.append(slots[a])
+                    continue
+                if op != "num":
+                    a, b = reg[a], None if b is None else reg[b]
+                r = ids.setdefault((op, repr(a) if op == "num" else a, b), len(self.code))
+                if r == len(self.code):
+                    self.code.append((op, a, b, dual))
+                    self.reads.append(0 if op == "num" else
+                                      self.reads[a] | self.reads[a if b is None else b] | COMPUTES)
+                reg.append(r)
+                order.setdefault(r, i)
+            self.outs.append((reg[-1], order, slots))
 
     @cached_property
     def values(self) -> tuple:
@@ -269,23 +292,20 @@ class Program:
     def _compile(self, seeds: bool) -> tuple:
         """One mode's steps (rule, register, a, b), a and b positions in the register file.
 
-        The file holds the slots (t, y, dy), the literals and given values, the registers taken
-        from ``keep``, then one per step, in a partials pass those free of y and dy first.
+        The file holds the slots, the literals and given values, then one register per step, in a
+        partials pass those free of y and dy first.
         """
-        code, given = self.code, self.given
-        need = set(self.kept)  # the registers whose value a rule reads
-        for r in range(len(code) - 1, -1, -1):
+        code, given, width = self.code, self.given, 2 * len(self.codes) + 1
+        need = set()  # the registers whose value a rule reads
+        for r in range(len(code) - 1, width - 1, -1):
             op, a, b, dual = code[r]
-            if r not in given and op not in ("num", "var") and not (
+            if r not in given and op != "num" and not (
                     seeds and dual and op in ("add", "sub", "neg") and r not in need):
                 need.update((a, b))
-        pre, taken, plain, duals = [], [], [], []
-        for r, (op, _, _, dual) in enumerate(code):
-            if op != "var":
-                (pre if op == "num" or isinstance(given.get(r), tuple) else taken if r in given
-                 else duals if seeds and dual else plain).append(r)
-        pos = {r: a for r, (op, a, _, _) in enumerate(code) if op == "var"}
-        pos.update((r, k) for k, r in enumerate(pre + taken + plain + duals, 3))
+        pre, plain, duals = [], [], []
+        for r in range(width, len(code)):
+            (pre if code[r][0] == "num" or r in given else duals if seeds and code[r][3] else plain).append(r)
+        pos = {r: k for k, r in enumerate([*range(width), *pre, *plain, *duals])}
 
         def step(r: int, rules: dict) -> tuple:
             op, a, b, _ = code[r]
@@ -297,16 +317,30 @@ class Program:
                 rule = (_TANGENT if rules is _DUAL and r not in need and op in _TANGENT else rules)[op]
             return rule, r, pos[a], pos[a if b is None else b]
 
-        root = len(code) - 1
+        # An output is its own array if a step computes it from a slot and no earlier output hands it out.
+        roots, fresh = [root for root, _, _ in self.outs], set(duals if seeds else plain)
+        outs = [(pos[root], root in fresh and self.reads[root] != COMPUTES and root not in roots[:i], order, slots)
+                for i, (root, order, slots) in enumerate(self.outs)]
         return ([code[r][1] if code[r][0] == "num" else given[r][0] for r in pre],
-                [(*record, r) for r in pre if r in given for record in given[r][2]],
-                [(given[r], r) for r in taken], [(pos[i], i) for i in self.kept],
-                [step(r, _VALUE) for r in plain], [step(r, _DUAL) for r in duals],
-                pos[root], root in (duals if seeds else plain) and self.reads[root] & 7 != 0)
+                [record for r in pre if r in given for record in given[r][1]],
+                [step(r, _VALUE) for r in plain], [step(r, _DUAL) for r in duals], outs, pos)
+
+    def fix(self, *ts) -> Program:
+        """The program with each register that reads only t given, from one value pass over each density's t."""
+        t_only = {1 << slots[0] | COMPUTES for _, _, slots in self.outs}
+        regs = [r for r, bits in enumerate(self.reads) if bits in t_only]
+        if not regs:
+            return self
+        slots = [np.asarray(math.nan if k % 3 else ts[k // 3], dtype=float)  # no register given reads y or dy
+                 for k in range(2 * len(self.codes) + 1)]
+        with np.errstate(all="ignore"):
+            vals, _, failed = _steps(self.values, slots, ())
+        given = {r: (vals[self.values[-1][r]], [record for record in failed if record[3] == r]) for r in regs}
+        return Program(*self.codes, given={**self.given, **given})
 
 
-def run(program: Program, t, y, dy, seeds: tuple = (), strict: bool = True, keep: dict | None = None):
-    """Run ``program`` over (t, y, dy) and return its output.
+def run(program: Program, t, y, dy, seeds: tuple = (), strict: bool = True):
+    """Run the density ``program`` over (t, y, dy) and return its output.
 
     Without seeds the output is the value, with float semantics throughout,
     in the broadcast shape S of (t, y, dy).  With K seeds it has shape
@@ -318,104 +352,62 @@ def run(program: Program, t, y, dy, seeds: tuple = (), strict: bool = True, keep
     of the first check that fails there.  One that is not strict puts nan
     where any check fails instead; each other entry holds what it holds in
     a strict pass, and a pass in which nothing fails builds no mask.  The
-    output is an array of its own.  ``keep`` holds the registers kept and
-    taken by number.  ``run`` holds ``np.errstate(all="ignore")``; ``_run``,
-    over float arrays, is for callers that hold one for several passes.
+    output is an array of its own.  ``run`` holds
+    ``np.errstate(all="ignore")``; ``_run`` runs a program of one density or
+    a pair over float arrays, for callers that hold one for several passes.
     """
     with np.errstate(all="ignore"):
-        return _run(program, *(np.asarray(x, dtype=float) for x in (t, y, dy)), seeds, strict, keep)
+        return _run(program, [np.asarray(x, dtype=float) for x in (t, y, dy)], seeds, strict)[0]
 
 
-def _run(program: Program, t, y, dy, seeds: tuple, strict: bool, keep: dict | None):
-    pre, records, taken, kept, plain, duals, out, own = program.partials if seeds else program.values
-    failed, vals = list(records), [t, y, dy, *pre]
-    for i, r in taken:
-        vals.append(keep[i][0])
-        failed += [(*record, r) for record in keep[i][2]]
+def _steps(compiled: tuple, slots: list, seeds: tuple) -> tuple:
+    """Every step of one mode once over ``slots``: the register file's values, tangents and failure records."""
+    pre, records, plain, duals = compiled[:4]
+    failed, vals, tans = list(records), [*slots, *pre], None
     for rule, r, a, b in plain:
         vals.append(rule(failed, r, vals[a], vals[b]))
     if seeds:
-        columns, zero = _seed_columns(seeds, max(t.ndim, y.ndim, dy.ndim))
-        tans = [zero, *columns, *[zero] * len(pre), *[keep[i][1] for i, _ in taken], *[zero] * len(plain)]
+        (ty, tdy), zero = _seed_columns(seeds, max(x.ndim for x in slots))
+        tans = [zero, ty, tdy, zero, ty][:len(slots)] + [zero] * (len(pre) + len(plain))
         for rule, r, a, b in duals:
             val, tan = rule(failed, r, vals[a], tans[a], vals[b], tans[b])
             vals.append(val)
             tans.append(tan)
-    for k, i in kept:
-        keep[i] = vals[k], tans[k] if seeds else None, [record[:3] for record in failed if record[3] == i]
-    out = (tans if seeds else vals)[out]
-    ok = np.isfinite(out)
-    if np.count_nonzero(ok) < ok.size:
-        failed.append((~ok, "non-finite value", (), len(program.code)))
-    shape = None
-    if failed:
-        shape = (len(seeds),) * bool(seeds) + np.broadcast(t, y, dy).shape
-        failed.sort(key=itemgetter(3))  # register order: the order a dual-number walk meets the checks
-        union = np.broadcast_to(reduce(np.logical_or, (record[0] for record in failed)), shape)
-        if not strict:
-            out, own = np.where(union, math.nan, out), True
-        elif np.count_nonzero(union):  # a pass over no points fails nowhere
-            i = int(np.argmax(union))
-            at = lambda x: float(np.broadcast_to(x, shape).flat[i])  # noqa: E731
-            template, xs = next((template, xs) for mask, template, xs, _ in failed if at(mask))
-            raise EvalDomainError(template.format(*map(at, xs)), at(t), at(y), at(dy))
-    end = out.shape if own else ()
-    if end and t.shape == end[len(end) - t.ndim:] and y.shape == end[len(end) - y.ndim:] == dy.shape:
-        return out  # each slot's shape ends the output's, and dy's has its rank: it is S, or (K,) + S
-    shape = shape or (len(seeds),) * bool(seeds) + np.broadcast(t, y, dy).shape
-    return out if own and shape and out.shape == shape else np.full(shape, out)[()]
+    return vals, tans, failed
 
 
-class Plan:
-    """The registers that the delta and nabla passes of one density pair can share.
+def _run(program: Program, slots, seeds: tuple, strict: bool) -> list:
+    """Each density's ``run`` output, in order, from one run of the steps over ``slots``.
 
-    On an isolated scale both passes read one array of difference quotients
-    as dy (see ``tsvar.variational``).  So a nabla register that equals,
-    as a subtree, a delta register reading only dy and literals holds what
-    that register holds, tangents and failure records too: ``shared`` pairs
-    each such (nabla, delta) register, and ``passes`` has the nabla pass
-    take them over.  ``t_only`` lists each side's registers that read t and
-    literals alone; ``fix`` computes them once for all passes over one t.
+    Each output takes the failure records of its own cone, sorted by its walk
+    order, so it is bit for bit what the density gives alone, and a strict
+    delta output raises before the nabla output is finished.
     """
-
-    def __init__(self, delta: Program, nabla: Program):
-        ids: dict = {}  # one id per distinct subtree of either program
-        self.t_only, dy_only = [], []
-        for program in (delta, nabla):
-            key: list = []
-            for op, a, b, _ in program.code:
-                key.append(ids.setdefault((op, repr(a)) if op in ("num", "var") else
-                                          (op, key[a], None if b is None else key[b]), len(ids)))
-            self.t_only.append([i for i, r in enumerate(program.reads) if r == 1 | 8])
-            dy_only.append([(i, key[i]) for i, r in enumerate(program.reads) if r == 4 | 8])
-        first = {k: i for i, k in dy_only[0]}
-        self.shared = [(j, first[k]) for j, k in dy_only[1] if k in first]
-        kept = [i for _, i in self.shared]  # the delta pass keeps these, and the nabla pass takes them
-        self.delta = Program(delta.code, kept=kept) if kept else delta
-        self.nabla = Program(nabla.code, dict(self.shared)) if kept else nabla
-
-    def fix(self, t_delta, t_nabla) -> Plan:
-        """The plan with each register that reads only t given, from one pass over the side's t."""
-        sides = []
-        for program, regs, t in zip((self.delta, self.nabla), self.t_only, (t_delta, t_nabla)):
-            if regs:  # no register kept here reads y or dy
-                keep: dict = {}
-                run(Program(program.code, kept=regs), t, math.nan, math.nan, strict=False, keep=keep)
-                program = Program(program.code, {**program.given, **keep}, program.kept)
-            sides.append(program)
-        fixed = copy.copy(self)
-        fixed.delta, fixed.nabla = sides
-        return fixed
-
-    def passes(self, delta_args, nabla_args, seeds: tuple = (), strict: bool = True) -> tuple:
-        """Both sides' ``_run`` outputs, the nabla pass taking the shared registers; the caller holds np.errstate."""
-        if not isinstance(delta_args[0], np.ndarray):  # a single point, as floats
-            delta_args, nabla_args = (tuple(map(np.asarray, args)) for args in (delta_args, nabla_args))
-        keep: dict = {}
-        return _run(self.delta, *delta_args, seeds, strict, keep), _run(self.nabla, *nabla_args, seeds, strict, keep)
-
-
-def pair_plan(delta: Program | None, nabla: Program | None) -> Plan | None:
-    """The ``Plan`` of two programs, or None where either is missing or they have nothing to share."""
-    plan = None if delta is None or nabla is None else Plan(delta, nabla)
-    return plan if plan and (plan.shared or any(plan.t_only)) else None
+    compiled = program.partials if seeds else program.values
+    vals, tans, records = _steps(compiled, slots, seeds)
+    outs = []
+    for k, own, order, where in compiled[4]:
+        (t, y, dy), out = (slots[i] for i in where), (tans if seeds else vals)[k]
+        failed = [(mask, template, xs, order[r]) for mask, template, xs, r in records if r in order]
+        ok = np.isfinite(out)
+        if np.count_nonzero(ok) < ok.size:
+            failed.append((~ok, "non-finite value", (), math.inf))
+        shape = None
+        if failed:
+            shape = (len(seeds),) * bool(seeds) + np.broadcast(t, y, dy).shape
+            failed.sort(key=itemgetter(3))  # walk order: the order a dual-number walk meets the checks
+            union = np.broadcast_to(reduce(np.logical_or, (record[0] for record in failed)), shape)
+            if not strict:
+                out, own = np.where(union, math.nan, out), True
+            elif np.count_nonzero(union):  # a pass over no points fails nowhere
+                i = int(np.argmax(union))
+                at = lambda x: float(np.broadcast_to(x, shape).flat[i])  # noqa: E731
+                template, xs = next((template, xs) for mask, template, xs, _ in failed if at(mask))
+                raise EvalDomainError(template.format(*map(at, xs)), at(t), at(y), at(dy))
+        end = out.shape if own else ()
+        # Unless each slot's shape ends the output's and dy's has its rank (it is S, or (K,) + S), it is copied out.
+        if not (end and t.shape == end[len(end) - t.ndim:] and y.shape == end[len(end) - y.ndim:] == dy.shape):
+            shape = shape or (len(seeds),) * bool(seeds) + np.broadcast(t, y, dy).shape
+            out = out if own and shape and out.shape == shape else np.full(shape, out)[()]
+        outs.append(out)
+    return outs

@@ -18,20 +18,19 @@ test.  Only when no rung passes is the last one evaluated again, on its
 own and strictly, for the domain error that ``StepUnderflowError`` names.
 Everything is deterministic: same problem, configuration and start, same
 result, bit for bit.  Each iterate evaluates its partials once, in one
-grid pass per factor.  Every pass of a solve reads the problem's one t
-per side, so the density registers that read only t are computed once
-per problem, and the nabla pass takes the delta pass's shared registers
-over (see ``tsvar.variational``).  Trials evaluate the two factors only,
-the accepting trial's factors and slot-argument rows carry over to the
-next iterate, and the result's J, gradient sup-norm and EL1/EL2 reports
-reuse the final iterate's pass.
+run of the pair's tape.  Every pass of a solve reads the problem's one t
+per side, so the registers that read only t are computed once per
+problem (see ``tsvar.variational``).  Trials evaluate the two factors
+only, the accepting trial's factors and slot-argument rows carry over to
+the next iterate, and the result's J, gradient sup-norm and EL1/EL2
+reports reuse the final iterate's pass.
 
 ``brute_force_oracle`` is an independent check for small instances: it
 scans a full grid over the interior values, then rescans once across the
 best cell.  Edge i's summands read only y_i and y_{i+1}, so a scan
 evaluates each density once per distinct pair of neighbouring grid values,
-in one value pass per factor; both read one array of quotients, so the
-two passes share registers like any other pair.  It then visits the
+in one run of the pair's tape, whose two densities read one array of
+quotients as dy, as in any other pass.  It then visits the
 candidates in lexicographic order, in slabs of whole first-digit values
 (at most ``_BLOCK_ELEMENTS`` candidates, or one value), in two stages.  First each
 factor's edge terms are broadcast over the slab and summed, and the
@@ -68,6 +67,7 @@ from .variational import (
     _factor,
     _factors,
     _Partials,
+    _passes,
     _slot_args,
 )
 
@@ -277,10 +277,7 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
     with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
         quot = (right - left) / gaps[edge]
         delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
-        if p._plan is None:
-            ld, ln = p.l_delta._values(*delta, strict=False), p.l_nabla._values(*nabla, strict=False)
-        else:
-            ld, ln = p._plan.passes(delta, nabla, strict=False)
+        ld, ln = _passes(p, delta, nabla, strict=False, fixed=False)  # t varies along the rows
     ld, ln = ld.ravel(), ln.ravel()
     # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
     # number, or its one digit there on a boundary edge.

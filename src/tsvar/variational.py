@@ -41,23 +41,24 @@ doubly-truncated index sets.
 Each factor's densities are evaluated over the whole grid at once: one
 value pass per factor for the values, and one partials pass per factor
 for both first partials.  The delta slot reads the difference quotient
-q_i at t_i and the nabla slot the same q_i at t_{i+1}, so the two passes
-of parsed densities run by the pair's plan (``tsvar.program.Plan``): the
-nabla pass takes over every delta register it repeats that reads only
-dy, failure records included, and a problem computes the registers that
-read only t once (``_fixed``).  Hand-built densities run one
-``Lagrangian`` call per factor.  The difference quotients, the passes,
-the factor sums, the gradient's and the EL trace's products with the
-factors, and the trace's mean and deviation are computed with numpy's
-floating-point warnings off: the two passes of a pair and their sums
-under one ``np.errstate``.  An overflow shows as a non-finite density
-value (which the density rejects as a domain error), a non-finite
-factor, gradient or trace, or a nan deviation, which fails ``passes``.
+q_i at t_i and the nabla slot the same q_i at t_{i+1}, so a parsed pair
+runs as one hash-consed tape (``tsvar.program.Program``), where a
+subtree of either density that reads only dy (``dy^2``) is one register,
+and a problem computes the registers that read only t once (``_fixed``).
+A pair with a hand-built density runs one ``Lagrangian`` call per factor
+(``_passes`` decides).  The difference quotients, the passes, the factor
+sums, the gradient's and the EL trace's products with the factors, and
+the trace's mean and deviation are computed with numpy's floating-point
+warnings off: the passes of a pair and their sums under one
+``np.errstate``.  An overflow shows as a non-finite density value (which
+the density rejects as a domain error), a non-finite factor, gradient or
+trace, or a nan deviation, which fails ``passes``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -65,7 +66,7 @@ import numpy as np
 
 from .calculus import GridFunction, PartialGridFunction
 from .lagrangian import Lagrangian
-from .program import SEEDS, pair_plan
+from .program import SEEDS, Program, _run
 from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
 
 __all__ = [
@@ -94,18 +95,23 @@ class VariationalProblem:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValueError("boundary values must be finite")
+        for name in ("alpha", "beta"):  # a bool is not a number here, as in a problem file
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            if not (real and np.isfinite(float(value))):
+                raise ValueError(f"boundary value {name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @cached_property
-    def _plan(self):
-        """The registers the two densities' passes share (``tsvar.program.Plan``), or None."""
-        return pair_plan(self.l_delta.program, self.l_nabla.program)
+    def _tape(self):
+        """Both densities as one ``tsvar.program.Program``, or None where either is built by hand."""
+        delta, nabla = self.l_delta.program, self.l_nabla.program
+        return None if delta is None or nabla is None else Program(*delta.codes, *nabla.codes)
 
     @cached_property
     def _fixed(self):
-        """The plan with the registers that read only t computed once, over this scale's slots."""
-        return self._plan and self._plan.fix(self.scale.points[:-1], self.scale.points[1:])
+        """The tape with the registers that read only t computed once, over this scale's slots."""
+        return self._tape and self._tape.fix(self.scale.points[:-1], self.scale.points[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,22 +208,30 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
     return float(sums) if values.ndim == 1 else sums
 
 
+def _passes(p: VariationalProblem, delta, nabla, seeds: tuple = (), strict: bool = True, fixed: bool = True):
+    """Both densities' passes over their slot arguments (strict with seeds), under the caller's ``np.errstate``.
+
+    A parsed pair runs its tape, fixed for the scale's t unless ``fixed`` is False; a pair with a
+    hand-built density runs each density by its own ``Lagrangian`` methods.
+    """
+    tape = p._fixed if fixed else p._tape
+    if tape is not None:
+        return _run(tape, (*delta, *nabla[:2]), seeds, strict)
+    sides = (p.l_delta, delta), (p.l_nabla, nabla)
+    return [L.partials(*a) if seeds else L._values(*a, strict=strict) for L, a in sides]
+
+
 def _factors(p: VariationalProblem, args):
     """Both factor values from the slot arguments; one value pass per factor.
 
     One row of values gives floats and raises the first ``EvalDomainError``
     of its passes.  A stack of rows gives arrays with one entry per row,
-    nan for each row whose own pass would raise.  A pair with a plan runs
-    both passes by ``p._fixed``.  Both passes and both sums run under one
-    ``np.errstate``; an overflowing sum is a non-finite factor.
+    nan for each row whose own pass would raise.  Both passes and both sums
+    run under one ``np.errstate``; an overflowing sum is a non-finite factor.
     """
     gaps, delta, nabla = args
-    strict = delta[1].ndim == 1
     with np.errstate(all="ignore"):
-        if p._plan is None:
-            ld, ln = p.l_delta._values(*delta, strict=strict), p.l_nabla._values(*nabla, strict=strict)
-        else:
-            ld, ln = p._fixed.passes(delta, nabla, (), strict)
+        ld, ln = _passes(p, delta, nabla, strict=delta[1].ndim == 1)
         return _factor(gaps, ld), _factor(gaps, ln)
 
 
@@ -229,12 +243,8 @@ class _Partials:
     def __init__(self, p: VariationalProblem, args):
         gaps, delta, nabla = args
         self.gaps = gaps
-        if p._plan is None:
-            self.d2d, self.d3d = p.l_delta.partials(*delta)
-            self.d2n, self.d3n = p.l_nabla.partials(*nabla)
-        else:
-            with np.errstate(all="ignore"):
-                (self.d2d, self.d3d), (self.d2n, self.d3n) = p._fixed.passes(delta, nabla, SEEDS)
+        with np.errstate(all="ignore"):
+            (self.d2d, self.d3d), (self.d2n, self.d3n) = _passes(p, delta, nabla, SEEDS)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).

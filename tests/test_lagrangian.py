@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dual
@@ -20,7 +20,7 @@ from tsvar.lagrangian import (
     register_catalog,
     to_source,
 )
-from tsvar.program import SEEDS, pair_plan, run
+from tsvar.program import COMPUTES, SEEDS, Program, _run, run
 
 
 PROBES = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-0.5, 0.7, -1.3), (2.0, -4.0, 0.25)]
@@ -339,10 +339,20 @@ def subtrees(node):
     return found + [(node, reads)], reads
 
 
+def pair_tape(pair):
+    """The one tape of a delta/nabla pair of parsed densities, as ``tsvar.variational`` builds it."""
+    return Program(*pair[0].program.codes, *pair[1].program.codes)
+
+
+def tape_passes(tape, delta_args, nabla_args, seeds=(), strict=True):
+    """Both outputs of one run of a pair's tape; the nabla density reads the delta density's dy."""
+    return _run(tape, [np.asarray(x, dtype=float) for x in (*delta_args, *nabla_args[:2])], seeds, strict)
+
+
 def pair_outcome(fn):
     """The bytes of each array ``fn`` returns, or the message and probe point of its ``EvalDomainError``."""
     try:
-        with np.errstate(all="ignore"):  # the caller of Plan.passes holds np.errstate
+        with np.errstate(all="ignore"):  # the caller of ``_run`` holds np.errstate
             return [np.asarray(x).tobytes() for x in fn()]
     except EvalDomainError as exc:
         return str(exc), (exc.t, exc.u, exc.v)
@@ -352,11 +362,12 @@ def pair_outcome(fn):
        st.data(), st.lists(st.tuples(*[GRID_VALUES] * 5), min_size=1, max_size=6))
 def test_random_pairs_share_registers_bit_for_bit(delta, other, data, grid):
     # A nabla density that reuses a subtree of the delta density reading
-    # only dy, or only t, runs as a pair by its plan, alone and fixed for
-    # its t.  Each pass gives what each density gives run alone, bit for
-    # bit: strict values and partials of a row, the first failure's message
-    # and probe point, and values over a stack of rows with nan at the
-    # failed points.
+    # only dy, or only t, runs with it as one tape, alone and fixed for its
+    # t: a dy-only subtree is one register of both densities, and ``fix``
+    # gives the t-only one.  Each output is what each density gives run
+    # alone, bit for bit: strict values and partials of a row, the first
+    # failure's message and probe point, and values over a stack of rows
+    # with nan at the failed points.
     shared = [node for node, reads in subtrees(delta)[0] if reads in ({"dy"}, {"t"})]
     if not shared:
         shared = [("call", "sin", ("var", "dy"))]
@@ -364,25 +375,28 @@ def test_random_pairs_share_registers_bit_for_bit(delta, other, data, grid):
     pick = data.draw(st.sampled_from(shared))
     nabla = data.draw(st.sampled_from([(op, pick, other) for op in ("add", "mul", "pow")] + [("sub", other, pick)]))
     pair = [parse_lagrangian(to_source(ast)) for ast in (delta, nabla)]
-    plan = pair_plan(*(L.program for L in pair))
-    assert plan is not None
+    tape = pair_tape(pair)
     td, tn, yd, yn, quot = (np.array(column) for column in zip(*grid))
+    if subtrees(pick)[1] == {"dy"}:
+        assert any(tape.reads[r] == 4 | COMPUTES for r in set(tape.outs[0][1]) & set(tape.outs[1][1]))
+    else:
+        assert tape.fix(td, tn).given
     rows = [yd, yd[::-1], np.where(yd < 0.5, math.nan, yd)], [yn, -yn, yn], [quot, quot, quot[::-1]]
     stacks = [np.array(r) for r in rows]
-    for planned in (plan, plan.fix(td, tn)):
+    for fixed in (tape, tape.fix(td, tn)):
         for seeds in ((), SEEDS):
             args = (td, yd, quot), (tn, yn, quot)
             alone = pair_outcome(lambda: [run(L.program, *a, seeds) for L, a in zip(pair, args)])
-            assert pair_outcome(lambda: planned.passes(*args, seeds)) == alone
+            assert pair_outcome(lambda: tape_passes(fixed, *args, seeds)) == alone
         args = (td, stacks[0], stacks[2]), (tn, stacks[1], stacks[2])
         alone = pair_outcome(lambda: [run(L.program, *a, strict=False) for L, a in zip(pair, args)])
-        assert pair_outcome(lambda: planned.passes(*args, strict=False)) == alone
+        assert pair_outcome(lambda: tape_passes(fixed, *args, strict=False)) == alone
 
 
 def test_failures_keep_the_walk_order():
     # Where two registers fail at one point the earlier one's message
     # stands, as in a dual-number walk, although a partials pass computes
-    # the registers free of y and dy first, and a plan fixed for its t
+    # the registers free of y and dy first, and a tape fixed for its t
     # computes the registers that read only t before any pass.
     point = (-2.0, -1.0, 20.0)
     for source in ("log(y) + log(t)", "sqrt(y) * sqrt(t)", "log(-dy) + log(t)"):
@@ -391,13 +405,54 @@ def test_failures_keep_the_walk_order():
         expect_points(parse_lagrangian(source), point, want)
         expect_passes(parse_lagrangian(source), [point], [want])
     pair = [parse_lagrangian(s) for s in ("dy^2 + log(t)", "log(y) + dy^2 + log(t)")]
-    plan = pair_plan(*(L.program for L in pair))
+    tape = pair_tape(pair)
     args = tuple(np.array([x]) for x in (1.0, 1.0, 20.0)), tuple(np.array([x]) for x in (-2.0, -1.0, 20.0))
-    for planned in (plan, plan.fix(args[0][0], args[1][0])):
+    for fixed in (tape, tape.fix(args[0][0], args[1][0])):
         for seeds in ((), SEEDS):
             alone = pair_outcome(lambda: [run(L.program, *a, seeds) for L, a in zip(pair, args)])
             assert alone[0] == "log of non-positive value -1.0 at (t=-2.0, u=-1.0, v=20.0)"
-            assert pair_outcome(lambda: planned.passes(*args, seeds)) == alone
+            assert pair_outcome(lambda: tape_passes(fixed, *args, seeds)) == alone
+
+
+REPEATS = [lambda s, op=op: (op, s, s) for op in ("add", "sub", "mul", "div", "pow")]
+REPEATS += [lambda s, f=f: ("add", s, ("call", f, s)) for f in sorted(FUNCTIONS)]
+REPEATS += [lambda s: ("mul", s, ("sub", s, ("var", "t"))), lambda s: ("neg", ("mul", ("neg", s), ("neg", s))),
+            lambda s: ("add", ("mul", s, ("call", "log", ("var", "t"))), s)]  # a check between the copies
+
+
+@given(st.recursive(ast_leaves, _extend, max_leaves=6).filter(lambda node: node[0] != "var"),
+       st.sampled_from(REPEATS), st.lists(st.tuples(GRID_VALUES, GRID_VALUES, GRID_VALUES), min_size=1, max_size=6))
+@example(("call", "log", ("var", "dy")), REPEATS[-1], [(-0.5, 0.7, -1.3), (1.0, 1.0, 1.0)])
+def test_repeated_subtrees_share_one_register(sub, form, grid):
+    # A density that repeats a subtree S, such as S + S, S + exp(S) or
+    # S * (S - t), computes S once: its tape has fewer registers than
+    # ``flatten`` has instructions.  It still matches a dual-number walk
+    # of the AST bit for bit, point by point and over a grid and a stack
+    # of two rows, strict and not, and fails where the walk fails, with
+    # the walk's message for the first failing point: S's checks come
+    # where the walk first meets S, before those of log(t) in
+    # S*log(t) + S.
+    ast = form(sub)
+    printed = to_source(ast)
+    assert parse(printed) == ast
+    L = parse_lagrangian(printed)
+    code = L.program.codes[0]
+    assert len(L.program.code) - 3 < sum(op != "var" for op, *_ in code)
+    for point in PROBES + grid:
+        expect_points(L, point, reference(ast, *point))
+    expect_passes(L, grid, [reference(ast, *point) for point in grid])
+    stack = [grid, grid[::-1]]
+    flat = [point for row in stack for point in row]
+    want = [reference(ast, *point) for point in flat]
+    t, u, v = (np.array([[point[k] for point in row] for row in stack]) for k in range(3))
+    expect(lambda: L.values(t, u, v).ravel(), [w[0] for w in want], flat)
+    d2, d3 = [w[1] for w in want], [w[2] for w in want]
+    if any(isinstance(w, str) for w in d2):  # every d2 failure before any d3 failure
+        expect(lambda: L.partials(t, u, v)[0].ravel(), d2, flat)
+    elif expect(lambda: L.partials(t, u, v)[1].ravel(), d3, flat) is not None:
+        expect(lambda: L.partials(t, u, v)[0].ravel(), d2, flat)
+    loose = L._values(t, u, v, strict=False).ravel().tolist()
+    assert all(math.isnan(g) if isinstance(w[0], str) else same_float(g, w[0]) for g, w in zip(loose, want))
 
 
 def expect_points(L, point, want):
@@ -617,18 +672,18 @@ def test_partials_hand_out_no_shared_state(source):
     # Every pass returns an array of its own, at a single point, over a
     # grid and over a stack of rows: writing into one leaves the next
     # pass's result as it was.  Identical densities for both factors (as in
-    # problems/square_3pt.json) run as one pair, whose nabla pass takes its
-    # last register over from the delta pass; no array that the pair's
-    # partials or value passes return shares memory with another.
+    # problems/square_3pt.json) run as one tape, whose two outputs are one
+    # register; no array that the pair's partials or value passes return
+    # shares memory with another.
     densities = [parse_lagrangian(s) for s in source.split(" / ")]
-    plan = pair_plan(*(L.program for L in densities)) if len(densities) == 2 else None
+    tape = pair_tape(densities) if len(densities) == 2 else None
     point = (0.5, 1.5, -2.0)
     for args in [point] + [tuple(np.full(shape, x) for x in point) for shape in ((), (1,), (5,), (2, 5))]:
         def passes():
-            if plan is None:
+            if tape is None:
                 return [densities[0].partials(*args)]
-            values = plan.passes(args, args) if np.ndim(args[0]) else ()  # 0-d values are scalars
-            return [*plan.passes(args, args, SEEDS), *values]
+            values = tape_passes(tape, args, args) if np.ndim(args[0]) else []  # 0-d values are scalars
+            return [*tape_passes(tape, args, args, SEEDS), *values]
         first = passes()
         want = [x.tobytes() for x in first]
         assert all(x.flags.writeable for x in first)

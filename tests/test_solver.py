@@ -32,7 +32,7 @@ from tsvar import (
     solve,
     uniform_scale,
 )
-from tsvar.program import run
+from tsvar.program import _run, run
 from tsvar.solver import _grid_objectives
 from tsvar.variational import _slot_args
 
@@ -495,19 +495,20 @@ def test_oracle_is_the_first_minimum_of_every_j_product(interior, monkeypatch):
 
 def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch):
     # A failing pair of neighbouring values gets nan in its factor's pass; no
-    # candidate is evaluated again on its own.  Each factor's one pass covers
-    # the 16 + 256 + 16 distinct pairs of the three edges, as rows of 16.
+    # candidate is evaluated again on its own.  The pair's one tape runs
+    # once, both factors' passes covering the 16 + 256 + 16 distinct pairs
+    # of the three edges, as rows of 16.
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[2]))
-        return run(*args, **kwargs)
+    def counted(program, slots, *args):
+        calls.append((np.shape(slots[1]), np.shape(slots[4])))
+        return _run(program, slots, *args)
 
-    monkeypatch.setattr("tsvar.lagrangian.run", counted)
+    monkeypatch.setattr("tsvar.variational._run", counted)
     ts = make_timescale([0.0, 1.0, 2.5, 3.0])
     p = VariationalProblem(ts, parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0)
     j = np.concatenate([j for _, j in _grid_objectives(p, [np.linspace(-2.0, 2.0, 16)] * 2)])
-    assert calls == [(18, 16), (18, 16)]
+    assert calls == [((18, 16), (18, 16))]
     assert 0 < np.sum(j == np.inf) < 256 and np.all(np.isfinite(j) | (j == np.inf))
 
 

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import tsvar.lagrangian
 import tsvar.program
+import tsvar.variational
 from tsvar import (
     EvalDomainError,
     GridFunction,
@@ -133,6 +135,26 @@ def test_problem_validates_boundary_values():
     with pytest.raises(ValueError):
         VariationalProblem(ts, parse_lagrangian("dy^2"),
                            parse_lagrangian("dy^2"), 0.0, float("nan"))
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0", None, math.nan, math.inf, -math.inf])
+def test_problem_rejects_boundary_values_that_are_not_finite_reals(value):
+    # A bool is not a number here, as in a problem file; a string or None
+    # is refused with the value named instead of numpy's ufunc TypeError.
+    L = parse_lagrangian("dy^2")
+    for alpha, beta in ((value, 1.0), (0.0, value)):
+        with pytest.raises(ValueError, match="boundary value") as exc:
+            VariationalProblem(make_timescale([0.0, 1.0, 2.0]), L, L, alpha, beta)
+        if not isinstance(value, float):
+            assert repr(value) in str(exc.value)
+
+
+def test_problem_stores_boundary_values_as_floats():
+    L = parse_lagrangian("dy^2")
+    for alpha, beta in ((0, 2), (np.float64(0.5), np.int64(3)), (np.float32(0.25), 1.5)):
+        p = VariationalProblem(make_timescale([0.0, 1.0, 2.0]), L, L, alpha, beta)
+        assert (type(p.alpha), type(p.beta)) == (float, float)
+        assert (p.alpha, p.beta) == (float(alpha), float(beta))
 
 
 # --- first variation ----------------------------------------------------
@@ -525,8 +547,8 @@ def counting_each(monkeypatch):
 
 
 def test_shared_registers_run_once_per_pair_of_passes(monkeypatch):
-    # The delta and nabla slots read one quotient array as dy, so the nabla
-    # pass takes ``dy^2`` over from the delta pass: its pow runs once per
+    # The delta and nabla slots read one quotient array as dy, so ``dy^2``
+    # is one register of the pair's tape: its pow runs once per
     # pair of value passes and once per pair of partials passes (the value
     # and the power rule's b^(e-1)), where each pass ran it before.  A
     # register that reads only t runs once per side in a whole solve.
@@ -580,19 +602,49 @@ def solve_bits(p, maximize):
             r.el1.residual_trace, r.el2.residual_trace)
 
 
+def test_pair_that_shares_nothing_runs_as_one_tape(monkeypatch):
+    # The catalog pair shares no subtree, yet runs as one tape: each
+    # ``_factors`` call, over one row or a block, runs the steps once, and
+    # no density runs alone.
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 11), catalog("kinetic_minus_potential(2)"),
+                           catalog("dy_squared"), 0.0, 1.0)
+    tape = p._tape
+    assert not [r for r in set(tape.outs[0][1]) & set(tape.outs[1][1]) if tape.reads[r] & tsvar.program.COMPUTES]
+    calls, each = [], tsvar.variational._run
+
+    def counted(*args):
+        calls.append(args[0])
+        return each(*args)
+
+    def alone(*args, **kwargs):
+        raise AssertionError("a density ran alone")
+
+    monkeypatch.setattr(tsvar.variational, "_run", counted)
+    monkeypatch.setattr(tsvar.lagrangian, "run", alone)
+    y = chord(p).values + 0.1 * np.sin(np.pi * p.scale.points)
+    for vals in (y, np.stack([y, 2.0 * y])):
+        del calls[:]
+        _factors(p, _slot_args(p, vals))
+        assert calls == [p._fixed]
+
+
 def test_shared_failing_register_replays_its_failures():
     # A pair sharing a dy-only subtree that overflows or fails gives what the
     # same densities give rebuilt by hand, which share nothing and run point
     # by point: values, gradients, the nan rows of a block, a budgeted solve
     # that meets overflowing trials, an oracle call whose box overflows and
     # leaves log's domain, and every error with its message and probe point.
-    planned = [parse_lagrangian(s) for s in SHARED_FAILING]
-    by_hand = [Lagrangian(L.eval, L.d2, L.d3, L.origin) for L in planned]
+    parsed = [parse_lagrangian(s) for s in SHARED_FAILING]
+    by_hand = [Lagrangian(L.eval, L.d2, L.d3, L.origin) for L in parsed]
     rng = np.random.default_rng(3)
     pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 10))))
     scale = make_timescale(pts / pts[-1])
-    p, q = (VariationalProblem(scale, *pair, 0.0, 0.2) for pair in (planned, by_hand))
-    assert p._plan.shared and q._plan is None
+    p, q = (VariationalProblem(scale, *pair, 0.0, 0.2) for pair in (parsed, by_hand))
+    # 40*dy and exp(40*dy) are one register each of the one tape; the pair's five slots are one fewer than
+    # the two densities' six.  The hand-built pair has no tape.
+    tape, both = p._tape, set(p._tape.outs[0][1]) & set(p._tape.outs[1][1])
+    assert [tape.code[r][0] for r in sorted(both) if tape.reads[r] & tsvar.program.COMPUTES] == ["mul", "exp"]
+    assert len(tape.code) < len(p.l_delta.program.code) + len(p.l_nabla.program.code) - 1 and q._tape is None
     base = chord(p).values
     rows = [base, base + np.where(pts == pts[3], 3.0, 0.0), base + np.where(pts == pts[6], 3.0, 0.0),
             base - np.where(pts == pts[4], 0.3, 0.0)]  # two overflowing jumps, then neither
@@ -612,7 +664,7 @@ def test_shared_failing_register_replays_its_failures():
     for maximize in (False, True):
         want, have = (outcome(lambda x=x: solve_bits(x, maximize)) for x in (q, p))
         assert have == want
-    box = VariationalProblem(make_timescale([0.0, 0.1, 0.25, 0.3]), planned[0], planned[1], 0.0, 0.5)
+    box = VariationalProblem(make_timescale([0.0, 0.1, 0.25, 0.3]), parsed[0], parsed[1], 0.0, 0.5)
     boxed = VariationalProblem(box.scale, *by_hand, 0.0, 0.5)
     want, have = (outcome(lambda x=x: brute_force_oracle(x, (-3.0, 3.0), 15).values) for x in (boxed, box))
     assert have == want and not isinstance(have[0], type)

@@ -58,7 +58,14 @@ n = 11 and 101 (uniform and seeded, minimize and maximize): one whose
 shared dy-only subtree ``exp(6*dy)`` overflows on large trial steps, with
 a brute-force oracle call whose box overflows it and leaves the nabla
 density's domain, one with subtrees that read only t on both sides, and
-identical densities.  Identities: the twelve residuals of the calculus
+identical densities.  Repeats: densities that repeat a subtree, which
+their tape computes once (``log(y) + log(y)``, ``sqrt(dy)*log(y) +
+sqrt(dy)``, and ``exp(6*dy) + exp(6*dy)`` paired with ``exp(6*dy) + 1``):
+their value and partials passes over grids where most points fail or
+overflow, budgeted solves at n = 11 and 101 (uniform and seeded, minimize
+and maximize), in which the log and sqrt pairs meet failing trials and
+some fail, and a brute-force oracle call whose box overflows the shared
+exponential.  Identities: the twelve residuals of the calculus
 identity checks and ``c1_diamond_norm`` of both grid functions, per case:
 200 cases at each of two seeds, drawn as ``verify-identities`` draws them,
 then 3-point scales, scales with 1e-11 gaps beside gaps of 1 to 1e3, and
@@ -383,6 +390,34 @@ def sharing():
     yield "sharing oracle shared-overflow", lambda p=p: (T.brute_force_oracle(p, (-3.0, 3.0), 21).values,)
 
 
+# Densities that repeat a subtree: log(y), sqrt(dy) and exp(6*dy) are each one register of their tape.
+REPEATS = {
+    "log-twice": (T.parse_lagrangian, "log(y) + log(y)", "dy^2 + 1"),
+    "sqrt-twice": (T.parse_lagrangian, "sqrt(dy)*log(y) + sqrt(dy)", "dy^2 + y^2 + 1"),
+    "exp-twice": (T.parse_lagrangian, "exp(6*dy) + exp(6*dy)", "exp(6*dy) + 1"),
+}
+
+
+def repeats():
+    rng = np.random.default_rng(29)
+    arrays = [(rng.uniform(0.0, 1.0, 6), *rng.uniform(-0.5, 3.0, (2, 5, 6))),
+              (rng.uniform(0.0, 1.0, 6), rng.uniform(-0.5, 3.0, (5, 6)), rng.uniform(100.0, 140.0, (5, 6))),
+              (0.5, *(np.array(column) for column in zip(*itertools.product(SPECIAL, repeat=2))))]
+    for source in ("log(y) + log(y)", "sqrt(dy)*log(y) + sqrt(dy)", "exp(6*dy) + exp(6*dy)", "exp(6*dy) + 1"):
+        L = T.parse_lagrangian(source)
+        for k, a in enumerate(arrays):
+            yield f"repeats {source!r} k={k} values", lambda L=L, a=a: (L.values(*a),)
+            yield f"repeats {source!r} k={k} partials", lambda L=L, a=a: L.partials(*a)
+            yield f"repeats {source!r} k={k} evaluating partials", lambda L=L, a=a: L.partials(*evaluating(L, a))
+    for label, p in problems(REPEATS, SIZES[:2]):
+        for maximize in (False, True):
+            sense = "max" if maximize else "min"
+            yield f"repeats solve {label} {sense}", lambda p=p, m=maximize: solve_parts(p, m)
+    build, ld, ln = REPEATS["exp-twice"]
+    p = T.VariationalProblem(T.make_timescale([0.0, 0.01, 0.025, 0.03]), build(ld), build(ln), 0.0, 0.5)
+    yield "repeats oracle exp-twice", lambda p=p: (T.brute_force_oracle(p, (-3.0, 3.0), 21).values,)
+
+
 def identity_cases():
     """Points and two value vectors per case, with the case's label."""
     for seed in (0, 41):
@@ -429,7 +464,7 @@ def identities():
 
 
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing, identities):
+    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing, repeats, identities):
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0

@@ -24,7 +24,6 @@ copy it into both, as for ``tools/fingerprints.py``:
 from __future__ import annotations
 
 import argparse
-import inspect
 import statistics
 import sys
 import time
@@ -43,7 +42,6 @@ PAIRS = {
     "catalog": (T.catalog, "kinetic_minus_potential(2)", "dy_squared"),
 }
 SIZES = (11, 101, 1001)
-FIXED = "fixed" in inspect.signature(_factors).parameters
 
 
 def cases():
@@ -57,11 +55,9 @@ def cases():
             rows = np.repeat(y[None, :], 8192 // n, axis=0)
             rows[:, 1:-1] += 1e-3 * rng.standard_normal((len(rows), n - 2))
             row, block = _slot_args(p, y), _slot_args(p, rows)
-            # Where the passes take the plan a solve fixes for its t as an argument, pass it too.
-            f = (p._plan and p._plan.fix(row[1][0], row[2][0]),) if FIXED else ()
-            yield name, n, "values-row", lambda p=p, a=row, f=f: _factors(p, a, *f)
-            yield name, n, "values-block", lambda p=p, a=block, f=f: _factors(p, a, *f)
-            yield name, n, "partials", lambda p=p, a=row, f=f: _Partials(p, a, *f)
+            yield name, n, "values-row", lambda p=p, a=row: _factors(p, a)
+            yield name, n, "values-block", lambda p=p, a=block: _factors(p, a)
+            yield name, n, "partials", lambda p=p, a=row: _Partials(p, a)
 
 
 def batch(call, number: int) -> float:
