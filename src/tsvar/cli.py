@@ -189,7 +189,7 @@ def _print_report(report) -> None:
         f"deviation = {_fmt(report.deviation)}"
     )
     for t, r in zip(report.times, report.residual_trace):
-        print(f"  t = {_fmt(t)}  trace = {_fmt(r)}  trace - c = {_fmt(r - report.constant_c)}")
+        print(f"  t = {_fmt(t)}  trace = {_fmt(r)}  trace - c = {_fmt(float(r) - report.constant_c)}")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ because numpy does not promise libm's results for them.  The per-point
 callables ``eval``, ``d2`` and ``d3`` run the same instructions as a
 pass over 0-d arrays, so a grid pass gives bit for bit what they give at
 each point.  A ``Lagrangian(eval, d2, d3, origin)`` built by hand has no
-program; its ``values`` and ``partials`` call its callables once per
+program; it branches once, in ``_pass``, and calls its callables once per
 point.  The product functional (``tsvar.variational``) runs a pair of
 parsed densities as one hash-consed tape, which computes each subtree
 they share once.
@@ -87,7 +87,7 @@ class Lagrangian:
 
     ``eval``, ``d2`` and ``d3`` take one point (t, u, v).  ``program`` is
     the flat instruction list of a parsed density, or None for one built by
-    hand from callables.
+    hand from callables, which ``_pass`` alone tells apart.
     """
 
     eval: Callable[[float, float, float], float]
@@ -98,19 +98,19 @@ class Lagrangian:
 
     def values(self, t, u, v) -> np.ndarray:
         """The density at every point of the broadcast arrays (t, u, v)."""
-        return self._values(t, u, v, strict=True)
+        return self._pass(t, u, v)
 
     def partials(self, t, u, v) -> np.ndarray:
         """``d2`` and ``d3`` at every point of the broadcast arrays (t, u, v), as one array's rows."""
-        if self.program is None:
-            return np.array(_per_point((self.d2, self.d3), t, u, v))
-        return run(self.program, t, u, v, SEEDS)
+        return self._pass(t, u, v, SEEDS)
 
-    def _values(self, t, u, v, strict: bool) -> np.ndarray:
-        """``values``; unless ``strict``, nan in place of an ``EvalDomainError`` at each point that fails."""
-        if self.program is None:
-            return _per_point((self.eval if strict else partial(_nan_on_error, self.eval),), t, u, v)[0]
-        return run(self.program, t, u, v, strict=strict)
+    def _pass(self, t, u, v, seeds: tuple = (), strict: bool = True) -> np.ndarray:
+        """``run``'s output over (t, u, v), ``seeds`` () or ``SEEDS``; by hand, each callable once per point."""
+        if self.program is not None:
+            return run(self.program, t, u, v, seeds, strict)
+        fns = (self.d2, self.d3) if seeds else (self.eval,)
+        out = _per_point([fn if strict else partial(_nan_on_error, fn) for fn in fns], t, u, v)
+        return np.array(out) if seeds else out[0]
 
 
 def _nan_on_error(fn, t: float, u: float, v: float) -> float:

@@ -154,11 +154,9 @@ def _pow(checked: bool, failed, j, x, z, where=True):
     Python's pow goes complex for a negative base under a fractional
     exponent, and raises for a zero base under a negative one, and on
     overflow, found from an infinite result.  Where a check fails the base
-    is 1.0.  Under a scalar exponent that is a non-negative integer only
-    overflow can fail; ``checked`` is False for a literal one.
+    is 1.0.  Under an exponent that is a non-negative integer only overflow
+    can fail; ``checked`` is False for a literal one.
     """
-    if checked and not (isinstance(z, np.ndarray) and z.ndim) and float(z) >= 0.0 and float(z).is_integer():
-        checked = False  # a scalar exponent that is a non-negative integer
     if checked and np.count_nonzero(np.less_equal(x, 0.0)):  # both checks need a base <= 0
         fractional = np.not_equal(z - np.trunc(z), 0.0)  # inf and nan too, as float.is_integer says
         checks = [(mask, template) for mask, template in (

@@ -156,7 +156,8 @@ def chord(p: VariationalProblem) -> GridFunction:
     """Linear interpolation between the boundary values; the default start."""
     pts = p.scale.points
     span = pts[-1] - pts[0]
-    vals = p.alpha + (p.beta - p.alpha) * (pts - pts[0]) / span
+    with np.errstate(all="ignore"):  # a span beta - alpha past the float range fails in GridFunction
+        vals = p.alpha + (p.beta - p.alpha) * (pts - pts[0]) / span
     vals = np.asarray(vals, dtype=float).copy()
     vals[0] = p.alpha
     vals[-1] = p.beta
@@ -277,7 +278,7 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
     with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
         quot = (right - left) / gaps[edge]
         delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
-        ld, ln = _passes(p, delta, nabla, strict=False, fixed=False)  # t varies along the rows
+        ld, ln = _passes(p, delta, nabla)  # a t per row: the unfixed tape, nan where a pair fails
     ld, ln = ld.ravel(), ln.ravel()
     # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
     # number, or its one digit there on a boundary edge.

@@ -45,14 +45,16 @@ q_i at t_i and the nabla slot the same q_i at t_{i+1}, so a parsed pair
 runs as one hash-consed tape (``tsvar.program.Program``), where a
 subtree of either density that reads only dy (``dy^2``) is one register,
 and a problem computes the registers that read only t once (``_fixed``).
-A pair with a hand-built density runs one ``Lagrangian`` call per factor
-(``_passes`` decides).  The difference quotients, the passes, the factor
-sums, the gradient's and the EL trace's products with the factors, and
-the trace's mean and deviation are computed with numpy's floating-point
-warnings off: the passes of a pair and their sums under one
-``np.errstate``.  An overflow shows as a non-finite density value (which
-the density rejects as a domain error), a non-finite factor, gradient or
-trace, or a nan deviation, which fails ``passes``.
+A pass's slots set its policy (``_passes``): rows raise, stacks give nan,
+and the scale's one-row t runs the fixed tape; a hand-built density
+branches once, in ``Lagrangian._pass``.  The difference quotients, the
+passes, the factor sums, the gradient's and the EL trace's products with
+the factors, the running sums of the EL terms, the trace's mean and
+deviation, and the pointwise residuals are computed with numpy's
+floating-point warnings off: the passes of a pair and their sums under
+one ``np.errstate``.  An overflow shows as a non-finite density value
+(which the density rejects as a domain error), a non-finite factor,
+gradient, trace or residual, or a nan deviation, which fails ``passes``.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ class ELReport:
         c = self.constant_c
         for t, r in zip(self.times, self.residual_trace):
             lines.append(
-                f"{t:.17g},{r:.17g},{c:.17g},{r - c:.17g}"
+                f"{t:.17g},{r:.17g},{c:.17g},{float(r) - c:.17g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -208,17 +210,17 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
     return float(sums) if values.ndim == 1 else sums
 
 
-def _passes(p: VariationalProblem, delta, nabla, seeds: tuple = (), strict: bool = True, fixed: bool = True):
-    """Both densities' passes over their slot arguments (strict with seeds), under the caller's ``np.errstate``.
+def _passes(p: VariationalProblem, delta, nabla, seeds: tuple = ()):
+    """Both densities' passes over their slot arguments, under the caller's ``np.errstate``.
 
-    A parsed pair runs its tape, fixed for the scale's t unless ``fixed`` is False; a pair with a
-    hand-built density runs each density by its own ``Lagrangian`` methods.
+    A one-row y raises and a stack gets nan where a row fails; a one-row t is the scale's own
+    (only ``_slot_args`` builds one) and runs the tape fixed for it, the oracle's t per row the tape.
     """
-    tape = p._fixed if fixed else p._tape
+    strict = delta[1].ndim == 1
+    tape = p._fixed if delta[0].ndim == 1 else p._tape
     if tape is not None:
         return _run(tape, (*delta, *nabla[:2]), seeds, strict)
-    sides = (p.l_delta, delta), (p.l_nabla, nabla)
-    return [L.partials(*a) if seeds else L._values(*a, strict=strict) for L, a in sides]
+    return [L._pass(*a, seeds, strict) for L, a in ((p.l_delta, delta), (p.l_nabla, nabla))]
 
 
 def _factors(p: VariationalProblem, args):
@@ -231,7 +233,7 @@ def _factors(p: VariationalProblem, args):
     """
     gaps, delta, nabla = args
     with np.errstate(all="ignore"):
-        ld, ln = _passes(p, delta, nabla, strict=delta[1].ndim == 1)
+        ld, ln = _passes(p, delta, nabla)
         return _factor(gaps, ld), _factor(gaps, ln)
 
 
@@ -264,10 +266,11 @@ class _Partials:
         gaps = self.gaps
         # Running integrals of the state partials; entry k covers points < k
         # (delta side) respectively points <= k (nabla side).
-        run_a = np.concatenate(([0.0], np.cumsum(gaps * self.d2d)))
-        run_b = np.concatenate(([0.0], np.cumsum(gaps * self.d2n)))
-        f = self.d3d - run_a[:-1]  # entry k: point index k over upper-kappa
-        g = self.d3n - run_b[1:]  # entry j: point index j+1 over lower-kappa
+        with np.errstate(all="ignore"):  # an overflowing sum gives a nan deviation, which fails
+            run_a = np.concatenate(([0.0], np.cumsum(gaps * self.d2d)))
+            run_b = np.concatenate(([0.0], np.cumsum(gaps * self.d2n)))
+            f = self.d3d - run_a[:-1]  # entry k: point index k over upper-kappa
+            g = self.d3n - run_b[1:]  # entry j: point index j+1 over lower-kappa
         return f, g
 
 
@@ -375,8 +378,9 @@ def classic_el_residuals(
         raise ValueError(f"need at least 4 points for the pointwise residuals, got {len(p.scale)}")
     parts = _Partials(p, _slot_args(p, y.values))
     gaps = parts.gaps
-    delta_res = (parts.d3d[1:] - parts.d3d[:-1]) / gaps[:-1] - parts.d2d[:-1]
-    nabla_res = (parts.d3n[1:] - parts.d3n[:-1]) / gaps[1:] - parts.d2n[1:]
+    with np.errstate(all="ignore"):  # a residual past the float range fails in PartialGridFunction
+        delta_res = (parts.d3d[1:] - parts.d3d[:-1]) / gaps[:-1] - parts.d2d[:-1]
+        nabla_res = (parts.d3n[1:] - parts.d3n[:-1]) / gaps[1:] - parts.d2n[1:]
     return (
         PartialGridFunction(p.scale, kappa_set(p.scale, KappaKind.UPPER_SQUARED), delta_res),
         PartialGridFunction(p.scale, kappa_set(p.scale, KappaKind.LOWER_SQUARED), nabla_res),

@@ -294,6 +294,36 @@ def test_check_el_fail_and_loose_tolerance(tmp_path, capsys):
     assert "stationarity check: PASS" in capsys.readouterr().out
 
 
+def test_overflowing_reports_print_without_warning(tmp_path, capsys):
+    # The delta density's running sum overflows, so the EL traces end in
+    # -inf, c is -inf and the deviations nan; solve and check-el print
+    # them, trace - c as nan where both are -inf, and nothing on stderr.
+    data = {**EXAMPLE, "lagrangian_delta": "1e308*y", "lagrangian_nabla": "dy^2 + 1", "beta": 1.0,
+            "solver": {"max_iterations": 0}}
+    prob = write_problem(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main(["solve", prob, "--out", str(out)]) == 2
+    assert "EL1 deviation = nan (c = -inf)\n" in capsys.readouterr().out
+    path = tmp_path / "y.csv"
+    path.write_text("t,y\n0,0\n1,0.5\n2,1\n")
+    assert cli.main(["check-el", prob, "--y", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "EL1: c = -inf, deviation = nan", "  t = 1  trace = 1.5e+308  trace - c = inf",
+        "  t = 2  trace = -inf  trace - c = nan"]
+    proc = subprocess.run([sys.executable, "-m", "tsvar", "solve", prob, "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_chord_past_the_float_range_is_an_error_without_warning(tmp_path):
+    # beta - alpha overflows, so the default start is not finite: exit 1
+    # with the error alone on stderr.
+    prob = write_problem(tmp_path, {**EXAMPLE, "alpha": -1e308, "beta": 1e308})
+    proc = subprocess.run([sys.executable, "-m", "tsvar", "solve", prob, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "error: non-finite value at index 1\n")
+
+
 def test_check_el_rejects_bad_header(tmp_path, capsys):
     prob = write_problem(tmp_path, EXAMPLE)
     path = tmp_path / "y.csv"

@@ -70,6 +70,20 @@ def test_config_accepts_numpy_numbers():
     assert solve(square_problem(), config).converged
 
 
+def test_chord_past_the_float_range_raises_without_warning():
+    # beta - alpha overflows to inf, so the chord is not finite inside and
+    # GridFunction rejects it, from ``chord`` and from ``solve``, with no
+    # RuntimeWarning (the suite turns one into an error).  A finite chord
+    # whose last entry overflows before beta replaces it keeps its bits.
+    ts = make_timescale([0.0, 1.0, 2.0])
+    p = VariationalProblem(ts, parse_lagrangian("dy^2"), parse_lagrangian("dy^2"), -1e308, 1e308)
+    for call in (chord, solve):
+        with pytest.raises(ValueError, match=r"^non-finite value at index 1$"):
+            call(p)
+    p = VariationalProblem(ts, p.l_delta, p.l_nabla, -8e307, 9e307)
+    assert chord(p).values.tolist() == [-8e307, -8e307 + (9e307 - -8e307) * 1.0 / 2.0, 9e307]
+
+
 def test_chord_is_linear_with_exact_endpoints():
     ts = make_timescale([0.0, 0.3, 1.0, 3.0])
     p = VariationalProblem(ts, parse_lagrangian("dy^2"),

@@ -605,11 +605,16 @@ def solve_bits(p, maximize):
 def test_pair_that_shares_nothing_runs_as_one_tape(monkeypatch):
     # The catalog pair shares no subtree, yet runs as one tape: each
     # ``_factors`` call, over one row or a block, runs the steps once, and
-    # no density runs alone.
-    p = VariationalProblem(uniform_scale(0.0, 1.0, 11), catalog("kinetic_minus_potential(2)"),
-                           catalog("dy_squared"), 0.0, 1.0)
+    # no density runs alone.  The slots pick the tape: a row, a block and a
+    # partials pass read the scale's one t and run the tape fixed for it,
+    # and the oracle's passes, a t per row, run the unfixed tape.  A pair
+    # that reads t has a fixed tape of its own.
+    scale = uniform_scale(0.0, 1.0, 11)
+    p = VariationalProblem(scale, catalog("kinetic_minus_potential(2)"), catalog("dy_squared"), 0.0, 1.0)
     tape = p._tape
     assert not [r for r in set(tape.outs[0][1]) & set(tape.outs[1][1]) if tape.reads[r] & tsvar.program.COMPUTES]
+    q = VariationalProblem(scale, parse_lagrangian("dy^2 + sin(t)*y"), parse_lagrangian("dy^2 + cos(t)"), 0.0, 1.0)
+    assert q._fixed is not q._tape
     calls, each = [], tsvar.variational._run
 
     def counted(*args):
@@ -621,11 +626,19 @@ def test_pair_that_shares_nothing_runs_as_one_tape(monkeypatch):
 
     monkeypatch.setattr(tsvar.variational, "_run", counted)
     monkeypatch.setattr(tsvar.lagrangian, "run", alone)
-    y = chord(p).values + 0.1 * np.sin(np.pi * p.scale.points)
-    for vals in (y, np.stack([y, 2.0 * y])):
+    for x in (p, q):
+        y = chord(x).values + 0.1 * np.sin(np.pi * x.scale.points)
+        for vals in (y, np.stack([y, 2.0 * y])):
+            del calls[:]
+            _factors(x, _slot_args(x, vals))
+            assert calls == [x._fixed]
         del calls[:]
-        _factors(p, _slot_args(p, vals))
-        assert calls == [p._fixed]
+        _Partials(x, _slot_args(x, y))
+        assert calls == [x._fixed]
+        small = VariationalProblem(make_timescale([0.0, 0.3, 0.7, 1.0]), x.l_delta, x.l_nabla, 0.0, 1.0)
+        del calls[:]
+        brute_force_oracle(small, (-1.0, 2.0), 11)
+        assert calls and all(c is small._tape for c in calls)
 
 
 def test_shared_failing_register_replays_its_failures():
@@ -669,3 +682,38 @@ def test_shared_failing_register_replays_its_failures():
     want, have = (outcome(lambda x=x: brute_force_oracle(x, (-3.0, 3.0), 15).values) for x in (boxed, box))
     assert have == want and not isinstance(have[0], type)
 
+
+# --- overflow inside the EL reports, without a RuntimeWarning ------------
+
+
+def test_overflowing_el_running_sums_warn_nothing():
+    # The delta density's state partial is 1e308, so the running sum of its
+    # terms overflows at the last point: the EL1 and EL2 trace runs into
+    # -inf and its deviation is nan, which fails, and no RuntimeWarning
+    # escapes (the suite turns one into an error).  The corollary traces
+    # read no overflowed sum and stay finite.  The CSV's
+    # trace - c is nan where the trace and c are both -inf.
+    p = VariationalProblem(make_timescale([0.0, 1.0, 2.0]), parse_lagrangian("1e308*y"),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    y = chord(p)
+    r = solve(p, SolverConfig(max_iterations=0))
+    assert r.iterations == 0 and not r.converged
+    for report in (el_residual_1(p, y), el_residual_2(p, y), r.el1, r.el2):
+        assert report.residual_trace.tolist() == [1.5e308, -math.inf]
+        assert report.constant_c == -math.inf
+        assert math.isnan(report.deviation) and not report.passes()
+    cor1, cor2 = el_residual_cor1(p, y), el_residual_cor2(p, y)
+    assert (cor1.residual_trace.tolist(), cor1.deviation) == ([1.0, 1.0], 0.0)
+    assert (cor2.residual_trace.tolist(), cor2.deviation) == ([0.0, -1e308], 1e308 / 2)
+    assert el_residual_1(p, y).to_csv() == "t,trace,c,trace_minus_c\n1,1.5e+308,-inf,inf\n2,-inf,-inf,nan\n"
+
+
+def test_overflowing_classic_residual_raises_without_warning():
+    # d3Ld = 1.5e308*sin(t) is about 1.5e308 at t = 1.5 and -1.5e308 at
+    # t = 4.5, so their difference in the delta residual overflows: the
+    # residual is not finite and PartialGridFunction rejects it, with no
+    # RuntimeWarning.
+    scale = make_timescale([0.0, 1.5, 4.5, 6.0, 7.0])
+    p = VariationalProblem(scale, parse_lagrangian("1.5e308*sin(t)*dy"), parse_lagrangian("dy^2"), 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^non-finite value at domain position 1$"):
+        classic_el_residuals(p, GridFunction(scale, [0.0, 0.1, -0.1, 0.1, 0.0]))
