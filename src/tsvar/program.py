@@ -201,8 +201,9 @@ def _power(checked: tuple, active: bool, failed, j, b, tb, e, te):
         _fail(failed, j, ~fixed & np.less_equal(b, 0.0),
               "base {0!r} must be positive when the exponent carries a derivative", b)
     value = _pow(checked[0], failed, j, b, e)
+    literal = te is None and isinstance(e, float)
     # At a zero base under a live exponent the value is +0.0, and the walk goes on.
-    if te is None and isinstance(e, float):
+    if literal:
         live = all_live = e != 0.0
         at_zero = np.equal(b, 0.0) if live else np.False_
     else:
@@ -213,7 +214,8 @@ def _power(checked: tuple, active: bool, failed, j, b, tb, e, te):
     everywhere = te is None and all_live and not any_zero  # the power rule at every point
     # A base of 1.0 keeps the power rule from failing where it does not apply.
     base = b if everywhere else np.where(live & ~at_zero & (te is None or np.any(fixed, axis=0)), b, 1.0)
-    factor = e * _pow(checked[1], failed, j, base, e - 1.0, where=fixed)  # shared by the seeds
+    # Shared by the seeds; b ^ 1.0 is b under any pow accurate to under one ulp, and cannot overflow.
+    factor = e * (base if literal and e == 2.0 else _pow(checked[1], failed, j, base, e - 1.0, where=fixed))
     tangent = factor * tb if all_live else np.where(live, factor * tb, 0.0)
     if any_zero:  # only exponents >= 1, or a zero base tangent, survive
         _fail(failed, j, fixed & at_zero & ~np.greater_equal(e, 1.0) & np.not_equal(tb, 0.0),

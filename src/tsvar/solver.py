@@ -6,10 +6,16 @@ halved after each rejection down to 1e-300, accepted on strict decrease
 with Armijo constant 1e-4.  The search evaluates its trials in blocks of
 consecutive steps, one value pass per factor over a block's (trials x
 points) array, and accepts the block's first trial that passes: the step
-that trying one step at a time accepts, bit for bit.  A block holds k + 2
-trials, k being the rung the previous iteration accepted (0 for step 1),
-and one trial on the first iteration, but at most 8192 // n trials (and
-at least one) at n points.  A block's pass allocates one (trials x points)
+that trying one step at a time accepts, bit for bit.  A block holds at
+most cap = 8192 // n trials (and at least one) at n points.  An iteration
+predicts P = k + 2 trials, k being the rung the previous one accepted (0
+for step 1), and runs blocks of ceil(P / ceil(P / cap)) trials, so that
+ceil(P / cap) passes cover them.  The first iteration has no prediction:
+its block holds one trial and doubles, up to the cap, after each pass
+that accepts none.  A block's rows are s * g' then y minus that, in
+place, g' being the gradient with 0.0 at each end, so every interior
+entry is y - s * g, rounded as one trial at a time rounds it, and each
+end is y itself.  A block's pass allocates one (trials x points)
 temporary per numpy operation; at 64 KiB or less each stays under the C
 allocator's default 128 KiB threshold for fresh memory maps, so it reuses
 heap memory instead of faulting in zeroed pages.  A trial that leaves a
@@ -156,9 +162,12 @@ def chord(p: VariationalProblem) -> GridFunction:
     """Linear interpolation between the boundary values; the default start."""
     pts = p.scale.points
     span = pts[-1] - pts[0]
+    rise, run = p.beta - p.alpha, pts - pts[0]
     with np.errstate(all="ignore"):  # a span beta - alpha past the float range fails in GridFunction
-        vals = p.alpha + (p.beta - p.alpha) * (pts - pts[0]) / span
-    vals = np.asarray(vals, dtype=float).copy()
+        product = rise * run
+        vals = p.alpha + product / span
+        # Where only the product overflows, dividing first keeps a finite chord finite.
+        vals = np.where(np.isinf(product) & math.isfinite(rise), p.alpha + rise * (run / span), vals)
     vals[0] = p.alpha
     vals[-1] = p.beta
     return GridFunction(p.scale, vals)
@@ -197,7 +206,7 @@ def solve(
     args = _slot_args(p, vals)
     jd, jn = _factors(p, args)  # then carried over with ``args`` from each accepting trial
     converged = False
-    block = 1  # trials per value pass, as the module docstring says
+    predicted = 0  # trial rows the search is predicted to need; none before the first
     cap = max(1, _BLOCK_ELEMENTS // len(vals))
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
@@ -215,11 +224,13 @@ def solve(
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
         with np.errstate(all="ignore"):  # an infinite component overflows the slope
             slope = float(np.dot(grad / scale, grad / scale))
+        padded = np.concatenate(([0.0], grad, [0.0]))  # y - s * 0.0 keeps each boundary value
+        block = math.ceil(predicted / math.ceil(predicted / cap)) if predicted else 1
         k = 0  # the ladder's first rung not yet tried
         while k < len(_STEPS):
             steps = _STEPS[k:k + block]
-            trials = np.repeat(vals[None, :], len(steps), axis=0)
-            trials[:, 1:-1] -= steps[:, None] * grad
+            trials = steps[:, None] * padded
+            np.subtract(vals, trials, out=trials)
             trial_args = _slot_args(p, trials)
             trial_jd, trial_jn = _factors(p, trial_args)  # nan for a trial that leaves the domain
             f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
@@ -229,6 +240,8 @@ def solve(
                 row = passed.index(True)
                 break
             k += len(steps)
+            if not predicted:
+                block = min(2 * block, cap)
         else:
             # No step passes: the last rung on its own raises if domain errors trapped the search.
             try:
@@ -239,7 +252,7 @@ def solve(
                     f"domain errors; last trial: {exc}"
                 ) from exc
             break
-        block = min(k + row + 2, cap)
+        predicted = k + row + 2
         vals, args = trials[row], _row(trial_args, row)
         jd, jn = float(trial_jd[row]), float(trial_jn[row])
 

@@ -194,7 +194,8 @@ def _slot_args(p: VariationalProblem, vals: np.ndarray):
     """
     pts, gaps = p.scale.points, p.scale.gaps
     with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
-        quot = (vals[..., 1:] - vals[..., :-1]) / gaps
+        quot = np.subtract(vals[..., 1:], vals[..., :-1])
+        np.divide(quot, gaps, out=quot)
     # Delta slot: density at (t_i, y(i+1), quot_i) for i over upper-kappa.
     # Nabla slot: density at (t_i, y(i-1), quot_{i-1}) for i over lower-kappa.
     return gaps, (pts[:-1], vals[..., 1:], quot), (pts[1:], vals[..., :-1], quot)

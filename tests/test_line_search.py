@@ -15,6 +15,7 @@ from tsvar import (
     VariationalProblem,
     catalog,
     chord,
+    first_variation_gradient,
     make_timescale,
     parse_lagrangian,
     solve,
@@ -162,19 +163,20 @@ def test_forced_domain_errors_in_a_block(monkeypatch, final_gradient):
     assert_same_outcome(got, want)
     assert before in want_calls and before in got_calls
     assert after not in want_calls and after in got_calls
-    # Blocks of four rows ran in iterations 1-7, and in 7 the block's
-    # first row reached 0.0.
+    # Iteration 0 has no prediction: a one-row pass rejects rung 0 and a
+    # two-row pass accepts rung 2.  Blocks of four rows ran in iterations
+    # 1-7, and in 7 the block's first row reached 0.0.
     blocks = [vals[:, 1].tolist() for vals in builds if vals.ndim == 2 and len(vals) > 1]
-    assert [len(rows) for rows in blocks[:7]] == [4] * 7
-    assert [rows[2] for rows in blocks[:6]] == path[2:8]
-    assert blocks[6][0] == 0.0
+    assert [len(rows) for rows in blocks[:8]] == [2] + [4] * 7
+    assert [rows[2] for rows in blocks[1:7]] == path[2:8]
+    assert blocks[7][0] == 0.0
     if final_gradient == 0.0:
         assert got.converged and got.iterations == 8 and got.y.values[1] == 0.0
-        assert len(blocks) == 7
+        assert len(blocks) == 8
     else:
         # At 0.0 every trial raises; the rungs then run two per pass, the
         # ladder's 997th and last rung alone, and the error names that one.
-        assert blocks[7:] == [[-2.0 ** -k, -2.0 ** -(k + 1)] for k in range(0, 996, 2)]
+        assert blocks[8:] == [[-2.0 ** -k, -2.0 ** -(k + 1)] for k in range(0, 996, 2)]
         assert str(got).endswith("last trial: forced failure at (t=0.0, u=-1.4932217896051502e-300, "
                                  "v=-1.4932217896051502e-300)")
 
@@ -234,6 +236,48 @@ def test_no_block_exceeds_the_row_cap(monkeypatch, n):
     assert max(rows) <= row_cap(n)
     if n > 11:  # the searches accept rungs past the cap, so it binds
         assert max(rows) == row_cap(n)
+
+
+def test_blocks_fit_the_predicted_rows(monkeypatch):
+    # An iteration spreads the P rows it predicts (the rung the previous one
+    # accepted + 2) over ceil(P / cap) passes of equal size, and the first
+    # iteration doubles its block after each pass that accepts nothing.
+    # Chunks of min(P, cap) rows, with one row per pass on the first
+    # iteration, built 462 rows here, in 62 passes too.
+    build, ld, ln = PAIRS["catalog"]
+    p = VariationalProblem(make_timescale(np.linspace(0.0, 1.0, 1001)), build(ld), build(ln), 0.0, 1.0)
+    rows = stacked_rows(monkeypatch)
+    assert solve(p, SolverConfig(max_iterations=BUDGET)).iterations == BUDGET
+    assert (sum(rows), len(rows)) == (375, 62)
+
+
+@pytest.mark.parametrize("start", ["chord", "spike"])
+def test_trial_rows_keep_the_boundary_values(monkeypatch, start):
+    # A trial row's ends are y - s * 0.0: alpha = -0.0 stays -0.0, and an
+    # infinite gradient component beside an end does not reach it.
+    if start == "chord":
+        build, ld, ln = PAIRS["expr"]
+        p = VariationalProblem(make_timescale(np.linspace(0.0, 1.0, 11)), build(ld), build(ln), -0.0, 1.0)
+        y0 = chord(p)
+    else:
+        p = VariationalProblem(make_timescale([0.0, 1.0, 2.0, 3.0]), catalog("dy_squared"),
+                               catalog("dy_squared"), -0.0, 0.0)
+        y0 = GridFunction(p.scale, [-0.0, 1e150, 0.0, 0.0])
+        assert np.isinf(first_variation_gradient(p, y0)).all()
+    builds = []
+
+    def counted(p, vals):
+        builds.append(vals.copy())
+        return _slot_args(p, vals)
+
+    monkeypatch.setattr("tsvar.solver._slot_args", counted)
+    assert_same_outcome(outcome(lambda: solve(p, SolverConfig(max_iterations=BUDGET), y0=y0)),
+                        outcome(lambda: sequential_solve(p, BUDGET, y0=y0)))
+    trials = [vals for vals in builds if vals.ndim == 2]
+    assert len(trials) > 1
+    for vals in trials:
+        assert vals[:, 0].tobytes() == np.full(len(vals), -0.0).tobytes()
+        assert vals[:, -1].tobytes() == np.full(len(vals), p.beta).tobytes()
 
 
 def test_block_memory_stays_bounded():

@@ -84,6 +84,17 @@ def test_chord_past_the_float_range_raises_without_warning():
     assert chord(p).values.tolist() == [-8e307, -8e307 + (9e307 - -8e307) * 1.0 / 2.0, 9e307]
 
 
+def test_chord_divides_first_where_only_the_product_overflows():
+    # (beta - alpha) * (t - a) overflows at index 2, though the chord there
+    # is finite: that entry is alpha + (beta - alpha) * ((t - a) / span).
+    ts = make_timescale([0.0, 1.0, 2.0, 3.0])
+    p = VariationalProblem(ts, parse_lagrangian("1"), parse_lagrangian("1"), -8e307, 9e307)
+    rise = 9e307 - -8e307
+    want = [-8e307, -8e307 + rise * 1.0 / 3.0, -8e307 + rise * (2.0 / 3.0), 9e307]
+    assert chord(p).values.tolist() == want
+    assert solve(p).y.values.tolist() == want
+
+
 def test_chord_is_linear_with_exact_endpoints():
     ts = make_timescale([0.0, 0.3, 1.0, 3.0])
     p = VariationalProblem(ts, parse_lagrangian("dy^2"),

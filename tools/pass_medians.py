@@ -14,7 +14,16 @@ the chord, it times three calls the way a solve makes them:
 Each sample times a batch of calls (about 2 ms), and the samples of all
 rows are taken in turn, so a drift in machine speed reaches every row
 alike.  It prints the median and the quartiles of the time per call, in
-microseconds, over ``--repeat`` samples per row.  It imports the package
+microseconds, over ``--repeat`` samples per row.
+
+A second table counts the line search's work in one budgeted solve from
+the chord, for the expression pair at n = 101 (budget 50) and the catalog
+pair at n = 1001 (budget 30), on a uniform and a seeded scale: the trial
+rows it builds and its value passes, read from a spy on the solver's
+``_slot_args``, and the rows a one-trial-at-a-time search would build, the
+sum over iterations of the accepted rung + 1, read from a spy on its
+``_row``.  Their ratio is the share of built rows the search needed.  The
+counts repeat exactly.  It imports the package
 from the ``src`` of the checkout it sits in; to compare two checkouts,
 copy it into both, as for ``tools/fingerprints.py``:
 
@@ -35,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import tsvar as T  # noqa: E402
+import tsvar.solver as solver  # noqa: E402
 from tsvar.variational import _factors, _Partials, _slot_args  # noqa: E402
 
 PAIRS = {
@@ -42,6 +52,7 @@ PAIRS = {
     "catalog": (T.catalog, "kinetic_minus_potential(2)", "dy_squared"),
 }
 SIZES = (11, 101, 1001)
+SEARCHES = {"expr": (101, 50), "catalog": (1001, 30)}  # n and budget per pair
 
 
 def cases():
@@ -58,6 +69,52 @@ def cases():
             yield name, n, "values-row", lambda p=p, a=row: _factors(p, a)
             yield name, n, "values-block", lambda p=p, a=block: _factors(p, a)
             yield name, n, "partials", lambda p=p, a=row: _Partials(p, a)
+
+
+def seeded_points(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    gaps = 10.0 ** rng.uniform(-2.0, 0.0, n - 1)
+    pts = np.concatenate(([0.0], np.cumsum(gaps))) / float(np.sum(gaps))
+    pts[-1] = 1.0
+    return pts
+
+
+def search_counts(p, budget: int) -> tuple[int, int, int]:
+    """Trial rows and value passes of one budgeted solve, and the rows one trial per pass would build."""
+    take = solver._row
+    built, ladder = [], 0
+    since = 0  # rows built since the last accepted trial
+
+    def slot_args(p, vals):
+        nonlocal since
+        if vals.ndim == 2:
+            built.append(len(vals))
+            since += len(vals)
+        return _slot_args(p, vals)
+
+    def row(args, i: int):
+        nonlocal ladder, since
+        ladder += since - built[-1] + i % built[-1] + 1  # i = -1: the whole ladder
+        since = 0
+        return take(args, i)
+
+    solver._slot_args, solver._row = slot_args, row
+    try:
+        solver.solve(p, T.SolverConfig(max_iterations=budget))
+    finally:
+        solver._slot_args, solver._row = _slot_args, take
+    return sum(built), len(built), ladder
+
+
+def search_table() -> list[str]:
+    lines = [f"{'pair':8} {'n':>5} {'scale':8} {'rows':>6} {'passes':>6} {'ladder':>6} {'needed':>6}"]
+    for name, (n, budget) in SEARCHES.items():
+        build, delta, nabla = PAIRS[name]
+        for kind, pts in (("uniform", np.linspace(0.0, 1.0, n)), ("seeded", seeded_points(n, 41))):
+            p = T.VariationalProblem(T.make_timescale(pts), build(delta), build(nabla), 0.0, 1.0)
+            rows, passes, ladder = search_counts(p, budget)
+            lines.append(f"{name:8} {n:5d} {kind:8} {rows:6d} {passes:6d} {ladder:6d} {ladder / rows:6.2f}")
+    return lines
 
 
 def batch(call, number: int) -> float:
@@ -85,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         q1, _, q3 = statistics.quantiles(got, n=4) if len(got) > 1 else got * 3
         median = statistics.median(got)
         print(f"{name:8} {n:5d} {kind:13} {median:10.1f} {q1:10.1f} {q3:10.1f}")
+    print()
+    print("\n".join(search_table()))
     return 0
 
 
