@@ -72,15 +72,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _require_number(data: dict, key: str, path: str) -> float:
-    value = data.get(key)
+def _require_number(value, name: str, path: str) -> float:
+    """``value`` as a float if it is a JSON number, which a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(f"{path}: key {key!r} must be a number")
+        raise ProblemFileError(f"{path}: {name} must be a number")
     return float(value)
 
 
 def _load_scale(spec, path: str) -> TimeScale:
     if isinstance(spec, list):
+        for i, value in enumerate(spec):
+            _require_number(value, f"'timescale' entry {i}", path)
         return make_timescale(spec)
     if isinstance(spec, dict):
         if set(spec) != {"uniform"}:
@@ -90,8 +92,8 @@ def _load_scale(spec, path: str) -> TimeScale:
         body = spec["uniform"]
         if not isinstance(body, dict) or set(body) != {"a", "b", "n"}:
             raise ProblemFileError(f"{path}: 'uniform' needs exactly the keys 'a', 'b', 'n'")
-        a = _require_number(body, "a", path)
-        b = _require_number(body, "b", path)
+        a = _require_number(body["a"], "key 'a'", path)
+        b = _require_number(body["b"], "key 'b'", path)
         n = body["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise ProblemFileError(f"{path}: 'n' must be an integer")
@@ -143,8 +145,8 @@ def load_problem_file(path: str) -> tuple[VariationalProblem, SolverConfig]:
         scale=_load_scale(data["timescale"], path),
         l_delta=_load_lagrangian(data["lagrangian_delta"], "lagrangian_delta", path),
         l_nabla=_load_lagrangian(data["lagrangian_nabla"], "lagrangian_nabla", path),
-        alpha=_require_number(data, "alpha", path),
-        beta=_require_number(data, "beta", path),
+        alpha=_require_number(data.get("alpha"), "key 'alpha'", path),
+        beta=_require_number(data.get("beta"), "key 'beta'", path),
     )
 
     overrides = data.get("solver", {})

@@ -11,8 +11,8 @@ second slot (the shifted state ``u``) and the third slot (the derivative
   expression source (``dy*dy``, ``0.5``, ``0.5*dy*dy - 0.5*4.0*y*y``) and
   is parsed like any other.
 
-A parsed density is flattened once into a flat instruction list and
-compiled into rule steps (``tsvar.program.Program``).
+A parsed density's AST is hash-consed once into a tape and compiled into
+rule steps (``tsvar.program.Program``).
 ``Lagrangian.values`` runs them over whole arrays of (t, u, v);
 ``Lagrangian.partials`` runs them once carrying two forward-mode
 tangents, seeded in ``y`` and in ``dy``.  ``+ - * /``, negation, ``^``
@@ -21,8 +21,8 @@ arithmetic, ``pow`` and ``math.sqrt`` do (``^`` as ``float_power``,
 which calls libm's ``pow``; numpy's ``power`` does not match it);
 ``exp``, ``log``, ``sin`` and ``cos`` run per element through ``math``,
 because numpy does not promise libm's results for them.  The per-point
-callables ``eval``, ``d2`` and ``d3`` run the same instructions as a
-pass over 0-d arrays, so a grid pass gives bit for bit what they give at
+callables ``eval``, ``d2`` and ``d3`` run the same steps as a pass over
+0-d arrays, so a grid pass gives bit for bit what they give at
 each point.  A ``Lagrangian(eval, d2, d3, origin)`` built by hand has no
 program; it branches once, in ``_pass``, and calls its callables once per
 point.  The product functional (``tsvar.variational``) runs a pair of
@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .program import FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, EvalDomainError, Program, flatten, run
+from .program import COMPUTES, FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, EvalDomainError, Program, run
 
 __all__ = [
     "CATALOG_BUILDERS",
@@ -86,8 +86,8 @@ class Lagrangian:
     """Density and exact first partials in the second and third slots.
 
     ``eval``, ``d2`` and ``d3`` take one point (t, u, v).  ``program`` is
-    the flat instruction list of a parsed density, or None for one built by
-    hand from callables, which ``_pass`` alone tells apart.
+    the tape of a parsed density, built from its AST, or None for one built
+    by hand from callables, which ``_pass`` alone tells apart.
     """
 
     eval: Callable[[float, float, float], float]
@@ -294,7 +294,7 @@ def _point(program: Program, seeds: tuple, t: float, u: float, v: float) -> floa
 
 def parse_lagrangian(source: str) -> Lagrangian:
     """Build a Lagrangian from expression source; partials by forward-mode tangents."""
-    program = Program(flatten(parse(source)))
+    program = Program(parse(source))
     return Lagrangian(
         eval=partial(_point, program, ()),
         d2=partial(_point, program, (SEED_U,)),
@@ -307,11 +307,11 @@ def parse_lagrangian(source: str) -> Lagrangian:
 def _constant_argument(text: str, name: str) -> float:
     if text is None or not text.strip():
         raise ValueError(f"catalog entry {name!r} needs a constant argument")
-    code = flatten(parse(text))
-    if any(op == "var" for op, *_ in code):
+    program = Program(parse(text))
+    if program.reads[program.outs[0][0]] & ~COMPUTES:  # a slot's bit, even where the value is constant
         raise ValueError(f"catalog argument {text!r} must not reference variables")
     try:
-        return float(run(Program(code), 0.0, 0.0, 0.0))
+        return float(run(program, 0.0, 0.0, 0.0))
     except EvalDomainError as exc:
         raise ValueError(f"catalog argument {text!r}: {exc.reason}") from None
 

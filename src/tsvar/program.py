@@ -1,36 +1,37 @@
-"""Flat instruction lists, compiled once into rule steps: how a parsed density is evaluated.
+"""Density tapes built from the AST, compiled once into rule steps: how a parsed density is evaluated.
 
-``flatten`` turns an expression AST into instructions in evaluation order;
-a ``Program`` compiles them once per mode (values, partials) into rule
-steps.  ``run`` executes the steps over (t, y, dy) as arrays of any shape,
-a point as 0-d arrays, optionally carrying forward-mode tangents by the
-rules of first-order dual numbers (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008), every seed's in one array (the vector
-forward mode).  An exponent free of y and dy is passive: ``b ^ c`` takes
-the power rule c * b^(c-1) * db at every point.  numpy performs
-``+ - * /``, negation, ``^`` (``float_power``: libm's ``pow`` per element,
-as Python's ``pow``) and ``sqrt`` (correctly rounded); ``exp``, ``log``,
-``sin`` and ``cos`` run per element through ``math``, since numpy does not
-promise libm's results for them.  Every check of the real domain, and
-every error ``math`` would raise, is a mask with a message, so the map
-never raises.  A pass records each failed check under its register and
-raises the first failure's ``EvalDomainError`` with the message of the
-first check, in walk order, that fails there, as a dual-number walk
-of that point does; one that is not strict puts nan at every failed point
-instead.  A pass sets up only its register file, the shared seed columns
-and a failure list, computes the broadcast shape only to locate a failure
-or to fill an output that is not a fresh array of it; in partials it
-skips the values of ``add``, ``sub``, ``mul`` and ``neg`` no rule reads.
+A ``Program`` hash-conses the AST of a density, or of a delta/nabla pair,
+into one tape in an iterative post-order walk, and compiles the tape once
+per mode (values, partials) into rule steps.  ``run`` executes the steps
+over (t, y, dy) as arrays of any shape, a point as 0-d arrays, optionally
+carrying forward-mode tangents by the rules of first-order dual numbers
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008), every
+seed's in one array (the vector forward mode).  An exponent free of y and
+dy is passive: ``b ^ c`` takes the power rule c * b^(c-1) * db at every
+point.  numpy performs ``+ - * /``, negation, ``^`` (``float_power``:
+libm's ``pow`` per element, as Python's ``pow``) and ``sqrt`` (correctly
+rounded); ``exp``, ``log``, ``sin`` and ``cos`` run per element through
+``math``, since numpy does not promise libm's results for them.  Every
+check of the real domain, and every error ``math`` would raise, is a mask
+with a message, so the map never raises.  A pass records each failed check
+under its register and raises the first failure's ``EvalDomainError`` with
+the message of the first check, in walk order, that fails there, as a
+dual-number walk of that point does; one that is not strict puts nan at
+every failed point instead.  A pass sets up only its register file, the
+shared seed columns and a failure list, computes the broadcast shape only
+to locate a failure or to fill an output that is not a fresh array of it;
+in partials it skips the values of ``add``, ``sub``, ``mul`` and ``neg``
+no rule reads.
 
-A ``Program`` is one hash-consed tape: each distinct subtree of a density,
-or of a delta/nabla density pair, gets one register.  The two densities
-of a pair read one array of difference quotients as dy, so they share
-every subtree that reads only dy and literals (``dy^2`` in ``dy^2 + y^2``
-/ ``dy^2 + 1``); ``fix`` computes the registers that read only t once for
-every pass over one t.  A pass runs each step once, then finishes each
-density's output with the failure records in that density's cone, sorted
-by its own walk order, so every value, partial, nan and error stays bit
-for bit what the density alone gives.
+The tape gives each distinct subtree of a density, or of a delta/nabla
+density pair, one register.  The two densities of a pair read one array of
+difference quotients as dy, so they share every subtree that reads only dy
+and literals (``dy^2`` in ``dy^2 + y^2`` / ``dy^2 + 1``); ``fix`` computes
+the registers that read only t once for every pass over one t.  A pass
+runs each step once, then finishes each density's output with the failure
+records in that density's cone, sorted by its own walk order, so every
+value, partial, nan and error stays bit for bit what the density alone
+gives.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ from operator import itemgetter
 import numpy as np
 
 VARIABLES = ("t", "y", "dy")
+
+# A tape's slots in register order, as (variable, density): the delta density's t, y and dy, then the nabla
+# density's t and y.  The nabla density reads the delta density's dy, one array of difference quotients for both.
+_SLOTS = (("t", 0), ("y", 0), ("dy", 0), ("t", 1), ("y", 1))
 
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
@@ -63,12 +68,13 @@ SEEDS = (SEED_U, SEED_V)
 
 @lru_cache(maxsize=16)
 def _seed_columns(seeds: tuple, rank: int) -> tuple:
-    """The tangents of y and dy in each seed, and the zero tangents, shaped (K, 1, ..., 1) with ``rank``
+    """Each slot's tangents in each seed, and the zero tangents, shaped (K, 1, ..., 1) with ``rank``
     ones: built once and read-only, shared by every pass and returned by none."""
     columns = np.reshape(np.transpose(seeds), (2, len(seeds)) + (1,) * rank)
     zero = np.zeros_like(columns[0])  # the tangents a dual-number walk lifts a float to
     columns.flags.writeable = zero.flags.writeable = False
-    return (columns[0], columns[1]), zero
+    tangents = {"t": zero, "y": columns[0], "dy": columns[1]}
+    return tuple(tangents[name] for name, _ in _SLOTS), zero
 
 
 class EvalDomainError(ArithmeticError):
@@ -77,39 +83,6 @@ class EvalDomainError(ArithmeticError):
     def __init__(self, reason: str, t: float, u: float, v: float):
         super().__init__(f"{reason} at (t={t!r}, u={u!r}, v={v!r})")
         self.reason, self.t, self.u, self.v = reason, t, u, v
-
-
-def flatten(node: tuple) -> tuple[tuple, ...]:
-    """The AST as instructions in evaluation order, by an iterative post-order walk.
-
-    Instruction i is ``(op, a, b, dual)`` and computes register i.  ``a`` and
-    ``b`` are the registers of the operands (``b`` is None for unary ops);
-    for ``num`` ``a`` is the literal and for ``var`` the slot (0 t, 1 y,
-    2 dy).  ``dual`` tells whether the result depends on y or dy, that is,
-    whether a dual-number walk would carry a tangent there.
-    """
-    code: list[tuple] = []
-    done: list[int] = []  # register of each finished subtree
-    todo = [(node, False)]
-    while todo:
-        node, ready = todo.pop()
-        tag = node[0]
-        if tag == "num":
-            code.append(("num", node[1], None, False))
-        elif tag == "var":
-            code.append(("var", VARIABLES.index(node[1]), None, node[1] != "t"))
-        elif not ready:
-            todo.append((node, True))
-            todo.extend((child, False) for child in reversed(node[2:] if tag == "call" else node[1:]))
-            continue
-        else:
-            arity = 1 if tag in ("neg", "call") else 2
-            args = done[-arity:]
-            del done[-arity:]
-            op = node[1] if tag == "call" else tag
-            code.append((op, args[0], args[1] if arity == 2 else None, any(code[i][3] for i in args)))
-        done.append(len(code) - 1)
-    return tuple(code)
 
 
 # The rules: rule(failed, j, x, z) gives register j's value and rule(failed, j,
@@ -241,45 +214,58 @@ _TANGENT = {"add": lambda f, j, x, tx, z, tz: (None, tx + tz), "sub": lambda f, 
             "mul": lambda f, j, x, tx, z, tz: (None, tx * z + x * tz), "neg": lambda f, j, x, tx, z, tz: (None, -tx)}
 
 
-# The bit of ``Program.reads`` for a register that computes something; each slot has a bit below it.
-COMPUTES = 1 << 5
+# The bits of ``Program.reads``: one per slot, then ``COMPUTES`` for a register that computes something.  A register
+# carries a tangent where it reads a slot of ``_SEEDED``, a y or the dy.
+COMPUTES = 1 << len(_SLOTS)
+_SEEDED = sum(1 << k for k, (name, _) in enumerate(_SLOTS) if name != "t")
 
 
 class Program:
     """A density, or a delta/nabla pair of them, as one hash-consed tape, compiled into rule steps once per mode.
 
-    ``codes`` holds each density's ``flatten`` instructions.  ``code`` is the
-    tape: the slots first, (t, y, dy) for one density or (t, y, dy, t, y)
-    for a pair, whose nabla density reads the delta density's dy, then one
-    register per distinct subtree of either density, after its operands'.
-    ``reads[r]`` has the bit of each slot register r reads, and ``COMPUTES``
-    if it computes something.  ``outs`` holds per density its root register,
-    its walk order (each register's first position in the density's own
-    ``flatten``, by which its failure records are sorted) and its slots.
-    ``given`` maps a register to the value and failure records ``fix`` gave it.
+    ``trees`` holds each density's AST.  ``code`` is the tape: the slots as
+    ``_SLOTS`` lays them out, then one register per distinct subtree of
+    either density, after its operands', as ``(op, a, b)``: ``a`` and ``b``
+    are the operands' registers (``b`` is None for a unary op), and for
+    ``num`` ``a`` is the literal.  ``reads[r]`` has the bit of each slot
+    register r reads, and ``COMPUTES`` if it computes something.  ``outs``
+    holds per density its root register, its walk order (each register's
+    first step in the density's own post-order walk, by which its failure
+    records are sorted) and its slot registers of (t, y, dy).  ``given``
+    maps a register to the value and failure records ``fix`` gave it.
     """
 
-    def __init__(self, *codes: tuple, given: dict | None = None):
-        self.codes, self.given = codes, given or {}
-        self.code = [("var", k % 3, None, k % 3 != 0) for k in range(2 * len(codes) + 1)]
+    def __init__(self, *trees: tuple, given: dict | None = None):
+        self.trees, self.given = trees, given or {}
+        self.code = [("var", name, None) for name, d in _SLOTS if d < len(trees)]
         self.reads, self.outs = [1 << k for k in range(len(self.code))], []
         ids: dict = {}  # the register of each distinct subtree
-        for code, slots in zip(codes, ((0, 1, 2), (3, 4, 2))):
-            reg, order = [], {}  # each instruction's register, and each register's first position
-            for i, (op, a, b, dual) in enumerate(code):
-                if op == "var":
-                    reg.append(slots[a])
+        for d, tree in enumerate(trees):
+            slots = {name: k for k, (name, e) in enumerate(_SLOTS) if e <= d}  # a density's own slot over the delta's
+            done, order, todo = [], {}, [(tree, False)]  # the registers of finished subtrees, each one's first step
+            while todo:
+                node, ready = todo.pop()
+                tag = node[0]
+                if tag == "var":
+                    done.append(slots[node[1]])
                     continue
-                if op != "num":
-                    a, b = reg[a], None if b is None else reg[b]
+                op, args = (node[1], node[2:]) if tag == "call" else (tag, node[1:])
+                if tag != "num" and not ready:
+                    todo.append((node, True))
+                    todo.extend((child, False) for child in reversed(args))
+                    continue
+                if tag != "num":
+                    args = done[len(done) - len(args):]
+                    del done[len(done) - len(args):]
+                a, b = (*args, None)[:2]
                 r = ids.setdefault((op, repr(a) if op == "num" else a, b), len(self.code))
                 if r == len(self.code):
-                    self.code.append((op, a, b, dual))
+                    self.code.append((op, a, b))
                     self.reads.append(0 if op == "num" else
                                       self.reads[a] | self.reads[a if b is None else b] | COMPUTES)
-                reg.append(r)
-                order.setdefault(r, i)
-            self.outs.append((reg[-1], order, slots))
+                done.append(r)
+                order.setdefault(r, len(order))
+            self.outs.append((done[-1], order, tuple(slots[name] for name in VARIABLES)))
 
     @cached_property
     def values(self) -> tuple:
@@ -295,31 +281,33 @@ class Program:
         The file holds the slots, the literals and given values, then one register per step, in a
         partials pass those free of y and dy first.
         """
-        code, given, width = self.code, self.given, 2 * len(self.codes) + 1
+        code, given, reads = self.code, self.given, self.reads
+        width = sum(d < len(self.trees) for _, d in _SLOTS)
         need = set()  # the registers whose value a rule reads
         for r in range(len(code) - 1, width - 1, -1):
-            op, a, b, dual = code[r]
+            op, a, b = code[r]
             if r not in given and op != "num" and not (
-                    seeds and dual and op in ("add", "sub", "neg") and r not in need):
+                    seeds and reads[r] & _SEEDED and op in ("add", "sub", "neg") and r not in need):
                 need.update((a, b))
         pre, plain, duals = [], [], []
         for r in range(width, len(code)):
-            (pre if code[r][0] == "num" or r in given else duals if seeds and code[r][3] else plain).append(r)
+            (pre if code[r][0] == "num" or r in given else duals if seeds and reads[r] & _SEEDED else plain).append(r)
         pos = {r: k for k, r in enumerate([*range(width), *pre, *plain, *duals])}
 
         def step(r: int, rules: dict) -> tuple:
-            op, a, b, _ = code[r]
+            op, a, b = code[r]
             if op == "pow":  # a literal exponent e decides whether e and e - 1 need the domain checks
-                literal, e = code[b][0] == "num", code[b][1]
-                checked = [not (literal and z >= 0.0 and z.is_integer()) for z in (e, e - 1.0)]
-                rule = partial(_power, checked, code[b][3]) if rules is _DUAL else partial(_pow, checked[0])
+                e = code[b][1] if code[b][0] == "num" else math.nan
+                checked = [not (z >= 0.0 and z.is_integer()) for z in (e, e - 1.0)]
+                active = bool(reads[b] & _SEEDED)
+                rule = partial(_power, checked, active) if rules is _DUAL else partial(_pow, checked[0])
             else:
                 rule = (_TANGENT if rules is _DUAL and r not in need and op in _TANGENT else rules)[op]
             return rule, r, pos[a], pos[a if b is None else b]
 
         # An output is its own array if a step computes it from a slot and no earlier output hands it out.
         roots, fresh = [root for root, _, _ in self.outs], set(duals if seeds else plain)
-        outs = [(pos[root], root in fresh and self.reads[root] != COMPUTES and root not in roots[:i], order, slots)
+        outs = [(pos[root], root in fresh and reads[root] != COMPUTES and root not in roots[:i], order, slots)
                 for i, (root, order, slots) in enumerate(self.outs)]
         return ([code[r][1] if code[r][0] == "num" else given[r][0] for r in pre],
                 [record for r in pre if r in given for record in given[r][1]],
@@ -331,12 +319,12 @@ class Program:
         regs = [r for r, bits in enumerate(self.reads) if bits in t_only]
         if not regs:
             return self
-        slots = [np.asarray(math.nan if k % 3 else ts[k // 3], dtype=float)  # no register given reads y or dy
-                 for k in range(2 * len(self.codes) + 1)]
+        slots = [np.asarray(ts[d] if name == "t" else math.nan, dtype=float)  # no register given reads y or dy
+                 for name, d in _SLOTS if d < len(self.trees)]
         with np.errstate(all="ignore"):
             vals, _, failed = _steps(self.values, slots, ())
         given = {r: (vals[self.values[-1][r]], [record for record in failed if record[3] == r]) for r in regs}
-        return Program(*self.codes, given={**self.given, **given})
+        return Program(*self.trees, given={**self.given, **given})
 
 
 def run(program: Program, t, y, dy, seeds: tuple = (), strict: bool = True):
@@ -367,8 +355,8 @@ def _steps(compiled: tuple, slots: list, seeds: tuple) -> tuple:
     for rule, r, a, b in plain:
         vals.append(rule(failed, r, vals[a], vals[b]))
     if seeds:
-        (ty, tdy), zero = _seed_columns(seeds, max(x.ndim for x in slots))
-        tans = [zero, ty, tdy, zero, ty][:len(slots)] + [zero] * (len(pre) + len(plain))
+        columns, zero = _seed_columns(seeds, max(x.ndim for x in slots))
+        tans = [*columns[:len(slots)], *[zero] * (len(pre) + len(plain))]
         for rule, r, a, b in duals:
             val, tan = rule(failed, r, vals[a], tans[a], vals[b], tans[b])
             vals.append(val)

@@ -42,9 +42,10 @@ Each factor's densities are evaluated over the whole grid at once: one
 value pass per factor for the values, and one partials pass per factor
 for both first partials.  The delta slot reads the difference quotient
 q_i at t_i and the nabla slot the same q_i at t_{i+1}, so a parsed pair
-runs as one hash-consed tape (``tsvar.program.Program``), where a
-subtree of either density that reads only dy (``dy^2``) is one register,
-and a problem computes the registers that read only t once (``_fixed``).
+runs as one tape hash-consed from both densities' ASTs
+(``tsvar.program.Program``), where a subtree of either density that
+reads only dy (``dy^2``) is one register, and a problem computes the
+registers that read only t once (``_fixed``).
 A pass's slots set its policy (``_passes``): rows raise, stacks give nan,
 and the scale's one-row t runs the fixed tape; a hand-built density
 branches once, in ``Lagrangian._pass``.  The difference quotients, the
@@ -106,9 +107,9 @@ class VariationalProblem:
 
     @cached_property
     def _tape(self):
-        """Both densities as one ``tsvar.program.Program``, or None where either is built by hand."""
+        """Both densities' ASTs as one ``tsvar.program.Program``, or None where either is built by hand."""
         delta, nabla = self.l_delta.program, self.l_nabla.program
-        return None if delta is None or nabla is None else Program(*delta.codes, *nabla.codes)
+        return None if delta is None or nabla is None else Program(*delta.trees, *nabla.trees)
 
     @cached_property
     def _fixed(self):

@@ -239,8 +239,13 @@ def test_bad_uniform_object(tmp_path, capsys):
     ("solve", None, "top level must be an object"),
     ("solve", {"solver": [1]}, "'solver' must be an object"),
     ("eval", {}, "[Errno 2] No such file or directory"),
+    ("solve", {"timescale": [0, "0.5", 1]}, "'timescale' entry 1 must be a number"),
+    ("solve", {"timescale": [0, True, 2]}, "'timescale' entry 1 must be a number"),
+    ("solve", {"timescale": [0, None, 2]}, "'timescale' entry 1 must be a number"),
+    ("solve", {"timescale": [[0], [0.5], [1]]}, "'timescale' entry 0 must be a number"),
 ], ids=["timescale-object", "n-float", "timescale-string", "lagrangian-object", "lagrangian-number",
-        "top-level-array", "solver-array", "eval-missing-y"])
+        "top-level-array", "solver-array", "eval-missing-y", "point-string", "point-bool", "point-null",
+        "point-array"])
 def test_malformed_input_exits_1(tmp_path, capsys, command, change, message):
     data = [EXAMPLE] if change is None else {**EXAMPLE, **change}
     prob = write_problem(tmp_path, data)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import dual
 import tsvar.lagrangian
 import tsvar.program
-from tsvar import EvalDomainError, ParseError, catalog, parse_lagrangian
+from tsvar import (EvalDomainError, ParseError, VariationalProblem, catalog, chord, first_variation_gradient, j_delta,
+                   j_nabla, j_product, parse_lagrangian, uniform_scale)
 from dual import Dual
 from tsvar.lagrangian import (
     CATALOG_BUILDERS,
@@ -339,9 +340,17 @@ def subtrees(node):
     return found + [(node, reads)], reads
 
 
+def nodes(node):
+    """How many nodes of the AST ``node`` are not variables, each repeat counted."""
+    tag = node[0]
+    if tag in ("num", "var"):
+        return int(tag == "num")
+    return 1 + sum(nodes(child) for child in (node[2:] if tag == "call" else node[1:]))
+
+
 def pair_tape(pair):
     """The one tape of a delta/nabla pair of parsed densities, as ``tsvar.variational`` builds it."""
-    return Program(*pair[0].program.codes, *pair[1].program.codes)
+    return Program(*pair[0].program.trees, *pair[1].program.trees)
 
 
 def tape_passes(tape, delta_args, nabla_args, seeds=(), strict=True):
@@ -425,19 +434,18 @@ REPEATS += [lambda s: ("mul", s, ("sub", s, ("var", "t"))), lambda s: ("neg", ("
 @example(("call", "log", ("var", "dy")), REPEATS[-1], [(-0.5, 0.7, -1.3), (1.0, 1.0, 1.0)])
 def test_repeated_subtrees_share_one_register(sub, form, grid):
     # A density that repeats a subtree S, such as S + S, S + exp(S) or
-    # S * (S - t), computes S once: its tape has fewer registers than
-    # ``flatten`` has instructions.  It still matches a dual-number walk
-    # of the AST bit for bit, point by point and over a grid and a stack
-    # of two rows, strict and not, and fails where the walk fails, with
-    # the walk's message for the first failing point: S's checks come
-    # where the walk first meets S, before those of log(t) in
-    # S*log(t) + S.
+    # S * (S - t), computes S once: its tape, built from the AST, has
+    # fewer registers past its slots than the AST has nodes that are not
+    # variables.  It still matches a dual-number walk of the AST bit for
+    # bit, point by point and over a grid and a stack of two rows, strict
+    # and not, and fails where the walk fails, with the walk's message for
+    # the first failing point: S's checks come where the walk first meets
+    # S, before those of log(t) in S*log(t) + S.
     ast = form(sub)
     printed = to_source(ast)
     assert parse(printed) == ast
     L = parse_lagrangian(printed)
-    code = L.program.codes[0]
-    assert len(L.program.code) - 3 < sum(op != "var" for op, *_ in code)
+    assert len(L.program.code) - 3 < nodes(ast)
     for point in PROBES + grid:
         expect_points(L, point, reference(ast, *point))
     expect_passes(L, grid, [reference(ast, *point) for point in grid])
@@ -794,7 +802,9 @@ def _accepted(source):
 @pytest.mark.parametrize("form", sorted(NESTINGS))
 def test_every_accepted_nesting_evaluates(form):
     # Find the deepest nesting the parser accepts (up to 4096), by doubling
-    # and then bisection; that density evaluates exactly.
+    # and then bisection; that density evaluates exactly.  As both
+    # densities of a problem, its pair tape, also fixed for the scale's t,
+    # gives the product of the factors and a finite gradient.
     build, expected = NESTINGS[form]
     lo, hi = 1, 2
     while hi <= 4096 and _accepted(build(hi)) is not None:
@@ -807,6 +817,10 @@ def test_every_accepted_nesting_evaluates(form):
     assert (L.eval(*point), L.d2(*point), L.d3(*point)) == expected(lo)
     values, (d2, d3) = L.values(*point), L.partials(*point)
     assert (float(values), float(d2), float(d3)) == expected(lo)
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 5), L, L, 1.0, 2.0)
+    y = chord(p)
+    assert j_product(p, y).hex() == (j_delta(p, y) * j_nabla(p, y)).hex()
+    assert np.all(np.isfinite(first_variation_gradient(p, y)))
 
 
 # --- catalog -------------------------------------------------------------
@@ -827,9 +841,10 @@ def test_catalog_const_evaluates_its_argument():
 
 
 def test_catalog_argument_nesting():
-    # The variable check walks any tree the parser accepts; deeper nesting
-    # is a ParseError, not a RecursionError.  A long sum is not nested for
-    # the parser, and the flat instruction list evaluates it.
+    # The tape is built from any tree the parser accepts, and the variable
+    # check reads its root; deeper nesting is a ParseError, not a
+    # RecursionError.  A long sum is not nested for the parser, and its
+    # tape evaluates it.
     assert catalog("const(" + "-" * 600 + "1)").eval(0.0, 0.0, 0.0) == 1.0
     with pytest.raises(ParseError, match="nested too deeply"):
         catalog("const(" + "-" * 1000 + "1)")
@@ -926,6 +941,10 @@ def test_catalog_partials_match_finite_differences():
     ("1abc", "^malformed catalog name '1abc'$"),
     ("const", "needs a constant argument"),
     ("const(y)", "must not reference variables"),
+    ("const(t)", "must not reference variables"),
+    ("const(dy)", "must not reference variables"),
+    ("const(0*y)", "must not reference variables"),  # a constant value still reads a variable
+    ("const(sin(t) - sin(t))", "must not reference variables"),
     ("const(1 +)", "syntax error"),
     ("dy_squared(3)", "takes no argument"),
     ("kinetic_minus_potential", "needs a constant argument"),
