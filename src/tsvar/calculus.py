@@ -25,11 +25,11 @@ enforces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .record import Record
 from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
 
 __all__ = [
@@ -57,8 +57,7 @@ def _require_finite(vals: np.ndarray, where: str) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(Record, eq=False):
     """A finite real-valued function sampled at every point of a scale."""
 
     scale: TimeScale
@@ -103,8 +102,7 @@ class GridFunction:
         return GridFunction.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True, eq=False)
-class PartialGridFunction:
+class PartialGridFunction(Record, eq=False):
     """Values attached to a kappa-truncated index set only.
 
     Derivatives are stored this way rather than zero-padded to the full

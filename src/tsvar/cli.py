@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,10 +72,13 @@ def _fmt(x: float) -> str:
 
 
 def _require_number(value, name: str, path: str) -> float:
-    """``value`` as a float if it is a JSON number, which a bool is not."""
+    """``value`` as a float if it is a JSON number, which a bool is not, within the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"{path}: {name} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest float
+        raise ProblemFileError(f"{path}: {name} is too large for a float") from None
 
 
 def _load_scale(spec, path: str) -> TimeScale:
@@ -152,7 +154,7 @@ def load_problem_file(path: str) -> tuple[VariationalProblem, SolverConfig]:
     overrides = data.get("solver", {})
     if not isinstance(overrides, dict):
         raise ProblemFileError(f"{path}: 'solver' must be an object")
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(SolverConfig)}
+    unknown = set(overrides) - set(SolverConfig._fields)
     if unknown:
         raise ProblemFileError(f"{path}: unknown solver keys: {', '.join(sorted(unknown))}")
     config = SolverConfig(**overrides)
@@ -199,7 +201,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     problem, config = load_problem_file(args.problem)
     if args.maximize:
-        config = dataclasses.replace(config, maximize=True)
+        config = config.replace(maximize=True)
     try:
         result = solve(problem, config)
     except StepUnderflowError as exc:

@@ -52,13 +52,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .program import COMPUTES, FUNCTIONS, SEED_U, SEED_V, SEEDS, VARIABLES, EvalDomainError, Program, run
+from .record import Record
 
 __all__ = [
     "CATALOG_BUILDERS",
@@ -81,8 +81,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Record):
     """Density and exact first partials in the second and third slots.
 
     ``eval``, ``d2`` and ``d3`` take one point (t, u, v).  ``program`` is
@@ -363,4 +362,4 @@ def catalog(name: str) -> Lagrangian:
     if builder is None:
         known = ", ".join(sorted(CATALOG_BUILDERS))
         raise ValueError(f"unknown catalog Lagrangian {base!r}; known entries: {known}")
-    return replace(parse_lagrangian(builder(arg, name.strip())), origin=name.strip())
+    return parse_lagrangian(builder(arg, name.strip())).replace(origin=name.strip())

@@ -60,12 +60,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .calculus import GridFunction, c1_diamond_norm
 from .lagrangian import EvalDomainError
+from .record import Record
 from .variational import (
     ELReport,
     VariationalProblem,
@@ -114,8 +114,7 @@ class StepUnderflowError(RuntimeError):
     """Line search could not leave a domain-error region at any step size."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     max_iterations: int = 10000
     gradient_tolerance: float = 1e-10
     maximize: bool = False
@@ -133,8 +132,7 @@ class SolverConfig:
             raise ValueError(f"maximize must be true or false, got {self.maximize!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SolveResult:
+class SolveResult(Record, eq=False):
     y: GridFunction
     j_value: float
     gradient_norm: float
@@ -404,8 +402,7 @@ def brute_force_oracle(
     return GridFunction(p.scale, np.array([p.alpha, *best, p.beta]))
 
 
-@dataclass(frozen=True)
-class PerturbationAudit:
+class PerturbationAudit(Record):
     """Sampled local behaviour of the objective around a solution."""
 
     radius: float
@@ -417,7 +414,7 @@ class PerturbationAudit:
     classification: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def perturbation_audit(

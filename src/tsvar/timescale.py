@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
+
+from .record import Record
 
 __all__ = [
     "DUPLICATE_TOLERANCE",
@@ -57,8 +58,7 @@ class KappaKind(Enum):
     BOTH = "both-kappa"
 
 
-@dataclass(frozen=True)
-class KappaSet:
+class KappaSet(Record):
     """A contiguous range of point indices, tagged by which truncation it is.
 
     ``start`` is inclusive, ``stop`` exclusive, as with Python ranges.
@@ -79,13 +79,12 @@ class KappaSet:
         return self.start <= _as_index(index) < self.stop
 
 
-@dataclass(frozen=True, eq=False)
-class TimeScale:
+class TimeScale(Record, eq=False):
     """An immutable, validated, strictly increasing point sequence."""
 
     points: np.ndarray
-    # gaps[i] = points[i+1] - points[i]: forward graininess at i, backward at i+1.
-    gaps: np.ndarray = field(init=False, repr=False)
+    # __post_init__ also sets gaps, not a field: gaps[i] = points[i+1] - points[i],
+    # the forward graininess at i and the backward one at i+1.
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float, copy=True)

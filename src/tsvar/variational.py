@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +69,7 @@ import numpy as np
 from .calculus import GridFunction, PartialGridFunction
 from .lagrangian import Lagrangian
 from .program import SEEDS, Program, _run
+from .record import Record
 from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
 
 __all__ = [
@@ -87,8 +87,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VariationalProblem:
+class VariationalProblem(Record):
     """A scale, the two densities, and the fixed boundary values."""
 
     scale: TimeScale
@@ -117,8 +116,7 @@ class VariationalProblem:
         return self._tape and self._tape.fix(self.scale.points[:-1], self.scale.points[1:])
 
 
-@dataclass(frozen=True, eq=False)
-class ELReport:
+class ELReport(Record, eq=False):
     """A residual trace, the constant it should equal, and the worst deviation.
 
     ``which`` names the condition: "EL1" and "EL2" are the two equivalent
@@ -332,7 +330,7 @@ def _el_reports(p, parts: _Partials, jd: float, jn: float) -> tuple[ELReport, EL
     with np.errstate(all="ignore"):
         trace = jn * f + jd * g
     el1 = _report(p, "EL1", KappaKind.LOWER, trace, jd, jn)
-    return el1, replace(el1, which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
+    return el1, el1.replace(which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
 
 
 def el_residual_1(p: VariationalProblem, y: GridFunction) -> ELReport:

@@ -243,9 +243,15 @@ def test_bad_uniform_object(tmp_path, capsys):
     ("solve", {"timescale": [0, True, 2]}, "'timescale' entry 1 must be a number"),
     ("solve", {"timescale": [0, None, 2]}, "'timescale' entry 1 must be a number"),
     ("solve", {"timescale": [[0], [0.5], [1]]}, "'timescale' entry 0 must be a number"),
+    ("solve", {"alpha": 10**400}, "key 'alpha' is too large for a float"),
+    ("solve", {"beta": -10**400}, "key 'beta' is too large for a float"),
+    ("solve", {"timescale": {"uniform": {"a": -10**400, "b": 1.0, "n": 5}}}, "key 'a' is too large for a float"),
+    ("solve", {"timescale": {"uniform": {"a": 0.0, "b": 10**400, "n": 5}}}, "key 'b' is too large for a float"),
+    ("solve", {"timescale": [0, 1, 10**400]}, "'timescale' entry 2 is too large for a float"),
 ], ids=["timescale-object", "n-float", "timescale-string", "lagrangian-object", "lagrangian-number",
         "top-level-array", "solver-array", "eval-missing-y", "point-string", "point-bool", "point-null",
-        "point-array"])
+        "point-array", "alpha-huge-int", "beta-huge-int", "uniform-a-huge-int", "uniform-b-huge-int",
+        "point-huge-int"])
 def test_malformed_input_exits_1(tmp_path, capsys, command, change, message):
     data = [EXAMPLE] if change is None else {**EXAMPLE, **change}
     prob = write_problem(tmp_path, data)

@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,25 @@ def test_bare_import_loads_submodules_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code, *modules], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [f"tsvar.{m}" for m in modules], True]
+
+
+def test_importing_the_cli_and_solver_loads_no_dataclasses():
+    # In a child process, since pytest itself has loaded dataclasses here.  The
+    # modules a command loads before tsvar are imported first; should one of
+    # them load dataclasses, it is dropped so that only tsvar's imports count.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import argparse, csv, json, numpy\n"
+        "sys.modules.pop('dataclasses', None)\n"
+        "import tsvar.cli, tsvar.solver\n"
+        "print(tsvar.cli.__file__)\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(src / "tsvar" / "cli.py"), "False"]
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -718,7 +717,7 @@ def test_audit_confirms_local_minimum():
 def test_audit_requires_convergence():
     p = square_problem()
     r = solve(p)
-    stalled = dataclasses.replace(r, converged=False)
+    stalled = r.replace(converged=False)
     with pytest.raises(ValueError, match="converged"):
         perturbation_audit(p, stalled, radius=0.1, trials=10)
 

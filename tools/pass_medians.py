@@ -23,9 +23,18 @@ rows it builds and its value passes, read from a spy on the solver's
 ``_slot_args``, and the rows a one-trial-at-a-time search would build, the
 sum over iterations of the accepted rung + 1, read from a spy on its
 ``_row``.  Their ratio is the share of built rows the search needed.  The
-counts repeat exactly.  It imports the package
-from the ``src`` of the checkout it sits in; to compare two checkouts,
-copy it into both, as for ``tools/fingerprints.py``:
+counts repeat exactly.
+
+A third table times a fresh import of each module of the package, in
+dependency order, with numpy and the standard library already loaded:
+``compile``, the module's source to a code object, and ``exec``, its body
+run from that code object, as an import runs it from cached bytecode
+(reading and unmarshalling the ``.pyc`` is left out).  Each of the
+``--repeat`` samples imports every module afresh; ``total`` sums a
+sample's modules.  The tool writes no bytecode and no other file.
+
+It imports the package from the ``src`` of the checkout it sits in; to
+compare two checkouts, copy it into both, as for ``tools/fingerprints.py``:
 
     python3 tools/pass_medians.py --repeat 30
 """
@@ -33,6 +42,9 @@ copy it into both, as for ``tools/fingerprints.py``:
 from __future__ import annotations
 
 import argparse
+import ast
+import graphlib
+import importlib.util
 import statistics
 import sys
 import time
@@ -41,7 +53,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tsvar"
 sys.path.insert(0, str(ROOT / "src"))
+sys.dont_write_bytecode = True
 
 import tsvar as T  # noqa: E402
 import tsvar.solver as solver  # noqa: E402
@@ -117,6 +131,58 @@ def search_table() -> list[str]:
     return lines
 
 
+def module_order() -> list[tuple[str, Path]]:
+    """(name, path) of the package and each module it imports at load time, dependencies first."""
+    paths = {"tsvar": PACKAGE / "__init__.py"}
+    paths.update((f"tsvar.{f.stem}", f) for f in sorted(PACKAGE.glob("*.py")) if not f.stem.startswith("__"))
+    graph = {}
+    for name, path in paths.items():
+        body = ast.parse(path.read_text()).body  # top-level statements only: lazy imports do not count
+        graph[name] = {"tsvar"} - {name} | {
+            f"tsvar.{node.module}" for node in body if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        }
+    return [(name, paths[name]) for name in graphlib.TopologicalSorter(graph).static_order()]
+
+
+def import_table(repeat: int) -> list[str]:
+    """Median and quartiles, in ms, of each module's compile and exec over ``repeat`` fresh imports."""
+    order = module_order()
+    sources = [path.read_text() for _, path in order]
+    saved = {name: sys.modules.pop(name) for name, _ in order if name in sys.modules}
+    samples = {name: ([], []) for name, _ in order}
+    try:
+        for sample in range(repeat + 1):  # the first loads the standard library modules, and is dropped
+            for (name, path), source in zip(order, sources):
+                start = time.perf_counter()
+                code = compile(source, str(path), "exec", dont_inherit=True)
+                compiled = time.perf_counter()
+                spec = importlib.util.spec_from_file_location(
+                    name, path, submodule_search_locations=[str(PACKAGE)] if name == "tsvar" else None
+                )
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                begun = time.perf_counter()
+                exec(code, module.__dict__)
+                done = time.perf_counter()
+                if sample:
+                    samples[name][0].append((compiled - start) * 1e3)
+                    samples[name][1].append((done - begun) * 1e3)
+    finally:  # a module's dependencies come first in ``order``, so each sample replaced them before it ran
+        for name, _ in order:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+    rows = list(samples.items())
+    totals = [[sum(col) for col in zip(*(times[k] for _, times in rows))] for k in (0, 1)]
+    lines = [f"{'module':20} {'compile_ms':>10} {'q1':>7} {'q3':>7} {'exec_ms':>10} {'q1':>7} {'q3':>7}"]
+    for name, times in [*rows, ("total", totals)]:
+        cells = []
+        for got in times:
+            q1, _, q3 = statistics.quantiles(got, n=4) if len(got) > 1 else got * 3
+            cells.append(f"{statistics.median(got):10.3f} {q1:7.3f} {q3:7.3f}")
+        lines.append(f"{name:20} {' '.join(cells)}")
+    return lines
+
+
 def batch(call, number: int) -> float:
     """Seconds per call over ``number`` calls."""
     start = time.perf_counter()
@@ -144,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:8} {n:5d} {kind:13} {median:10.1f} {q1:10.1f} {q3:10.1f}")
     print()
     print("\n".join(search_table()))
+    print()
+    print("\n".join(import_table(args.repeat)))
     return 0
 
 
