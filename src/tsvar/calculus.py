@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .record import Record
-from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
+from .timescale import KappaKind, KappaSet, TimeScale, _as_index, kappa_set
 
 __all__ = [
     "GridFunction",
@@ -57,6 +57,16 @@ def _require_finite(vals: np.ndarray, where: str) -> np.ndarray:
     return vals
 
 
+def _frozen(values, n: int, per: str, where: str) -> np.ndarray:
+    """``values`` as a read-only float copy of shape (n,), all finite; ``per`` and ``where`` name an entry."""
+    vals = np.array(values, dtype=float, copy=True)
+    if vals.shape != (n,):
+        raise ValueError(f"need one value per {per}: expected {n}, got {vals.shape}")
+    _require_finite(vals, where)
+    vals.flags.writeable = False
+    return vals
+
+
 class GridFunction(Record, eq=False):
     """A finite real-valued function sampled at every point of a scale."""
 
@@ -64,14 +74,7 @@ class GridFunction(Record, eq=False):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (len(self.scale),):
-            raise ValueError(
-                f"need one value per point: expected {len(self.scale)}, got {vals.shape}"
-            )
-        _require_finite(vals, "index")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(self.values, len(self.scale), "point", "index"))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -114,14 +117,7 @@ class PartialGridFunction(Record, eq=False):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (len(self.domain),):
-            raise ValueError(
-                f"need one value per domain index: expected {len(self.domain)}, got {vals.shape}"
-            )
-        _require_finite(vals, "domain position")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(self.values, len(self.domain), "domain index", "domain position"))
 
     @property
     def times(self) -> np.ndarray:
@@ -159,12 +155,13 @@ def nabla_derivative(y: GridFunction) -> PartialGridFunction:
     return PartialGridFunction(y.scale, kappa_set(y.scale, KappaKind.LOWER), quot)
 
 
-def _check_bounds(ts: TimeScale, start: int, stop: int) -> None:
-    n = len(ts)
+def _check_bounds(ts: TimeScale, start: object, stop: object) -> tuple[int, int]:
+    start, stop, n = _as_index(start), _as_index(stop), len(ts)
     if not (0 <= start < n and 0 <= stop < n):
         raise IndexError(f"integration endpoints ({start}, {stop}) out of range for {n} points")
     if start > stop:
         raise ValueError(f"integration start index {start} exceeds stop index {stop}")
+    return start, stop
 
 
 def delta_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> float:
@@ -175,7 +172,7 @@ def delta_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> 
     """
     if stop is None:
         stop = len(f.scale) - 1
-    _check_bounds(f.scale, start, stop)
+    start, stop = _check_bounds(f.scale, start, stop)
     return float(np.dot(f.scale.gaps[start:stop], f.values[start:stop]))
 
 
@@ -187,7 +184,7 @@ def nabla_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> 
     """
     if stop is None:
         stop = len(f.scale) - 1
-    _check_bounds(f.scale, start, stop)
+    start, stop = _check_bounds(f.scale, start, stop)
     return float(np.dot(f.scale.gaps[start:stop], f.values[start + 1 : stop + 1]))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -38,7 +39,7 @@ from .calculus import (
     check_integral_splitting,
     check_parts_formulas,
 )
-from .timescale import TimeScale, make_timescale, uniform_scale
+from .timescale import TimeScale, _as_number, make_timescale, uniform_scale
 
 # The commands import lagrangian, solver and variational when they run, so
 # that verify-identities, which needs none of them, never loads them.
@@ -71,94 +72,82 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _require_number(value, name: str, path: str) -> float:
+def _require_number(value, name: str) -> float:
     """``value`` as a float if it is a JSON number, which a bool is not, within the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(f"{path}: {name} must be a number")
     try:
-        return float(value)
+        return float(_as_number(value, name, "a number"))
     except OverflowError:  # a JSON integer past the largest float
-        raise ProblemFileError(f"{path}: {name} is too large for a float") from None
+        raise ValueError(f"{name} is too large for a float") from None
 
 
-def _load_scale(spec, path: str) -> TimeScale:
+def _load_scale(spec) -> TimeScale:
     if isinstance(spec, list):
         for i, value in enumerate(spec):
-            _require_number(value, f"'timescale' entry {i}", path)
+            _require_number(value, f"'timescale' entry {i}")
         return make_timescale(spec)
     if isinstance(spec, dict):
         if set(spec) != {"uniform"}:
-            raise ProblemFileError(
-                f"{path}: 'timescale' object must contain exactly the key 'uniform'"
-            )
+            raise ValueError("'timescale' object must contain exactly the key 'uniform'")
         body = spec["uniform"]
         if not isinstance(body, dict) or set(body) != {"a", "b", "n"}:
-            raise ProblemFileError(f"{path}: 'uniform' needs exactly the keys 'a', 'b', 'n'")
-        a = _require_number(body["a"], "key 'a'", path)
-        b = _require_number(body["b"], "key 'b'", path)
-        n = body["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ProblemFileError(f"{path}: 'n' must be an integer")
-        return uniform_scale(a, b, n)
-    raise ProblemFileError(f"{path}: 'timescale' must be an array or a 'uniform' object")
+            raise ValueError("'uniform' needs exactly the keys 'a', 'b', 'n'")
+        a = _require_number(body["a"], "key 'a'")
+        b = _require_number(body["b"], "key 'b'")
+        return uniform_scale(a, b, _as_number(body["n"], "'n'", "an integer", kind=numbers.Integral))
+    raise ValueError("'timescale' must be an array or a 'uniform' object")
 
 
-def _load_lagrangian(spec, key: str, path: str) -> Lagrangian:
+def _load_lagrangian(spec, key: str) -> Lagrangian:
     from .lagrangian import catalog, parse_lagrangian
 
     if isinstance(spec, str):
         return parse_lagrangian(spec)
     if isinstance(spec, dict):
         if set(spec) != {"catalog"} or not isinstance(spec["catalog"], str):
-            raise ProblemFileError(
-                f"{path}: {key!r} object must contain exactly a string key 'catalog'"
-            )
+            raise ValueError(f"{key!r} object must contain exactly a string key 'catalog'")
         return catalog(spec["catalog"])
-    raise ProblemFileError(f"{path}: {key!r} must be an expression string or a catalog object")
+    raise ValueError(f"{key!r} must be an expression string or a catalog object")
 
 
 def load_problem_file(path: str) -> tuple[VariationalProblem, SolverConfig]:
-    """Parse and validate one problem file."""
+    """Parse and validate one problem file; every error it raises names the file."""
     from .solver import SolverConfig
     from .variational import VariationalProblem
 
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise ValueError("top level must be an object")
+        unknown = set(data) - _TOP_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys: {', '.join(sorted(unknown))}")
+        missing = _REQUIRED_KEYS - set(data)
+        if missing:
+            raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
+        if "schema" in data and data["schema"] != "tsvar/1":
+            raise ValueError(f"unsupported schema {data['schema']!r}; expected 'tsvar/1'")
+
+        problem = VariationalProblem(
+            scale=_load_scale(data["timescale"]),
+            l_delta=_load_lagrangian(data["lagrangian_delta"], "lagrangian_delta"),
+            l_nabla=_load_lagrangian(data["lagrangian_nabla"], "lagrangian_nabla"),
+            alpha=_require_number(data["alpha"], "key 'alpha'"),
+            beta=_require_number(data["beta"], "key 'beta'"),
+        )
+
+        overrides = data.get("solver", {})
+        if not isinstance(overrides, dict):
+            raise ValueError("'solver' must be an object")
+        unknown = set(overrides) - set(SolverConfig._fields)
+        if unknown:
+            raise ValueError(f"unknown solver keys: {', '.join(sorted(unknown))}")
+        return problem, SolverConfig(**overrides)
+    except (OSError, ValueError) as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ProblemFileError(f"{path}: top level must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ProblemFileError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
-    missing = _REQUIRED_KEYS - set(data)
-    if missing:
-        raise ProblemFileError(f"{path}: missing keys: {', '.join(sorted(missing))}")
-    if "schema" in data and data["schema"] != "tsvar/1":
-        raise ProblemFileError(f"{path}: unsupported schema {data['schema']!r}; expected 'tsvar/1'")
-
-    problem = VariationalProblem(
-        scale=_load_scale(data["timescale"], path),
-        l_delta=_load_lagrangian(data["lagrangian_delta"], "lagrangian_delta", path),
-        l_nabla=_load_lagrangian(data["lagrangian_nabla"], "lagrangian_nabla", path),
-        alpha=_require_number(data.get("alpha"), "key 'alpha'", path),
-        beta=_require_number(data.get("beta"), "key 'beta'", path),
-    )
-
-    overrides = data.get("solver", {})
-    if not isinstance(overrides, dict):
-        raise ProblemFileError(f"{path}: 'solver' must be an object")
-    unknown = set(overrides) - set(SolverConfig._fields)
-    if unknown:
-        raise ProblemFileError(f"{path}: unknown solver keys: {', '.join(sorted(unknown))}")
-    config = SolverConfig(**overrides)
-    return problem, config
 
 
 def write_solution_csv(path: Path, y: GridFunction) -> None:
@@ -167,24 +156,23 @@ def write_solution_csv(path: Path, y: GridFunction) -> None:
 
 
 def read_y_csv(path: str, scale: TimeScale) -> GridFunction:
-    """Read a t,y table and require its points to match the scale exactly."""
+    """Read a t,y table and require its points to match the scale exactly; every error names the file."""
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
+            rows = [row for row in csv.reader(handle) if row]
+        if not rows or [cell.strip() for cell in rows[0]] != ["t", "y"]:
+            raise ValueError("first row must be the header 't,y'")
+        if any(len(row) != 2 for row in rows[1:]):
+            raise ValueError("every row needs exactly two columns")
+        try:
+            table = np.array([[float(cell) for cell in row] for row in rows[1:]]).reshape(-1, 2)
+        except ValueError as exc:
+            raise ValueError(f"non-numeric cell: {exc}") from None
+        if table.shape[0] != len(scale) or not np.array_equal(table[:, 0], scale.points):
+            raise ValueError("points do not match the problem's time scale")
+        return GridFunction(scale, table[:, 1])
+    except (OSError, ValueError, csv.Error) as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
-    rows = [row for row in rows if row]
-    if not rows or [cell.strip() for cell in rows[0]] != ["t", "y"]:
-        raise ProblemFileError(f"{path}: first row must be the header 't,y'")
-    if any(len(row) != 2 for row in rows[1:]):
-        raise ProblemFileError(f"{path}: every row needs exactly two columns")
-    try:
-        table = np.array([[float(cell) for cell in row] for row in rows[1:]]).reshape(-1, 2)
-    except ValueError as exc:
-        raise ProblemFileError(f"{path}: non-numeric cell: {exc}") from exc
-    if table.shape[0] != len(scale) or not np.array_equal(table[:, 0], scale.points):
-        raise ProblemFileError(f"{path}: points do not match the problem's time scale")
-    return GridFunction(scale, table[:, 1])
 
 
 def _print_report(report) -> None:

@@ -24,8 +24,9 @@ because numpy does not promise libm's results for them.  The per-point
 callables ``eval``, ``d2`` and ``d3`` run the same steps as a pass over
 0-d arrays, so a grid pass gives bit for bit what they give at
 each point.  A ``Lagrangian(eval, d2, d3, origin)`` built by hand has no
-program; it branches once, in ``_pass``, and calls its callables once per
-point.  The product functional (``tsvar.variational``) runs a pair of
+program and calls its callables once per point.  Two places branch on
+that: ``_pass`` here, and ``tsvar.variational._passes``, where
+``p._tape is None``.  Otherwise the product functional runs a pair of
 parsed densities as one hash-consed tape, which computes each subtree
 they share once.
 

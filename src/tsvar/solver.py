@@ -66,6 +66,7 @@ import numpy as np
 from .calculus import GridFunction, c1_diamond_norm
 from .lagrangian import EvalDomainError
 from .record import Record
+from .timescale import _as_number
 from .variational import (
     ELReport,
     VariationalProblem,
@@ -120,14 +121,9 @@ class SolverConfig(Record):
     maximize: bool = False
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, so it is ruled out by name; NaN fails the comparison.
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 0:
+        if _as_number(self.max_iterations, "max_iterations", "an integer", kind=numbers.Integral) < 0:
             raise ValueError("max_iterations must be non-negative")
-        tol = self.gradient_tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
-            raise ValueError(f"gradient_tolerance must be a positive number, got {tol!r}")
+        _as_number(self.gradient_tolerance, "gradient_tolerance", "a positive number", lambda v: v > 0)  # NaN fails
         if not isinstance(self.maximize, bool):
             raise ValueError(f"maximize must be true or false, got {self.maximize!r}")
 
@@ -378,13 +374,12 @@ def brute_force_oracle(
     interior = len(p.scale) - 2
     if interior > 3:
         raise ValueError(f"brute force search limited to 3 interior points, got {interior}")
-    if not isinstance(resolution, numbers.Integral):  # a bool fails the next check
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 11:
+    if _as_number(resolution, "resolution", "an integer", kind=numbers.Integral) < 11:
         raise ValueError(f"resolution must be at least 11, got {resolution}")
-    lo, hi = float(bounds[0]), float(bounds[1])
+    rule = "finite numbers lo < hi with a finite span"
+    lo, hi = (float(_as_number(bound, "bounds", rule)) for bound in bounds)
     if not (lo < hi and math.isfinite(hi - lo)):  # a finite span needs finite bounds
-        raise ValueError(f"bounds must be finite numbers lo < hi with a finite span, got ({lo!r}, {hi!r})")
+        raise ValueError(f"bounds must be {rule}, got ({lo!r}, {hi!r})")
 
     def scan(axes: list[np.ndarray]) -> list[float]:
         best, best_j = None, np.inf
@@ -433,12 +428,9 @@ def perturbation_audit(
     """
     if not result.converged:
         raise ValueError("perturbation audit requires a converged result")
-    # bool is an int subclass, so it is ruled out by name; NaN fails the comparison.
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not 0 < radius < math.inf:
-        raise ValueError(f"radius must be a positive finite number, got {radius!r}")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    radius, trials = float(radius), int(trials)  # plain numbers, so the audit serializes
+    # Plain numbers, so the audit serializes; NaN fails the comparison.
+    radius = float(_as_number(radius, "radius", "a positive finite number", lambda v: 0 < v < math.inf))
+    trials = int(_as_number(trials, "trials", "a positive integer", lambda v: v >= 1, kind=numbers.Integral))
     rng = np.random.default_rng(seed)
     base = result.y.values
     n = base.size

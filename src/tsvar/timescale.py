@@ -16,9 +16,11 @@ live only in ``TimeScale.points``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,7 +147,10 @@ def make_timescale(points: Sequence[float]) -> TimeScale:
 
 def uniform_scale(a: float, b: float, n_points: int) -> TimeScale:
     """Evenly spaced scale from ``a`` to ``b`` with exact endpoints."""
-    if not (np.isfinite(a) and np.isfinite(b)):
+    _as_number(a, "a", "a real number")
+    _as_number(b, "b", "a real number")
+    _as_number(n_points, "n_points", "an integer", kind=numbers.Integral)
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise TimeScaleError("endpoints must be finite")
     if not a < b:
         raise TimeScaleError(f"need a < b, got a={a!r}, b={b!r}")
@@ -162,6 +167,16 @@ def _as_index(i: object) -> int:
         except TypeError:
             pass
     raise TypeError(f"point index must be an integer, got {i!r}")
+
+
+def _as_number(value, what: str, rule: str, ok: Callable = lambda v: True, kind: type = numbers.Real):
+    """``value`` if it is a ``kind`` number, not a bool, that passes ``ok``; else ``ValueError``.
+
+    The one number rule of the package; the message reads "{what} must be {rule}, got {value!r}".
+    """
+    if isinstance(value, kind) and not isinstance(value, (bool, np.bool_)) and ok(value):
+        return value
+    raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
 def _check_index(ts: TimeScale, i: object) -> int:

@@ -61,7 +61,6 @@ gradient, trace or residual, or a nan deviation, which fails ``passes``.
 from __future__ import annotations
 
 import json
-import numbers
 from functools import cached_property
 
 import numpy as np
@@ -70,7 +69,7 @@ from .calculus import GridFunction, PartialGridFunction
 from .lagrangian import Lagrangian
 from .program import SEEDS, Program, _run
 from .record import Record
-from .timescale import KappaKind, KappaSet, TimeScale, kappa_set
+from .timescale import KappaKind, KappaSet, TimeScale, _as_number, kappa_set
 
 __all__ = [
     "ELReport",
@@ -97,11 +96,9 @@ class VariationalProblem(Record):
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):  # a bool is not a number here, as in a problem file
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-            if not (real and np.isfinite(float(value))):
-                raise ValueError(f"boundary value {name} must be a finite real number, got {value!r}")
+        for name in ("alpha", "beta"):
+            value = _as_number(getattr(self, name), f"boundary value {name}", "a finite real number",
+                               lambda v: np.isfinite(float(v)))
             object.__setattr__(self, name, float(value))
 
     @cached_property

@@ -189,6 +189,22 @@ def test_integral_bounds_checking():
         nabla_integral(f, -1, 2)
 
 
+@pytest.mark.parametrize("integral", [delta_integral, nabla_integral])
+@pytest.mark.parametrize("start, stop", [(True, 3), (0, True), (np.True_, 3), (1.0, 3)],
+                         ids=["bool-start", "bool-stop", "numpy-bool-start", "float-start"])
+def test_integral_bounds_follow_the_point_index_rule(integral, start, stop):
+    f = GridFunction(make_timescale([0.0, 1.0, 3.0, 4.0]), [0.0, 1.0, 9.0, 16.0])
+    bad = stop if start == 0 else start
+    with pytest.raises(TypeError, match=f"^point index must be an integer, got {bad!r}$"):
+        integral(f, start, stop)
+
+
+def test_integral_bounds_take_numpy_integers():
+    f = GridFunction(make_timescale([0.0, 1.0, 3.0, 4.0]), [0.0, 1.0, 9.0, 16.0])
+    for integral in (delta_integral, nabla_integral):
+        assert integral(f, np.int64(1), np.int64(3)) == integral(f, 1, 3)
+
+
 @given(scale_and_values(n_funcs=2))
 def test_integral_linearity(tfg):
     ts, f, g = tfg

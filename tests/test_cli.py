@@ -215,10 +215,11 @@ def test_unknown_solver_key(tmp_path, capsys, key):
 def test_solver_key_of_the_wrong_type(tmp_path, capsys, key, value, fragment):
     data = dict(EXAMPLE)
     data["solver"] = {key: value}
-    rc = cli.main(["solve", write_problem(tmp_path, data), "--out", str(tmp_path / "out")])
+    path = write_problem(tmp_path, data)
+    rc = cli.main(["solve", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == f"error: {fragment}\n"
+    assert err == f"error: {path}: {fragment}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -263,6 +264,42 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, change, message):
         argv = ["solve", prob, "--out", str(tmp_path / "out")]
     expect_error(capsys, argv, f"error: {culprit}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"timescale": [0, 1, 1]}, "duplicate point at index 2"),
+    ({"lagrangian_delta": "dy^"},
+     "syntax error at offset 3: expected a number, variable, function call, or '(', got end of input"),
+    ({"lagrangian_nabla": {"catalog": "nope"}},
+     "unknown catalog Lagrangian 'nope'; known entries: const, dy_squared, kinetic_minus_potential"),
+    ({"alpha": float("nan")}, "boundary value alpha must be a finite real number, got nan"),
+    ({"timescale": {"uniform": {"a": 1, "b": 0, "n": 5}}}, "need a < b, got a=1.0, b=0.0"),
+    ({"solver": {"max_iterations": -1}}, "max_iterations must be non-negative"),
+    (None, "non-finite value at index 1"),
+], ids=["duplicate-point", "parse-error", "unknown-catalog-entry", "alpha-nan", "uniform-a-above-b",
+        "negative-max-iterations", "non-finite-y-cell"])
+def test_value_errors_name_their_file(tmp_path, capsys, change, message):
+    # Errors the model raises on a file's values name the file, as the
+    # CLI's own checks do; ``None`` puts the bad value in the --y table.
+    prob = write_problem(tmp_path, {**EXAMPLE, **(change or {})})
+    if change is None:
+        culprit = tmp_path / "y.csv"
+        culprit.write_text("t,y\n0,0\n1,inf\n2,2\n")
+        argv = ["check-el", prob, "--y", str(culprit)]
+    else:
+        culprit = prob
+        argv = ["solve", prob, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {culprit}: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_y_csv_field_past_the_csv_limit_names_its_file(tmp_path, capsys):
+    prob = write_problem(tmp_path, EXAMPLE)
+    path = tmp_path / "y.csv"
+    path.write_text("t,y\n0,0\n1," + "1" * 200_000 + "\n2,2\n")
+    assert cli.main(["eval", prob, "--y", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: field larger than field limit")
 
 
 def test_non_numeric_boundary(tmp_path, capsys):

@@ -628,6 +628,8 @@ def test_solve_result_serialization():
     ((0.0, math.inf), 21, "bounds"),
     ((math.nan, 1.0), 21, "bounds"),
     ((-1e308, 1e308), 21, "bounds"),
+    (("0", "1"), 21, "bounds"),
+    ((False, True), 21, "bounds"),
 ])
 def test_oracle_rejects_bad_input(bounds, resolution, name):
     # Each fails before any scan, naming its argument, with no numpy warning.

@@ -220,6 +220,24 @@ def test_uniform_scale():
         uniform_scale(0.0, np.inf, 5)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, 5.0), "n_points must be an integer, got 5.0"),
+    ((0, 1, True), "n_points must be an integer, got True"),
+    ((0, 1, "5"), "n_points must be an integer, got '5'"),
+    (("0", 1, 5), "a must be a real number, got '0'"),
+    ((0, None, 5), "b must be a real number, got None"),
+    ((False, 1, 5), "a must be a real number, got False"),
+], ids=["n-float", "n-bool", "n-string", "a-string", "b-none", "a-bool"])
+def test_uniform_scale_names_an_argument_that_is_not_a_number(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        uniform_scale(*args)
+
+
+def test_uniform_scale_takes_numpy_numbers():
+    ts = uniform_scale(np.float32(0.0), np.int64(1), np.int64(5))
+    np.testing.assert_array_equal(ts.points, uniform_scale(0.0, 1.0, 5).points)
+
+
 def test_json_round_trip_is_bit_exact():
     pts = [0.1, 1.0 / 3.0, 0.7000000000000001, 2.5e17]
     ts = make_timescale(pts)

@@ -23,7 +23,9 @@ rows it builds and its value passes, read from a spy on the solver's
 ``_slot_args``, and the rows a one-trial-at-a-time search would build, the
 sum over iterations of the accepted rung + 1, read from a spy on its
 ``_row``.  Their ratio is the share of built rows the search needed.  The
-counts repeat exactly.
+last column counts the solve's ``np.errstate`` entries, read from a
+subclass that the tool puts in place of ``numpy.errstate`` for that solve
+alone.  The counts repeat exactly.
 
 A third table times a fresh import of each module of the package, in
 dependency order, with numpy and the standard library already loaded:
@@ -93,11 +95,17 @@ def seeded_points(n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def search_counts(p, budget: int) -> tuple[int, int, int]:
-    """Trial rows and value passes of one budgeted solve, and the rows one trial per pass would build."""
-    take = solver._row
-    built, ladder = [], 0
+def search_counts(p, budget: int) -> tuple[int, int, int, int]:
+    """Trial rows, value passes, rows one trial per pass would build, and ``np.errstate`` entries of one solve."""
+    take, errstate = solver._row, np.errstate
+    built, ladder, entries = [], 0, 0
     since = 0  # rows built since the last accepted trial
+
+    class counted(errstate):
+        def __enter__(self):
+            nonlocal entries
+            entries += 1
+            return super().__enter__()
 
     def slot_args(p, vals):
         nonlocal since
@@ -112,22 +120,22 @@ def search_counts(p, budget: int) -> tuple[int, int, int]:
         since = 0
         return take(args, i)
 
-    solver._slot_args, solver._row = slot_args, row
+    solver._slot_args, solver._row, np.errstate = slot_args, row, counted
     try:
         solver.solve(p, T.SolverConfig(max_iterations=budget))
     finally:
-        solver._slot_args, solver._row = _slot_args, take
-    return sum(built), len(built), ladder
+        solver._slot_args, solver._row, np.errstate = _slot_args, take, errstate
+    return sum(built), len(built), ladder, entries
 
 
 def search_table() -> list[str]:
-    lines = [f"{'pair':8} {'n':>5} {'scale':8} {'rows':>6} {'passes':>6} {'ladder':>6} {'needed':>6}"]
+    lines = [f"{'pair':8} {'n':>5} {'scale':8} {'rows':>6} {'passes':>6} {'ladder':>6} {'needed':>6} {'errstate':>8}"]
     for name, (n, budget) in SEARCHES.items():
         build, delta, nabla = PAIRS[name]
         for kind, pts in (("uniform", np.linspace(0.0, 1.0, n)), ("seeded", seeded_points(n, 41))):
             p = T.VariationalProblem(T.make_timescale(pts), build(delta), build(nabla), 0.0, 1.0)
-            rows, passes, ladder = search_counts(p, budget)
-            lines.append(f"{name:8} {n:5d} {kind:8} {rows:6d} {passes:6d} {ladder:6d} {ladder / rows:6.2f}")
+            rows, passes, ladder, entries = search_counts(p, budget)
+            lines.append(f"{name:8} {n:5d} {kind:8} {rows:6d} {passes:6d} {ladder:6d} {ladder / rows:6.2f} {entries:8d}")
     return lines
 
 
