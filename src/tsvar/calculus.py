@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .record import Record
-from .timescale import KappaKind, KappaSet, TimeScale, _as_index, kappa_set
+from .timescale import KappaKind, KappaSet, TimeScale, _as_floats, _as_index, kappa_set
 
 __all__ = [
     "GridFunction",
@@ -59,7 +59,7 @@ def _require_finite(vals: np.ndarray, where: str) -> np.ndarray:
 
 def _frozen(values, n: int, per: str, where: str) -> np.ndarray:
     """``values`` as a read-only float copy of shape (n,), all finite; ``per`` and ``where`` name an entry."""
-    vals = np.array(values, dtype=float, copy=True)
+    vals = _as_floats(values, f"value at {where}")
     if vals.shape != (n,):
         raise ValueError(f"need one value per {per}: expected {n}, got {vals.shape}")
     _require_finite(vals, where)
@@ -98,7 +98,7 @@ class GridFunction(Record, eq=False):
             raise ValueError("expected an object with exactly the keys 'scale' and 'values'")
         from .timescale import make_timescale
 
-        return GridFunction(make_timescale(data["scale"]), np.asarray(data["values"], float))
+        return GridFunction(make_timescale(data["scale"]), data["values"])
 
     @staticmethod
     def from_json(text: str) -> "GridFunction":

@@ -70,7 +70,6 @@ __all__ = [
     "parse",
     "parse_lagrangian",
     "register_catalog",
-    "to_source",
 ]
 
 
@@ -252,38 +251,6 @@ def parse(source: str) -> tuple:
     if trailing.kind != "eof":
         raise parser.fail(trailing, "end of input")
     return node
-
-
-# Node precedence for parenthesis-minimal printing.
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "num": 5, "var": 5, "call": 5}
-
-
-def to_source(node: tuple) -> str:
-    """Render an AST back to a string that reparses to the same expression."""
-    return _render(node, 0)
-
-
-def _render(node: tuple, context: int) -> str:
-    tag = node[0]
-    if tag == "num":
-        text = "1e999" if node[1] == math.inf else repr(node[1])
-    elif tag == "var":
-        text = node[1]
-    elif tag == "call":
-        text = f"{node[1]}({_render(node[2], 0)})"
-    elif tag == "neg":
-        text = f"-{_render(node[1], _PREC['neg'])}"
-    elif tag == "pow":
-        # Left side must be an atom; the right side admits unary expressions.
-        text = f"{_render(node[1], _PREC['pow'] + 1)}^{_render(node[2], _PREC['neg'])}"
-    else:
-        symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[tag]
-        left = _render(node[1], _PREC[tag])
-        right = _render(node[2], _PREC[tag] + 1)
-        text = f"{left} {symbol} {right}"
-    if _PREC[tag] < context:
-        return f"({text})"
-    return text
 
 
 def _point(program: Program, seeds: tuple, t: float, u: float, v: float) -> float:

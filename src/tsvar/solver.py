@@ -152,16 +152,16 @@ class SolveResult(Record, eq=False):
         return json.dumps(self.to_dict())
 
 
+@np.errstate(all="ignore")
 def chord(p: VariationalProblem) -> GridFunction:
     """Linear interpolation between the boundary values; the default start."""
     pts = p.scale.points
     span = pts[-1] - pts[0]
     rise, run = p.beta - p.alpha, pts - pts[0]
-    with np.errstate(all="ignore"):  # a span beta - alpha past the float range fails in GridFunction
-        product = rise * run
-        vals = p.alpha + product / span
-        # Where only the product overflows, dividing first keeps a finite chord finite.
-        vals = np.where(np.isinf(product) & math.isfinite(rise), p.alpha + rise * (run / span), vals)
+    product = rise * run
+    vals = p.alpha + product / span
+    # Where only the product overflows, dividing first keeps a finite chord finite.
+    vals = np.where(np.isinf(product) & math.isfinite(rise), p.alpha + rise * (run / span), vals)
     vals[0] = p.alpha
     vals[-1] = p.beta
     return GridFunction(p.scale, vals)
@@ -173,6 +173,7 @@ def _row(args, i: int):
     return gaps, (td, ud[i], vd[i]), (tn, un[i], vn[i])
 
 
+@np.errstate(all="ignore")
 def solve(
     p: VariationalProblem,
     config: SolverConfig | None = None,
@@ -216,8 +217,7 @@ def solve(
         f0 = sign * jd * jn
         # An exact power-of-two rescale keeps |grad|^2 finite past |grad| ~ 1e154.
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
-        with np.errstate(all="ignore"):  # an infinite component overflows the slope
-            slope = float(np.dot(grad / scale, grad / scale))
+        slope = float(np.dot(grad / scale, grad / scale))
         padded = np.concatenate(([0.0], grad, [0.0]))  # y - s * 0.0 keeps each boundary value
         block = math.ceil(predicted / math.ceil(predicted / cap)) if predicted else 1
         k = 0  # the ladder's first rung not yet tried
@@ -282,10 +282,9 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
     right = np.concatenate((ax[0], np.repeat(ax[1:], r, axis=0).ravel(), np.full(r, p.beta))).reshape(-1, r)
     sizes = np.array([r, *[r * r] * (m - 1), r])
     edge = np.repeat(np.arange(m + 1), sizes // r)[:, None]
-    with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
-        quot = (right - left) / gaps[edge]
-        delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
-        ld, ln = _passes(p, delta, nabla)  # a t per row: the unfixed tape, nan where a pair fails
+    quot = (right - left) / gaps[edge]
+    delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
+    ld, ln = _passes(p, delta, nabla)  # a t per row: the unfixed tape, nan where a pair fails
     ld, ln = ld.ravel(), ln.ravel()
     # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
     # number, or its one digit there on a boundary edge.
@@ -297,8 +296,7 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
         for i in range(0, len(keep), batch):
             f = keep[i:i + batch]
             rows = f[:, None] // div % sizes + offsets
-            with np.errstate(all="ignore"):
-                j = _factor(gaps, ld[rows]) * _factor(gaps, ln[rows])
+            j = _factor(gaps, ld[rows]) * _factor(gaps, ln[rows])
             yield f, np.where(np.isfinite(j), j, np.inf)
 
 
@@ -319,12 +317,11 @@ def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarra
     # (one on a boundary edge).  Edges 0 and 1 read the first digit; the
     # others add up to the same tail in every slab.
     rows = [0, 1, *range(1 + r, len(edge), r), len(edge)]
-    with np.errstate(all="ignore"):  # a term that overflows, or a sum of inf - inf, is not finite
-        terms = np.stack((ld, ln)).reshape(2, -1, r) * gaps[edge]
-        edges = [terms[:, lo:hi].reshape(2, *(r if d in span else 1 for d in range(m)))
-                 for span, lo, hi in zip([(0,), *[(i - 1, i) for i in range(1, m)], (m - 1,)], rows, rows[1:])]
-        tail = sum(edges[2:], np.zeros((2,) + (1,) * m))
-        most = sum(np.abs(t).max(axis=tuple(range(2, m + 1))) for t in edges)
+    terms = np.stack((ld, ln)).reshape(2, -1, r) * gaps[edge]
+    edges = [terms[:, lo:hi].reshape(2, *(r if d in span else 1 for d in range(m)))
+             for span, lo, hi in zip([(0,), *[(i - 1, i) for i in range(1, m)], (m - 1,)], rows, rows[1:])]
+    tail = sum(edges[2:], np.zeros((2,) + (1,) * m))
+    most = sum(np.abs(t).max(axis=tuple(range(2, m + 1))) for t in edges)
     finite = np.isfinite(most)
     bad = ~finite.all(axis=0)  # per first-digit value
     bound = _estimate_bound(m, *np.where(finite, most, 0.0).max(axis=1).tolist())
@@ -334,7 +331,6 @@ def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarra
         if bound == np.inf or bad[a:a + run].any():
             yield np.arange(a * size, min(a + run, r) * size)
             continue
-        # All terms are finite and no sum can overflow, so nothing here warns.
         estimate, other = (sum(t[k, a:a + run] for t in edges[:2]) + tail[k] for k in (0, 1))
         estimate *= other
         threshold = min(threshold, float(estimate.min()) + bound)
@@ -360,6 +356,7 @@ def _estimate_bound(m: int, pd: float, pn: float) -> float:
     return 10 * gamma * pd * pn + (pd + pn + 1) * 2.0**-1069
 
 
+@np.errstate(all="ignore")
 def brute_force_oracle(
     p: VariationalProblem, bounds: tuple[float, float], resolution: int
 ) -> GridFunction:
@@ -412,6 +409,7 @@ class PerturbationAudit(Record):
         return dict(zip(self._fields, self._values()))
 
 
+@np.errstate(all="ignore")
 def perturbation_audit(
     p: VariationalProblem,
     result: SolveResult,

@@ -89,7 +89,7 @@ class TimeScale(Record, eq=False):
     # the forward graininess at i and the backward one at i+1.
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float, copy=True)
+        pts = _as_floats(self.points, "point at index")
         if pts.ndim != 1:
             raise TimeScaleError("points must form a one-dimensional sequence")
         if pts.size < 3:
@@ -138,11 +138,12 @@ class TimeScale(Record, eq=False):
 def make_timescale(points: Sequence[float]) -> TimeScale:
     """Validate and freeze a point sequence.
 
-    Rejects sequences with fewer than 3 points, non-finite entries, and
-    non-increasing or duplicate pairs (absolute tolerance 1e-12), naming the
-    offending index.  Nothing is silently repaired.
+    Rejects sequences with fewer than 3 points, entries that are not real
+    numbers (a bool or a string), non-finite entries, and non-increasing or
+    duplicate pairs (absolute tolerance 1e-12), naming the offending index.
+    Nothing is silently repaired.
     """
-    return TimeScale(np.asarray(points, dtype=float))
+    return TimeScale(points)
 
 
 def uniform_scale(a: float, b: float, n_points: int) -> TimeScale:
@@ -172,11 +173,33 @@ def _as_index(i: object) -> int:
 def _as_number(value, what: str, rule: str, ok: Callable = lambda v: True, kind: type = numbers.Real):
     """``value`` if it is a ``kind`` number, not a bool, that passes ``ok``; else ``ValueError``.
 
-    The one number rule of the package; the message reads "{what} must be {rule}, got {value!r}".
+    The one number rule of the package; the message reads "{what} must be {rule}, got {value!r}",
+    or "{what} is too large for a float" for a number past the float range.
     """
-    if isinstance(value, kind) and not isinstance(value, (bool, np.bool_)) and ok(value):
-        return value
+    if isinstance(value, kind) and not isinstance(value, (bool, np.bool_)):
+        try:
+            float(value)
+        except OverflowError:  # an integer past the largest float
+            raise ValueError(f"{what} is too large for a float") from None
+        if ok(value):
+            return value
     raise ValueError(f"{what} must be {rule}, got {value!r}")
+
+
+def _as_floats(values, what: str) -> np.ndarray:
+    """``values`` as a new float array, after the number rule.
+
+    A numpy array needs an integer or float dtype.  Each entry of a flat
+    sequence must be a real number, and "{what} {i}" names the first that is
+    not; any other shape is left to the caller's shape check.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"need an array of integers or floats, got dtype {values.dtype}")
+    elif np.ndim(values) == 1:
+        for i, value in enumerate(values):
+            _as_number(value, f"{what} {i}", "a real number")
+    return np.array(values, dtype=float)
 
 
 def _check_index(ts: TimeScale, i: object) -> int:

@@ -48,14 +48,14 @@ reads only dy (``dy^2``) is one register, and a problem computes the
 registers that read only t once (``_fixed``).
 A pass's slots set its policy (``_passes``): rows raise, stacks give nan,
 and the scale's one-row t runs the fixed tape; a hand-built density
-branches once, in ``Lagrangian._pass``.  The difference quotients, the
-passes, the factor sums, the gradient's and the EL trace's products with
-the factors, the running sums of the EL terms, the trace's mean and
-deviation, and the pointwise residuals are computed with numpy's
-floating-point warnings off: the passes of a pair and their sums under
-one ``np.errstate``.  An overflow shows as a non-finite density value
-(which the density rejects as a domain error), a non-finite factor,
-gradient, trace or residual, or a nan deviation, which fails ``passes``.
+branches once, in ``Lagrangian._pass``.  One floating-point policy holds
+here and in ``tsvar.solver``: each public call runs wholly with numpy's
+warnings off (``@np.errstate(all="ignore")``) and restores the caller's
+settings, private numeric code never touches numpy's error state, and the
+oracle's generators run under the ``brute_force_oracle`` call that iterates
+them.  An overflow shows as a non-finite density value (which the density
+rejects as a domain error), a non-finite factor, gradient, trace or
+residual, or a nan deviation, which fails ``passes``.
 """
 
 from __future__ import annotations
@@ -189,9 +189,8 @@ def _slot_args(p: VariationalProblem, vals: np.ndarray):
     the slot arrays then have a row per candidate, and ``t`` broadcasts.
     """
     pts, gaps = p.scale.points, p.scale.gaps
-    with np.errstate(all="ignore"):  # an overflowing quotient fails in the density
-        quot = np.subtract(vals[..., 1:], vals[..., :-1])
-        np.divide(quot, gaps, out=quot)
+    quot = np.subtract(vals[..., 1:], vals[..., :-1])
+    np.divide(quot, gaps, out=quot)
     # Delta slot: density at (t_i, y(i+1), quot_i) for i over upper-kappa.
     # Nabla slot: density at (t_i, y(i-1), quot_{i-1}) for i over lower-kappa.
     return gaps, (pts[:-1], vals[..., 1:], quot), (pts[1:], vals[..., :-1], quot)
@@ -203,12 +202,12 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
     A (rows, k) stack sums each row exactly as ``np.dot(gaps, row)`` does;
     a stack with more leading axes may not (2 ulps off for a (2, 343, 4) one).
     """
-    sums = np.matmul(values[..., None, :], gaps[:, None])[..., 0, 0]  # under the caller's np.errstate
+    sums = np.matmul(values[..., None, :], gaps[:, None])[..., 0, 0]
     return float(sums) if values.ndim == 1 else sums
 
 
 def _passes(p: VariationalProblem, delta, nabla, seeds: tuple = ()):
-    """Both densities' passes over their slot arguments, under the caller's ``np.errstate``.
+    """Both densities' passes over their slot arguments.
 
     A one-row y raises and a stack gets nan where a row fails; a one-row t is the scale's own
     (only ``_slot_args`` builds one) and runs the tape fixed for it, the oracle's t per row the tape.
@@ -225,13 +224,11 @@ def _factors(p: VariationalProblem, args):
 
     One row of values gives floats and raises the first ``EvalDomainError``
     of its passes.  A stack of rows gives arrays with one entry per row,
-    nan for each row whose own pass would raise.  Both passes and both sums
-    run under one ``np.errstate``; an overflowing sum is a non-finite factor.
+    nan for each row whose own pass would raise; an overflowing sum is a non-finite factor.
     """
     gaps, delta, nabla = args
-    with np.errstate(all="ignore"):
-        ld, ln = _passes(p, delta, nabla)
-        return _factor(gaps, ld), _factor(gaps, ln)
+    ld, ln = _passes(p, delta, nabla)
+    return _factor(gaps, ld), _factor(gaps, ln)
 
 
 class _Partials:
@@ -242,8 +239,7 @@ class _Partials:
     def __init__(self, p: VariationalProblem, args):
         gaps, delta, nabla = args
         self.gaps = gaps
-        with np.errstate(all="ignore"):
-            (self.d2d, self.d3d), (self.d2n, self.d3n) = _passes(p, delta, nabla, SEEDS)
+        (self.d2d, self.d3d), (self.d2n, self.d3n) = _passes(p, delta, nabla, SEEDS)
 
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).
@@ -255,19 +251,17 @@ class _Partials:
         grad_d = gaps[:-1] * self.d2d[:-1] + self.d3d[:-1] - self.d3d[1:]
         # and in the nabla sum through i = k+1 (both slots) and i = k:
         grad_n = gaps[1:] * self.d2n[1:] - self.d3n[1:] + self.d3n[:-1]
-        with np.errstate(all="ignore"):  # a product past the float range is not finite
-            return jn * grad_d + jd * grad_n
+        return jn * grad_d + jd * grad_n
 
     def el_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """f over upper-kappa and g over lower-kappa."""
         gaps = self.gaps
         # Running integrals of the state partials; entry k covers points < k
         # (delta side) respectively points <= k (nabla side).
-        with np.errstate(all="ignore"):  # an overflowing sum gives a nan deviation, which fails
-            run_a = np.concatenate(([0.0], np.cumsum(gaps * self.d2d)))
-            run_b = np.concatenate(([0.0], np.cumsum(gaps * self.d2n)))
-            f = self.d3d - run_a[:-1]  # entry k: point index k over upper-kappa
-            g = self.d3n - run_b[1:]  # entry j: point index j+1 over lower-kappa
+        run_a = np.concatenate(([0.0], np.cumsum(gaps * self.d2d)))
+        run_b = np.concatenate(([0.0], np.cumsum(gaps * self.d2n)))
+        f = self.d3d - run_a[:-1]  # entry k: point index k over upper-kappa
+        g = self.d3n - run_b[1:]  # entry j: point index j+1 over lower-kappa
         return f, g
 
 
@@ -277,22 +271,23 @@ def _checked_pass(p: VariationalProblem, y: GridFunction) -> tuple[_Partials, fl
     return _Partials(p, args), *_factors(p, args)
 
 
+@np.errstate(all="ignore")
 def j_delta(p: VariationalProblem, y: GridFunction) -> float:
     """The delta-type factor of the objective."""
     _check_alignment(p, y)
     gaps, delta, _ = _slot_args(p, y.values)
-    with np.errstate(all="ignore"):
-        return _factor(gaps, p.l_delta.values(*delta))
+    return _factor(gaps, p.l_delta.values(*delta))
 
 
+@np.errstate(all="ignore")
 def j_nabla(p: VariationalProblem, y: GridFunction) -> float:
     """The nabla-type factor of the objective."""
     _check_alignment(p, y)
     gaps, _, nabla = _slot_args(p, y.values)
-    with np.errstate(all="ignore"):
-        return _factor(gaps, p.l_nabla.values(*nabla))
+    return _factor(gaps, p.l_nabla.values(*nabla))
 
 
+@np.errstate(all="ignore")
 def j_product(p: VariationalProblem, y: GridFunction) -> float:
     """The product objective J = Jd * Jn."""
     _check_alignment(p, y)
@@ -300,6 +295,7 @@ def j_product(p: VariationalProblem, y: GridFunction) -> float:
     return jd * jn
 
 
+@np.errstate(all="ignore")
 def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarray:
     """Exact partials of the product objective in the interior values.
 
@@ -314,9 +310,8 @@ def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarr
 
 def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
     trace.setflags(write=False)
-    with np.errstate(all="ignore"):  # a non-finite trace gives a nan deviation, which fails
-        c = float(np.mean(trace))
-        deviation = float(np.max(np.abs(trace - c)))
+    c = float(np.mean(trace))
+    deviation = float(np.max(np.abs(trace - c)))
     return ELReport(which, p.scale, kappa_set(p.scale, kind), trace, c, deviation,
                     j_delta=jd, j_nabla=jn)
 
@@ -324,12 +319,12 @@ def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
 def _el_reports(p, parts: _Partials, jd: float, jn: float) -> tuple[ELReport, ELReport]:
     """EL1 and EL2 from their one shared, read-only trace Jn * f + Jd * g."""
     f, g = parts.el_terms()
-    with np.errstate(all="ignore"):
-        trace = jn * f + jd * g
+    trace = jn * f + jd * g
     el1 = _report(p, "EL1", KappaKind.LOWER, trace, jd, jn)
     return el1, el1.replace(which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
 
 
+@np.errstate(all="ignore")
 def el_residual_1(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Backward-attached integral Euler-Lagrange trace over lower-kappa.
 
@@ -339,6 +334,7 @@ def el_residual_1(p: VariationalProblem, y: GridFunction) -> ELReport:
     return _el_reports(p, *_checked_pass(p, y))[0]
 
 
+@np.errstate(all="ignore")
 def el_residual_2(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Forward-attached integral Euler-Lagrange trace over upper-kappa.
 
@@ -349,18 +345,21 @@ def el_residual_2(p: VariationalProblem, y: GridFunction) -> ELReport:
     return _el_reports(p, *_checked_pass(p, y))[1]
 
 
+@np.errstate(all="ignore")
 def el_residual_cor1(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Single-calculus nabla condition: g alone, over lower-kappa."""
     parts, jd, jn = _checked_pass(p, y)
     return _report(p, "corollary-EL1", KappaKind.LOWER, parts.el_terms()[1], jd, jn)
 
 
+@np.errstate(all="ignore")
 def el_residual_cor2(p: VariationalProblem, y: GridFunction) -> ELReport:
     """Single-calculus delta condition: f alone, over upper-kappa."""
     parts, jd, jn = _checked_pass(p, y)
     return _report(p, "corollary-EL2", KappaKind.UPPER, parts.el_terms()[0], jd, jn)
 
 
+@np.errstate(all="ignore")
 def classic_el_residuals(
     p: VariationalProblem, y: GridFunction
 ) -> tuple[PartialGridFunction, PartialGridFunction]:
@@ -375,9 +374,8 @@ def classic_el_residuals(
         raise ValueError(f"need at least 4 points for the pointwise residuals, got {len(p.scale)}")
     parts = _Partials(p, _slot_args(p, y.values))
     gaps = parts.gaps
-    with np.errstate(all="ignore"):  # a residual past the float range fails in PartialGridFunction
-        delta_res = (parts.d3d[1:] - parts.d3d[:-1]) / gaps[:-1] - parts.d2d[:-1]
-        nabla_res = (parts.d3n[1:] - parts.d3n[:-1]) / gaps[1:] - parts.d2n[1:]
+    delta_res = (parts.d3d[1:] - parts.d3d[:-1]) / gaps[:-1] - parts.d2d[:-1]
+    nabla_res = (parts.d3n[1:] - parts.d3n[:-1]) / gaps[1:] - parts.d2n[1:]
     return (
         PartialGridFunction(p.scale, kappa_set(p.scale, KappaKind.UPPER_SQUARED), delta_res),
         PartialGridFunction(p.scale, kappa_set(p.scale, KappaKind.LOWER_SQUARED), nabla_res),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -60,6 +62,27 @@ def test_grid_function_validation():
         PartialGridFunction(ts, domain, [0.0, np.nan, 1.0])
     with pytest.raises(ValueError, match="^non-finite value at domain position 1$"):
         PartialGridFunction(ts, domain, [0.0, np.nan, np.inf])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([False, "1", True], "value at index 0 must be a real number, got False"),
+    ([0.0, "1", 2.0], "value at index 1 must be a real number, got '1'"),
+    (np.array([False, True, True]), "need an array of integers or floats, got dtype bool"),
+    (np.array([0.0, 1.0, None]), "need an array of integers or floats, got dtype object"),
+], ids=["bools", "string", "bool-array", "object-array"])
+def test_grid_values_must_be_numbers(values, message):
+    # The rule of the time scale's points: a bool or a numeric string is not
+    # a value, in a list as in an array, for a grid function, a partial one
+    # and one read from a dict.
+    ts = make_timescale([0.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridFunction(ts, values)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.replace('index', 'domain position'))}$"):
+        PartialGridFunction(ts, kappa_set(ts, KappaKind.FULL), values)
+    if isinstance(values, list):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridFunction.from_dict({"scale": [0.0, 1.0, 3.0], "values": values})
+    assert GridFunction(ts, np.array([0, 1, 2])).values.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_grid_function_values_read_only():

@@ -19,7 +19,6 @@ from tsvar.lagrangian import (
     Lagrangian,
     parse,
     register_catalog,
-    to_source,
 )
 from tsvar.program import COMPUTES, SEEDS, Program, _run, run
 
@@ -206,6 +205,29 @@ def test_unknown_names():
 
 
 # --- printing and round trips -------------------------------------------
+
+# Node precedence for parenthesis-minimal printing.
+PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "num": 5, "var": 5, "call": 5}
+
+
+def to_source(node: tuple, context: int = 0) -> str:
+    """An AST rendered as a string that reparses to the same expression."""
+    tag = node[0]
+    if tag == "num":
+        text = "1e999" if node[1] == math.inf else repr(node[1])
+    elif tag == "var":
+        text = node[1]
+    elif tag == "call":
+        text = f"{node[1]}({to_source(node[2])})"
+    elif tag == "neg":
+        text = f"-{to_source(node[1], PREC['neg'])}"
+    elif tag == "pow":
+        # Left side must be an atom; the right side admits unary expressions.
+        text = f"{to_source(node[1], PREC['pow'] + 1)}^{to_source(node[2], PREC['neg'])}"
+    else:
+        symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[tag]
+        text = f"{to_source(node[1], PREC[tag])} {symbol} {to_source(node[2], PREC[tag] + 1)}"
+    return f"({text})" if PREC[tag] < context else text
 
 
 @pytest.mark.parametrize("source", [

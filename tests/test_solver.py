@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import itertools
 import json
 import math
@@ -8,10 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+import tsvar.solver
+import tsvar.variational
 from tsvar import (
     EvalDomainError,
     GridFunction,
     Lagrangian,
+    PartialGridFunction,
     SolverConfig,
     StepUnderflowError,
     VariationalProblem,
@@ -430,7 +434,8 @@ def test_batched_oracle_matches_j_product(interior, monkeypatch):
         want = np.array(want)
         for block in (5, 30, 8192):
             monkeypatch.setattr("tsvar.solver._BLOCK_ELEMENTS", block)
-            f, got = (np.concatenate(part) for part in zip(*_grid_objectives(p, axes)))
+            with np.errstate(all="ignore"):  # the caller of ``_grid_objectives`` holds np.errstate
+                f, got = (np.concatenate(part) for part in zip(*_grid_objectives(p, axes)))
             assert np.all(np.diff(f) > 0)
             assert got.tobytes() == want[f].tobytes()
             assert set(np.flatnonzero(want == want.min())) <= set(f.tolist())
@@ -782,3 +787,74 @@ def test_audit_of_flat_objective_is_indeterminate():
     audit = perturbation_audit(p, r, radius=0.5, trials=50)
     assert audit.classification == "saddle/indeterminate"
     assert audit.j_min == audit.j_max == audit.j_reference
+
+
+# --- one floating-point policy ----------------------------------------------
+
+OVERFLOWING = parse_lagrangian("1e300*dy^2"), parse_lagrangian("1e300*(dy^2 + y^2)")
+FIVE = uniform_scale(0.0, 1.0, 5)
+MID = VariationalProblem(FIVE, *OVERFLOWING, 0.0, 1.0)  # J, the gradient and the EL traces overflow
+HUGE = VariationalProblem(FIVE, *OVERFLOWING, -1e308, 1e308)  # every quotient overflows
+Y_MID = GridFunction(FIVE, [0.0, 0.3, 0.4, 0.8, 1.0])
+Y_HUGE = GridFunction(FIVE, [-1e308, 1e308, -1e308, 1e308, 1e308])
+# Each public function of variational and solver, by name: calls whose arithmetic overflows.
+POLICY_CALLS = {name: lambda fn=getattr(tsvar.variational, name): [lambda: fn(MID, Y_MID), lambda: fn(HUGE, Y_HUGE)]
+                for name in ("j_delta", "j_nabla", "j_product", "first_variation_gradient", "el_residual_1",
+                             "el_residual_2", "el_residual_cor1", "el_residual_cor2", "classic_el_residuals")}
+POLICY_CALLS.update(
+    # Only (beta - alpha) * (t - a) overflows, and then the span beta - alpha.
+    chord=lambda: [lambda: chord(VariationalProblem(make_timescale([0.0, 1.0, 2.0, 3.0]), *OVERFLOWING, -8e307, 9e307)),
+                   lambda: chord(HUGE)],
+    # The gradient at the chord is 0 and the EL traces overflow; then the search meets domain errors only.
+    solve=lambda L=parse_lagrangian("1e200*(dy^2 + 1)"): [lambda: solve(VariationalProblem(FIVE, L, L, 0.0, 1.0)),
+                                                         lambda: solve(MID, SolverConfig(max_iterations=3))],
+    # Some candidates' pairs fail or overflow and the rest are finite; then every J overflows.
+    brute_force_oracle=lambda: [
+        lambda: brute_force_oracle(VariationalProblem(make_timescale([0.0, 1.0, 2.0, 3.0, 4.0]), OVERFLOWING[0],
+                                                      parse_lagrangian("1e-300*(dy^2 + y^2 + 1)"), 0.0, 1.0),
+                                   (-1e300, 1e300), 21),
+        lambda: brute_force_oracle(VariationalProblem(make_timescale([0.0, 1.0, 2.0]), *OVERFLOWING, 0.0, 1.0),
+                                   (-1e307, 1e307), 11)],
+    perturbation_audit=lambda r=solve(square_problem(pts=(0.0, 0.25, 0.5, 0.75, 1.0))): [
+        lambda: perturbation_audit(MID, r, 0.1, 3), lambda: perturbation_audit(MID, r, 1e306, 3)],
+)
+
+
+def fingerprint(x):
+    """The bytes or exact JSON of a public call's result."""
+    if isinstance(x, tuple):
+        return [fingerprint(v) for v in x]
+    if isinstance(x, (np.ndarray, PartialGridFunction)):
+        return getattr(x, "values", x).tobytes()
+    return json.dumps(x.to_dict()) if hasattr(x, "to_dict") else repr(x)
+
+
+def policy_outcome(call):
+    """``call()``'s result, or the type and message of what it raises; numpy's settings must be as they were."""
+    before = np.geterr()
+    try:
+        return fingerprint(call())
+    except (ValueError, EvalDomainError, StepUnderflowError) as exc:
+        return type(exc), str(exc)
+    finally:
+        assert np.geterr() == before
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for module in (tsvar.variational, tsvar.solver) for name in module.__all__
+    if inspect.isfunction(getattr(module, name))))
+def test_public_calls_switch_numpy_warnings_off_and_restore_the_callers_settings(name):
+    # Each public call runs wholly with numpy's warnings off and gives the
+    # caller back its own settings, whether it returns or raises.  So under
+    # an outer all="raise" each of these overflowing calls returns, or raises
+    # the same error, as under numpy's defaults (where a RuntimeWarning
+    # fails the test), and never raises FloatingPointError.
+    calls = POLICY_CALLS[name]()
+    outcomes = []
+    for call in calls:
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):  # numpy's defaults
+            want = policy_outcome(call)
+        with np.errstate(all="raise"):
+            assert policy_outcome(call) == want
+        outcomes.append(isinstance(want, tuple) and isinstance(want[0], type))
+    assert outcomes == [False, True]  # the first call returns, the second raises

@@ -11,12 +11,17 @@ from tsvar import (
     KappaSet,
     TimeScale,
     TimeScaleError,
+    VariationalProblem,
+    brute_force_oracle,
     make_timescale,
     mu,
     nu,
     kappa_set,
+    parse_lagrangian,
+    perturbation_audit,
     rho,
     sigma,
+    solve,
     uniform_scale,
 )
 
@@ -87,6 +92,45 @@ def test_rejects_non_finite_points():
 def test_rejects_nested_points():
     with pytest.raises(TimeScaleError, match="^points must form a one-dimensional sequence$"):
         make_timescale([[0, 1, 2], [3, 4, 5]])
+
+
+@pytest.mark.parametrize("points, message", [
+    ([0, True, 2], "point at index 1 must be a real number, got True"),
+    (["0", "1", "2"], "point at index 0 must be a real number, got '0'"),
+    ((0.0, 1.0, np.False_), "point at index 2 must be a real number, got np.False_"),
+    (np.array([False, True, True]), "need an array of integers or floats, got dtype bool"),
+    (np.array(["0", "1", "2"]), "need an array of integers or floats, got dtype <U1"),
+], ids=["bool", "strings", "numpy-bool", "bool-array", "string-array"])
+def test_rejects_points_that_are_not_numbers(points, message):
+    # A bool or a numeric string is not a point, in a list as in an array;
+    # numpy alone would turn [0, True, 2] into the int64 array [0, 1, 2].
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_timescale(points)
+
+
+def test_takes_integer_and_float_arrays():
+    for points in (np.array([0, 1, 2]), np.array([0, 1, 2], dtype=np.uint8), np.array([0.0, 1.0, 2.0], np.float32)):
+        np.testing.assert_array_equal(make_timescale(points).points, [0.0, 1.0, 2.0])
+
+
+DY2 = parse_lagrangian("dy^2")
+THREE = VariationalProblem(uniform_scale(0.0, 1.0, 3), DY2, DY2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("boundary value alpha", lambda: VariationalProblem(THREE.scale, DY2, DY2, 10**400, 1.0)),
+    ("b", lambda: uniform_scale(0, 10**400, 5)),
+    ("bounds", lambda: brute_force_oracle(THREE, (0, 10**400), 11)),
+    ("resolution", lambda: brute_force_oracle(THREE, (0, 1), 10**400)),
+    ("radius", lambda: perturbation_audit(THREE, solve(THREE), 10**400, 3)),
+    ("point at index 2", lambda: make_timescale([0, 1, 10**400])),
+], ids=["problem", "uniform", "oracle", "oracle-resolution", "audit", "points"])
+def test_integers_past_the_float_range_name_their_argument(name, call):
+    # The number rule turns float()'s OverflowError into a ValueError that
+    # names the argument, as the CLI reports an oversized JSON integer; an
+    # integer count past the float range is refused too.
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} is too large for a float$"):
+        call()
 
 
 def test_jump_operators_clamp_at_boundary():

@@ -23,9 +23,7 @@ rows it builds and its value passes, read from a spy on the solver's
 ``_slot_args``, and the rows a one-trial-at-a-time search would build, the
 sum over iterations of the accepted rung + 1, read from a spy on its
 ``_row``.  Their ratio is the share of built rows the search needed.  The
-last column counts the solve's ``np.errstate`` entries, read from a
-subclass that the tool puts in place of ``numpy.errstate`` for that solve
-alone.  The counts repeat exactly.
+counts repeat exactly.
 
 A third table times a fresh import of each module of the package, in
 dependency order, with numpy and the standard library already loaded:
@@ -95,17 +93,11 @@ def seeded_points(n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def search_counts(p, budget: int) -> tuple[int, int, int, int]:
-    """Trial rows, value passes, rows one trial per pass would build, and ``np.errstate`` entries of one solve."""
-    take, errstate = solver._row, np.errstate
-    built, ladder, entries = [], 0, 0
+def search_counts(p, budget: int) -> tuple[int, int, int]:
+    """Trial rows, value passes, and rows one trial per pass would build, of one solve."""
+    take = solver._row
+    built, ladder = [], 0
     since = 0  # rows built since the last accepted trial
-
-    class counted(errstate):
-        def __enter__(self):
-            nonlocal entries
-            entries += 1
-            return super().__enter__()
 
     def slot_args(p, vals):
         nonlocal since
@@ -120,22 +112,22 @@ def search_counts(p, budget: int) -> tuple[int, int, int, int]:
         since = 0
         return take(args, i)
 
-    solver._slot_args, solver._row, np.errstate = slot_args, row, counted
+    solver._slot_args, solver._row = slot_args, row
     try:
         solver.solve(p, T.SolverConfig(max_iterations=budget))
     finally:
-        solver._slot_args, solver._row, np.errstate = _slot_args, take, errstate
-    return sum(built), len(built), ladder, entries
+        solver._slot_args, solver._row = _slot_args, take
+    return sum(built), len(built), ladder
 
 
 def search_table() -> list[str]:
-    lines = [f"{'pair':8} {'n':>5} {'scale':8} {'rows':>6} {'passes':>6} {'ladder':>6} {'needed':>6} {'errstate':>8}"]
+    lines = [f"{'pair':8} {'n':>5} {'scale':8} {'rows':>6} {'passes':>6} {'ladder':>6} {'needed':>6}"]
     for name, (n, budget) in SEARCHES.items():
         build, delta, nabla = PAIRS[name]
         for kind, pts in (("uniform", np.linspace(0.0, 1.0, n)), ("seeded", seeded_points(n, 41))):
             p = T.VariationalProblem(T.make_timescale(pts), build(delta), build(nabla), 0.0, 1.0)
-            rows, passes, ladder, entries = search_counts(p, budget)
-            lines.append(f"{name:8} {n:5d} {kind:8} {rows:6d} {passes:6d} {ladder:6d} {ladder / rows:6.2f} {entries:8d}")
+            rows, passes, ladder = search_counts(p, budget)
+            lines.append(f"{name:8} {n:5d} {kind:8} {rows:6d} {passes:6d} {ladder:6d} {ladder / rows:6.2f}")
     return lines
 
 
@@ -205,12 +197,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    rows = list(cases())
-    numbers = [max(1, round(2e-3 / batch(call, 3))) for *_, call in rows]  # about 2 ms per sample
-    samples: list[list[float]] = [[] for _ in rows]
-    for _ in range(args.repeat):
-        for (*_, call), number, got in zip(rows, numbers, samples):
-            got.append(batch(call, number) * 1e6)
+    with np.errstate(all="ignore"):  # as a public call holds it around these private helpers
+        rows = list(cases())
+        numbers = [max(1, round(2e-3 / batch(call, 3))) for *_, call in rows]  # about 2 ms per sample
+        samples: list[list[float]] = [[] for _ in rows]
+        for _ in range(args.repeat):
+            for (*_, call), number, got in zip(rows, numbers, samples):
+                got.append(batch(call, number) * 1e6)
     print(f"{'pair':8} {'n':>5} {'pass':13} {'median_us':>10} {'q1_us':>10} {'q3_us':>10}")
     for (name, n, kind, _), got in zip(rows, samples):
         q1, _, q3 = statistics.quantiles(got, n=4) if len(got) > 1 else got * 3
