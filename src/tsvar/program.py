@@ -32,6 +32,11 @@ runs each step once, then finishes each density's output with the failure
 records in that density's cone, sorted by its own walk order, so every
 value, partial, nan and error stays bit for bit what the density alone
 gives.
+
+A value pass may take each density's t and y as its distinct (t, y)
+values, with a map onto them per density from dy's entries (the oracle's
+m * r + 1 per side, for (m - 1) * r^2 + 2r quotients): the steps free of
+dy run over those, then are gathered, bit for bit, into dy's layout.
 """
 
 from __future__ import annotations
@@ -218,6 +223,7 @@ _TANGENT = {"add": lambda f, j, x, tx, z, tz: (None, tx + tz), "sub": lambda f, 
 # carries a tangent where it reads a slot of ``_SEEDED``, a y or the dy.
 COMPUTES = 1 << len(_SLOTS)
 _SEEDED = sum(1 << k for k, (name, _) in enumerate(_SLOTS) if name != "t")
+_DY = 1 << _SLOTS.index(("dy", 0))
 
 
 class Program:
@@ -289,9 +295,11 @@ class Program:
             if r not in given and op != "num" and not (
                     seeds and reads[r] & _SEEDED and op in ("add", "sub", "neg") and r not in need):
                 need.update((a, b))
-        pre, plain, duals = [], [], []
+        pre, free, plain, duals = [], [], [], []
         for r in range(width, len(code)):
-            (pre if code[r][0] == "num" or r in given else duals if seeds and reads[r] & _SEEDED else plain).append(r)
+            (pre if code[r][0] == "num" or r in given else duals if seeds and reads[r] & _SEEDED
+             else plain if reads[r] & _DY else free).append(r)
+        split, plain = len(free), free + plain  # the steps free of dy first
         pos = {r: k for k, r in enumerate([*range(width), *pre, *plain, *duals])}
 
         def step(r: int, rules: dict) -> tuple:
@@ -307,11 +315,19 @@ class Program:
 
         # An output is its own array if a step computes it from a slot and no earlier output hands it out.
         roots, fresh = [root for root, _, _ in self.outs], set(duals if seeds else plain)
-        outs = [(pos[root], root in fresh and reads[root] != COMPUTES and root not in roots[:i], order, slots)
+        outs = [(pos[root], root in fresh and reads[root] != COMPUTES and root not in roots[:i], order, slots, i)
                 for i, (root, order, slots) in enumerate(self.outs)]
+        # A value pass over each density's distinct (t, y) runs the first ``split`` steps there, then gathers
+        # into dy's layout each register of ``side`` that a later step or an output reads.  A register free of
+        # dy that reads a slot reads one density's: ``side`` maps it to that density, by its lowest slot bit.
+        side = {r: _SLOTS[(reads[r] & -reads[r]).bit_length() - 1][1] for r in [*range(width), *free]
+                if reads[r] & ~COMPUTES & ~_DY}
+        late = {x for r in plain[split:] for x in code[r][1:]} | set(roots)
+        gather = [(pos[r], d) for r, d in side.items() if r in late]
         return ([code[r][1] if code[r][0] == "num" else given[r][0] for r in pre],
                 [record for r in pre if r in given for record in given[r][1]],
-                [step(r, _VALUE) for r in plain], [step(r, _DUAL) for r in duals], outs, pos)
+                [step(r, _VALUE) for r in plain], [step(r, _DUAL) for r in duals], outs, width,
+                (split, side, gather), pos)
 
     def fix(self, *ts) -> Program:
         """The program with each register that reads only t given, from one value pass over each density's t."""
@@ -349,9 +365,24 @@ def run(program: Program, t, y, dy, seeds: tuple = (), strict: bool = True):
 
 
 def _steps(compiled: tuple, slots: list, seeds: tuple) -> tuple:
-    """Every step of one mode once over ``slots``: the register file's values, tangents and failure records."""
-    pre, records, plain, duals = compiled[:4]
+    """Every step of one mode once over ``slots``: the register file's values, tangents and failure records.
+
+    Slots that end in a map per density run the steps free of dy over the distinct (t, y), then gather.
+    """
+    pre, records, plain, duals, _, width = compiled[:6]
     failed, vals, tans = list(records), [*slots, *pre], None
+    if len(slots) > width:
+        (split, side, gather), maps = compiled[6], slots[width:]
+        vals = [*slots[:width], *pre]
+        for rule, r, a, b in plain[:split]:
+            vals.append(rule(failed, r, vals[a], vals[b]))
+        for i, d in gather:
+            vals[i] = vals[i][maps[d]]
+        for n, (mask, template, xs, j) in enumerate(failed):
+            if j in side:  # a mask or operand is the distinct values' or a constant's
+                mask, *xs = (x[maps[side[j]]] if np.ndim(x) else x for x in (mask, *xs))
+                failed[n] = mask, template, tuple(xs), j
+        plain = plain[split:]
     for rule, r, a, b in plain:
         vals.append(rule(failed, r, vals[a], vals[b]))
     if seeds:
@@ -373,10 +404,12 @@ def _run(program: Program, slots, seeds: tuple, strict: bool) -> list:
     """
     compiled = program.partials if seeds else program.values
     vals, tans, records = _steps(compiled, slots, seeds)
-    outs = []
-    for k, own, order, where in compiled[4]:
+    outs, maps = [], slots[compiled[5]:]
+    for k, own, order, where, d in compiled[4]:
         (t, y, dy), out = (slots[i] for i in where), (tans if seeds else vals)[k]
-        failed = [(mask, template, xs, order[r]) for mask, template, xs, r in records if r in order]
+        if maps:  # its t and y hold each distinct value once, and its map has their layout
+            t = y = maps[d]
+        failed = [(mask, template, xs, order[r]) for mask, template, xs, r in records if r in order] if records else []
         ok = np.isfinite(out)
         if np.count_nonzero(ok) < ok.size:
             failed.append((~ok, "non-finite value", (), math.inf))
@@ -391,6 +424,8 @@ def _run(program: Program, slots, seeds: tuple, strict: bool) -> list:
                 i = int(np.argmax(union))
                 at = lambda x: float(np.broadcast_to(x, shape).flat[i])  # noqa: E731
                 template, xs = next((template, xs) for mask, template, xs, _ in failed if at(mask))
+                if maps:
+                    t, y = slots[where[0]][maps[d]], slots[where[1]][maps[d]]
                 raise EvalDomainError(template.format(*map(at, xs)), at(t), at(y), at(dy))
         end = out.shape if own else ()
         # Unless each slot's shape ends the output's and dy's has its rank (it is S, or (K,) + S), it is copied out.

@@ -36,7 +36,8 @@ scans a full grid over the interior values, then rescans once across the
 best cell.  Edge i's summands read only y_i and y_{i+1}, so a scan
 evaluates each density once per distinct pair of neighbouring grid values,
 in one run of the pair's tape, whose two densities read one array of
-quotients as dy, as in any other pass.  It then visits the
+quotients as dy, as in any other pass; its subtrees free of dy run once
+per distinct (t, y) of a side, m * r + 1 values.  It then visits the
 candidates in lexicographic order, in slabs of whole first-digit values
 (at most ``_BLOCK_ELEMENTS`` candidates, or one value), in two stages.  First each
 factor's edge terms are broadcast over the slab and summed, and the
@@ -60,6 +61,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -267,8 +269,9 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
 
     Edge i's summands read only y_i and y_{i+1}, so each factor takes one
     non-strict value pass over every edge's distinct pairs, with the slot
-    arguments ``_slot_args`` gives them, in rows of r pairs on one edge
-    (t broadcasts along a row).  ``_survivors`` drops the candidates whose
+    arguments ``_slot_args`` gives them, in rows of r pairs on one edge;
+    each side's t and y hold its distinct (t, y) values, which the side's
+    map from ``_layout`` indexes.  ``_survivors`` drops the candidates whose
     J is sure to be above another's; the others, in lexicographic order,
     have their rows of edge values summed with ``_factor`` in batches, so
     each J equals ``j_product`` bit for bit.  Where a pair fails, or J is
@@ -277,19 +280,14 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
     pts, gaps = p.scale.points, p.scale.gaps
     ax = np.array(axes)
     m, r = ax.shape
-    # One row per boundary edge, and r per inner edge: one per value of its left end.
-    left = np.concatenate((np.full(r, p.alpha), np.repeat(ax[:-1], r), ax[-1])).reshape(-1, r)
-    right = np.concatenate((ax[0], np.repeat(ax[1:], r, axis=0).ravel(), np.full(r, p.beta))).reshape(-1, r)
-    sizes = np.array([r, *[r * r] * (m - 1), r])
-    edge = np.repeat(np.arange(m + 1), sizes // r)[:, None]
-    quot = (right - left) / gaps[edge]
-    delta, nabla = (pts[edge], right, quot), (pts[edge + 1], left, quot)
-    ld, ln = _passes(p, delta, nabla)  # a t per row: the unfixed tape, nan where a pair fails
+    at_d, at_n, edge, div, sizes, offsets = _layout(m, r)
+    # Each side's distinct (t, y): the delta slot reads axis i at t_i on edge i (beta at t_m), the nabla
+    # slot axis i-1 at t_{i+1} (alpha at t_1).
+    yd, yn = np.concatenate((ax.ravel(), [p.beta])), np.concatenate(([p.alpha], ax.ravel()))
+    td, tn = np.concatenate((np.repeat(pts[:m], r), pts[m:m + 1])), np.concatenate((pts[1:2], np.repeat(pts[2:], r)))
+    quot = (yd[at_d] - yn[at_n]) / gaps[edge]
+    ld, ln = _passes(p, (td, yd, quot, at_d), (tn, yn, quot, at_n))  # nan where a pair fails
     ld, ln = ld.ravel(), ln.ravel()
-    # Candidate f's pair on edge i is its base-r digits i-1 and i read as one
-    # number, or its one digit there on a boundary edge.
-    div = r ** np.maximum(np.arange(m, -1, -1) - 1, 0)
-    offsets = np.cumsum(sizes) - sizes
     batch = max(1, _BLOCK_ELEMENTS // (m + 1))  # a factor's rows of a batch
     kept = [np.arange(r**m)] if r**m <= batch else _survivors(ld, ln, gaps, edge, m)
     for keep in kept:
@@ -298,6 +296,22 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
             rows = f[:, None] // div % sizes + offsets
             j = _factor(gaps, ld[rows]) * _factor(gaps, ln[rows])
             yield f, np.where(np.isfinite(j), j, np.inf)
+
+
+@lru_cache(maxsize=8)
+def _layout(m: int, r: int) -> tuple:
+    """The pairs of m axes of r values, read-only: per side each pair's index among the distinct (t, y), each
+    row's edge, and per edge the divisor of a candidate's digits (its pair is digits i-1 and i read as one
+    number), its number of pairs and the offset of its first."""
+    cols, inner = np.arange(r), np.arange((m - 1) * r)[:, None]
+    at_d = np.concatenate(([cols], inner // r * r + r + cols, [np.full(r, m * r)]))
+    at_n = np.concatenate(([np.zeros(r, int)], np.repeat(inner + 1, r, axis=1), [cols + (m - 1) * r + 1]))
+    sizes = np.array([r, *[r * r] * (m - 1), r])
+    edge = np.repeat(np.arange(m + 1), sizes // r)[:, None]
+    layout = at_d, at_n, edge, r ** np.maximum(np.arange(m, -1, -1) - 1, 0), sizes, np.cumsum(sizes) - sizes
+    for x in layout:
+        x.flags.writeable = False
+    return layout
 
 
 def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarray, m: int):

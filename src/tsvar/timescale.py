@@ -157,7 +157,11 @@ def uniform_scale(a: float, b: float, n_points: int) -> TimeScale:
         raise TimeScaleError(f"need a < b, got a={a!r}, b={b!r}")
     if n_points < 3:
         raise TimeScaleError(f"need at least 3 points, got {n_points}")
-    return TimeScale(np.linspace(a, b, n_points))
+    try:
+        points = np.linspace(a, b, n_points)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
+        raise TimeScaleError(f"n_points is too large to allocate, got {n_points}") from None
+    return TimeScale(points)
 
 
 def _as_index(i: object) -> int:

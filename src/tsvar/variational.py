@@ -47,13 +47,14 @@ runs as one tape hash-consed from both densities' ASTs
 reads only dy (``dy^2``) is one register, and a problem computes the
 registers that read only t once (``_fixed``).
 A pass's slots set its policy (``_passes``): rows raise, stacks give nan,
-and the scale's one-row t runs the fixed tape; a hand-built density
-branches once, in ``Lagrangian._pass``.  One floating-point policy holds
-here and in ``tsvar.solver``: each public call runs wholly with numpy's
-warnings off (``@np.errstate(all="ignore")``) and restores the caller's
-settings, private numeric code never touches numpy's error state, and the
-oracle's generators run under the ``brute_force_oracle`` call that iterates
-them.  An overflow shows as a non-finite density value (which the density
+the scale's one-row t runs the fixed tape, and the oracle's distinct
+(t, y) values with their index maps run the tape over those values; a
+hand-built density branches once, in ``Lagrangian._pass``.  One
+floating-point policy holds here and in ``tsvar.solver``: each public
+call runs wholly with numpy's warnings off (``@np.errstate(all="ignore")``)
+and restores the caller's settings, private numeric code never touches
+numpy's error state, and the oracle's generators run under the
+``brute_force_oracle`` call that iterates them.  An overflow shows as a non-finite density value (which the density
 rejects as a domain error), a non-finite factor, gradient, trace or
 residual, or a nan deviation, which fails ``passes``.
 """
@@ -209,14 +210,16 @@ def _factor(gaps: np.ndarray, values: np.ndarray):
 def _passes(p: VariationalProblem, delta, nabla, seeds: tuple = ()):
     """Both densities' passes over their slot arguments.
 
-    A one-row y raises and a stack gets nan where a row fails; a one-row t is the scale's own
-    (only ``_slot_args`` builds one) and runs the tape fixed for it, the oracle's t per row the tape.
+    A one-row dy raises and a stack gets nan where a row fails.  Sides of three arrays read the scale's own t
+    and run the tape fixed for it; the oracle's hold its distinct (t, y) and, fourth, their index map.
     """
-    strict = delta[1].ndim == 1
-    tape = p._fixed if delta[0].ndim == 1 else p._tape
+    strict, fixed = delta[2].ndim == 1, len(delta) == 3
+    tape = p._fixed if fixed else p._tape
     if tape is not None:
-        return _run(tape, (*delta, *nabla[:2]), seeds, strict)
-    return [L._pass(*a, seeds, strict) for L, a in ((p.l_delta, delta), (p.l_nabla, nabla))]
+        slots = (*delta, *nabla[:2]) if fixed else (*delta[:3], *nabla[:2], delta[3], nabla[3])
+        return _run(tape, slots, seeds, strict)
+    return [L._pass(*(a if fixed else (a[0][a[3]], a[1][a[3]], a[2])), seeds, strict)
+            for L, a in ((p.l_delta, delta), (p.l_nabla, nabla))]
 
 
 def _factors(p: VariationalProblem, args):

@@ -294,6 +294,20 @@ def test_value_errors_name_their_file(tmp_path, capsys, change, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_point_count_too_large_to_allocate_names_its_file(tmp_path, capsys, monkeypatch, command):
+    # A uniform scale of 10**12 points cannot be allocated; numpy's linspace is
+    # patched to refuse as the allocation would, so nothing is allocated.
+    def refuse(a, b, n):
+        raise MemoryError(f"Unable to allocate an array of {n} points")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    prob = write_problem(tmp_path, {**EXAMPLE, "timescale": {"uniform": {"a": 0, "b": 1, "n": 10**12}}})
+    more = ["--out", str(tmp_path / "out")] if command == "solve" else ["--y", write_chord_csv(tmp_path)]
+    assert cli.main([command, prob, *more]) == 1
+    assert capsys.readouterr() == ("", f"error: {prob}: n_points is too large to allocate, got 1000000000000\n")
+
+
 def test_y_csv_field_past_the_csv_limit_names_its_file(tmp_path, capsys):
     prob = write_problem(tmp_path, EXAMPLE)
     path = tmp_path / "y.csv"

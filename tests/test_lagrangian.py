@@ -20,7 +20,8 @@ from tsvar.lagrangian import (
     parse,
     register_catalog,
 )
-from tsvar.program import COMPUTES, SEEDS, Program, _run, run
+from tsvar.program import COMPUTES, SEEDS, Program, _run, _steps, run
+from tsvar.variational import _passes
 
 
 PROBES = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-0.5, 0.7, -1.3), (2.0, -4.0, 0.25)]
@@ -424,6 +425,73 @@ def test_random_pairs_share_registers_bit_for_bit(delta, other, data, grid):
         assert pair_outcome(lambda: tape_passes(fixed, *args, strict=False)) == alone
 
 
+def surjection(data, size: int, onto: int) -> np.ndarray:
+    """``size`` indices that take every value in range(onto), in a drawn order."""
+    extra = data.draw(st.lists(st.integers(0, onto - 1), min_size=size - onto, max_size=size - onto))
+    return np.array(data.draw(st.permutations([*range(onto), *extra])))
+
+
+def record_bits(records):
+    """Each failure record with its mask and operands as (shape, bytes)."""
+    return [([(np.shape(x), np.asarray(x).tobytes()) for x in (mask, *xs)], template, j)
+            for mask, template, xs, j in records]
+
+
+def expect_compact_passes(pair, sides):
+    """A value pass over each side's distinct (t, y) and index map equals the pass over the gathered arrays.
+
+    ``sides`` holds per density its distinct t and y and its map into dy's layout, and last dy: the
+    failure records' order, masks and operands, the strict outcome, the nan placement, and the oracle's
+    passes of the pair and of its rebuilt by hand match, bit for bit.
+    """
+    (td, yd, at_d), (tn, yn, at_n), dy = sides
+    tape = pair_tape(pair)
+    compact, full = [td, yd, dy, tn, yn, at_d, at_n], [td[at_d], yd[at_d], dy, tn[at_n], yn[at_n]]
+    with np.errstate(all="ignore"):  # the caller of ``_steps`` holds np.errstate
+        assert record_bits(_steps(tape.values, compact, ())[2]) == record_bits(_steps(tape.values, full, ())[2])
+    for strict in (True, False):
+        want = pair_outcome(lambda: _run(tape, full, (), strict))
+        assert pair_outcome(lambda: _run(tape, compact, (), strict)) == want
+    scale = uniform_scale(0.0, 1.0, 3)  # the oracle's sides carry their own t
+    by_hand = [Lagrangian(L.eval, L.d2, L.d3, L.origin) for L in pair]
+    for densities in (pair, by_hand):
+        p = VariationalProblem(scale, *densities, 0.0, 1.0)
+        assert pair_outcome(lambda: _passes(p, (td, yd, dy, at_d), (tn, yn, dy, at_n))) == want
+
+
+@given(st.recursive(ast_leaves, _extend, max_leaves=8), st.recursive(ast_leaves, _extend, max_leaves=8), st.data())
+def test_compact_value_pass_matches_the_full_pass(delta, nabla, data):
+    # The oracle runs each density's steps free of dy over its distinct (t, y)
+    # values and gathers their registers into dy's layout: any pair of
+    # densities gives what the pass over the gathered arrays gives.
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    sides = []
+    for _ in range(2):
+        k = data.draw(st.integers(1, min(4, rows * cols)))
+        t, y = (np.array(data.draw(st.lists(GRID_VALUES, min_size=k, max_size=k))) for _ in range(2))
+        sides.append((t, y, surjection(data, rows * cols, k).reshape(rows, cols)))
+    dy = np.array(data.draw(st.lists(GRID_VALUES, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    expect_compact_passes([parse_lagrangian(to_source(ast)) for ast in (delta, nabla)], [*sides, dy])
+
+
+@pytest.mark.parametrize("source", ["log(y + 1)", "sqrt(y)", "1/(y - 0.5)", "exp(800*y)", "sqrt(y) + 1", "sin(t)*y",
+                                    "log(y + 1 + 10*t)"])
+def test_compact_pass_of_subtrees_free_of_dy_that_fail_on_part_of_the_grid(source):
+    # Each density reads ``source``, which fails at some of the oracle's (t, y)
+    # values and not at others (sin(t) at t = inf); the nabla density is free
+    # of dy as a whole.
+    ys = np.array([-2.0, -1.0, -0.0, 0.5, 1.0, 2.0])
+    sides = [(np.array([0.0, -0.2, 0.5, math.inf, 0.1, 0.3]), ys, np.array([[0, 1, 2], [3, 4, 5], [5, 5, 0]])),
+             (np.array([0.3, 0.3, 0.0, 2.0, -0.3, math.inf]), ys[::-1], np.array([[5, 5, 5], [4, 3, 2], [1, 0, 0]]))]
+    dy = np.array([[0.5, -1.0, 2.0], [0.0, 3.0, -0.5], [1.0, 1.0, -2.0]])
+    pair = [parse_lagrangian(f"{source} + dy^2"), parse_lagrangian(source)]
+    tape = pair_tape(pair)
+    assert not any(tape.reads[r] & 4 for r in tape.outs[1][1])  # the nabla density reads no dy
+    with np.errstate(all="ignore"):
+        assert np.isnan(_run(tape, [*sides[0][:2], dy, *sides[1][:2], sides[0][2], sides[1][2]], (), False)[1]).any()
+    expect_compact_passes(pair, [*sides, dy])
+
+
 def test_failures_keep_the_walk_order():
     # Where two registers fail at one point the earlier one's message
     # stands, as in a dual-number walk, although a partials pass computes
@@ -545,8 +613,8 @@ def test_failing_pass_runs_the_program_once(monkeypatch):
 
 
 def test_failing_pass_over_a_grid_of_candidates():
-    # The brute-force oracle's shape: t along the points, u and v with a row
-    # per candidate.  A failing values() or partials() raises the walk's
+    # A grid of candidates: t along the points, u and v with a row per
+    # candidate.  A failing values() or partials() raises the walk's
     # message for the first failing flat index, with that point's (t, u, v).
     source = "log(y) + sqrt(dy)"
     ast, L = parse(source), parse_lagrangian(source)

@@ -526,18 +526,19 @@ def test_oracle_chunk_with_failing_candidates_is_one_pass_per_factor(monkeypatch
     # A failing pair of neighbouring values gets nan in its factor's pass; no
     # candidate is evaluated again on its own.  The pair's one tape runs
     # once, both factors' passes covering the 16 + 256 + 16 distinct pairs
-    # of the three edges, as rows of 16.
+    # of the three edges, as rows of 16: each side's t and y hold its
+    # 2 * 16 + 1 distinct (t, y) values, which the two maps index in dy's rows.
     calls = []
 
     def counted(program, slots, *args):
-        calls.append((np.shape(slots[1]), np.shape(slots[4])))
+        calls.append([np.shape(x) for x in slots])
         return _run(program, slots, *args)
 
     monkeypatch.setattr("tsvar.variational._run", counted)
     ts = make_timescale([0.0, 1.0, 2.5, 3.0])
     p = VariationalProblem(ts, parse_lagrangian("log(y + 1) + dy^2"), parse_lagrangian("sqrt(y) + 1"), 0.5, 1.0)
     j = np.concatenate([j for _, j in _grid_objectives(p, [np.linspace(-2.0, 2.0, 16)] * 2)])
-    assert calls == [((18, 16), (18, 16))]
+    assert calls == [[(33,), (33,), (18, 16), (33,), (33,), (18, 16), (18, 16)]]
     assert 0 < np.sum(j == np.inf) < 256 and np.all(np.isfinite(j) | (j == np.inf))
 
 

@@ -277,6 +277,21 @@ def test_uniform_scale_names_an_argument_that_is_not_a_number(args, message):
         uniform_scale(*args)
 
 
+def test_uniform_scale_names_a_point_count_too_large_to_allocate(monkeypatch):
+    # numpy refuses 10**300 points with a message that names no argument, and
+    # a count it cannot allocate raises MemoryError; both name n_points.  The
+    # patched linspace refuses as an allocation would, allocating nothing.
+    with pytest.raises(TimeScaleError, match=f"^n_points is too large to allocate, got {10**300}$"):
+        uniform_scale(0, 1, 10**300)
+
+    def refuse(a, b, n):
+        raise MemoryError(f"Unable to allocate an array of {n} points")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    with pytest.raises(TimeScaleError, match="^n_points is too large to allocate, got 1000000000000$"):
+        uniform_scale(0, 1, 10**12)
+
+
 def test_uniform_scale_takes_numpy_numbers():
     ts = uniform_scale(np.float32(0.0), np.int64(1), np.int64(5))
     np.testing.assert_array_equal(ts.points, uniform_scale(0.0, 1.0, 5).points)

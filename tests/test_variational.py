@@ -607,7 +607,7 @@ def test_pair_that_shares_nothing_runs_as_one_tape(monkeypatch):
     # ``_factors`` call, over one row or a block, runs the steps once, and
     # no density runs alone.  The slots pick the tape: a row, a block and a
     # partials pass read the scale's one t and run the tape fixed for it,
-    # and the oracle's passes, a t per row, run the unfixed tape.  A pair
+    # and the oracle's passes, over distinct (t, y) values, the unfixed tape.  A pair
     # that reads t has a fixed tape of its own.
     scale = uniform_scale(0.0, 1.0, 11)
     p = VariationalProblem(scale, catalog("kinetic_minus_potential(2)"), catalog("dy_squared"), 0.0, 1.0)

@@ -16,7 +16,15 @@ rows are taken in turn, so a drift in machine speed reaches every row
 alike.  It prints the median and the quartiles of the time per call, in
 microseconds, over ``--repeat`` samples per row.
 
-A second table counts the line search's work in one budgeted solve from
+A second table times, the same way, the brute-force oracle's pairs: the
+expression pair ``dy^2 + 0.3*y^2 + 0.2*sin(y) + 1`` / ``dy^2 + 0.3`` and
+the catalog pair ``kinetic_minus_potential(0.15)`` / ``dy_squared``, on a
+seeded scale of m interior points at r values per axis, for (m, r) =
+(1, 201), (2, 61) and (3, 25): ``scan-pass``, both value passes of the
+first scan over its distinct pairs (the arguments read from a spy on the
+solver's ``_passes``), and ``oracle``, one ``brute_force_oracle`` call.
+
+A third table counts the line search's work in one budgeted solve from
 the chord, for the expression pair at n = 101 (budget 50) and the catalog
 pair at n = 1001 (budget 30), on a uniform and a seeded scale: the trial
 rows it builds and its value passes, read from a spy on the solver's
@@ -25,7 +33,7 @@ sum over iterations of the accepted rung + 1, read from a spy on its
 ``_row``.  Their ratio is the share of built rows the search needed.  The
 counts repeat exactly.
 
-A third table times a fresh import of each module of the package, in
+A fourth table times a fresh import of each module of the package, in
 dependency order, with numpy and the standard library already loaded:
 ``compile``, the module's source to a code object, and ``exec``, its body
 run from that code object, as an import runs it from cached bytecode
@@ -59,18 +67,24 @@ sys.dont_write_bytecode = True
 
 import tsvar as T  # noqa: E402
 import tsvar.solver as solver  # noqa: E402
-from tsvar.variational import _factors, _Partials, _slot_args  # noqa: E402
+from tsvar.variational import _factors, _Partials, _passes, _slot_args  # noqa: E402
 
 PAIRS = {
     "expr": (T.parse_lagrangian, "dy^2 + y^2 + sin(t)*y", "dy^2 + 1"),
     "catalog": (T.catalog, "kinetic_minus_potential(2)", "dy_squared"),
 }
 SIZES = (11, 101, 1001)
+ORACLE_PAIRS = {
+    "expr": (T.parse_lagrangian, "dy^2 + 0.3*y^2 + 0.2*sin(y) + 1", "dy^2 + 0.3"),
+    "catalog": (T.catalog, "kinetic_minus_potential(0.15)", "dy_squared"),
+}
+ORACLE_GRIDS = ((1, 201), (2, 61), (3, 25))  # (interior points m, values per axis r)
+ORACLE_BOUNDS = (-0.5, 1.0)
 SEARCHES = {"expr": (101, 50), "catalog": (1001, 30)}  # n and budget per pair
 
 
 def cases():
-    """(pair, n, pass, call) for every row of the table."""
+    """(pair, n, pass, call) for every row of the first table."""
     rng = np.random.default_rng(7)
     for name, (build, delta, nabla) in PAIRS.items():
         for n in SIZES:
@@ -83,6 +97,23 @@ def cases():
             yield name, n, "values-row", lambda p=p, a=row: _factors(p, a)
             yield name, n, "values-block", lambda p=p, a=block: _factors(p, a)
             yield name, n, "partials", lambda p=p, a=row: _Partials(p, a)
+
+
+def oracle_cases():
+    """(pair, m, r, kind, call) for every row of the oracle table; the caller holds np.errstate."""
+    for name, (build, delta, nabla) in ORACLE_PAIRS.items():
+        for m, r in ORACLE_GRIDS:
+            gaps = np.random.default_rng(m).uniform(0.5, 1.5, m + 1)
+            scale = T.make_timescale(np.concatenate(([0.0], np.cumsum(gaps))))
+            p = T.VariationalProblem(scale, build(delta), build(nabla), 0.0, 0.5)
+            seen = []
+            solver._passes = lambda p, *sides: seen.append(sides) or _passes(p, *sides)
+            try:
+                list(solver._grid_objectives(p, [np.linspace(*ORACLE_BOUNDS, r)] * m))
+            finally:
+                solver._passes = _passes
+            yield name, m, r, "scan-pass", lambda p=p, sides=seen[0]: _passes(p, *sides)
+            yield name, m, r, "oracle", lambda p=p, r=r: T.brute_force_oracle(p, ORACLE_BOUNDS, r)
 
 
 def seeded_points(n: int, seed: int) -> np.ndarray:
@@ -191,24 +222,35 @@ def batch(call, number: int) -> float:
     return (time.perf_counter() - start) / number
 
 
+def timed(rows: list, repeat: int, labels: str) -> list[str]:
+    """Per row, its labels formatted by ``labels``, then the median and quartiles, in us, of ``repeat``
+    samples of its call (the row's last entry)."""
+    with np.errstate(all="ignore"):  # as a public call holds it around these private helpers
+        numbers = [max(1, round(2e-3 / batch(call, 3))) for *_, call in rows]  # about 2 ms per sample
+        samples: list[list[float]] = [[] for _ in rows]
+        for _ in range(repeat):
+            for (*_, call), number, got in zip(rows, numbers, samples):
+                got.append(batch(call, number) * 1e6)
+    lines = []
+    for (*row, _), got in zip(rows, samples):
+        q1, _, q3 = statistics.quantiles(got, n=4) if len(got) > 1 else got * 3
+        lines.append(f"{labels.format(*row)} {statistics.median(got):10.1f} {q1:10.1f} {q3:10.1f}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=30, help="samples per row (default 30)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    with np.errstate(all="ignore"):  # as a public call holds it around these private helpers
-        rows = list(cases())
-        numbers = [max(1, round(2e-3 / batch(call, 3))) for *_, call in rows]  # about 2 ms per sample
-        samples: list[list[float]] = [[] for _ in rows]
-        for _ in range(args.repeat):
-            for (*_, call), number, got in zip(rows, numbers, samples):
-                got.append(batch(call, number) * 1e6)
+    with np.errstate(all="ignore"):
+        rows, oracle_rows = list(cases()), list(oracle_cases())
     print(f"{'pair':8} {'n':>5} {'pass':13} {'median_us':>10} {'q1_us':>10} {'q3_us':>10}")
-    for (name, n, kind, _), got in zip(rows, samples):
-        q1, _, q3 = statistics.quantiles(got, n=4) if len(got) > 1 else got * 3
-        median = statistics.median(got)
-        print(f"{name:8} {n:5d} {kind:13} {median:10.1f} {q1:10.1f} {q3:10.1f}")
+    print("\n".join(timed(rows, args.repeat, "{:8} {:5d} {:13}")))
+    print()
+    print(f"{'pair':8} {'m':>5} {'r':>5} {'call':9} {'median_us':>10} {'q1_us':>10} {'q3_us':>10}")
+    print("\n".join(timed(oracle_rows, args.repeat, "{:8} {:5d} {:5d} {:9}")))
     print()
     print("\n".join(search_table()))
     print()
