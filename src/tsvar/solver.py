@@ -72,6 +72,7 @@ from .timescale import _as_number
 from .variational import (
     ELReport,
     VariationalProblem,
+    _check_boundary,
     _el_reports,
     _factor,
     _factors,
@@ -193,10 +194,8 @@ def solve(
     config = config or SolverConfig()
     if y0 is None:
         y0 = chord(p)
-    elif not np.array_equal(y0.scale.points, p.scale.points):
-        raise ValueError("initial guess does not live on the problem's scale")
-    elif float(y0.values[0]) != p.alpha or float(y0.values[-1]) != p.beta:
-        raise ValueError("initial guess does not satisfy the boundary values")
+    else:
+        _check_boundary(p, y0)
     sign = -1.0 if config.maximize else 1.0
 
     vals = np.array(y0.values, dtype=float, copy=True)

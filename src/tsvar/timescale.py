@@ -193,16 +193,21 @@ def _as_number(value, what: str, rule: str, ok: Callable = lambda v: True, kind:
 def _as_floats(values, what: str) -> np.ndarray:
     """``values`` as a new float array, after the number rule.
 
-    A numpy array needs an integer or float dtype.  Each entry of a flat
-    sequence must be a real number, and "{what} {i}" names the first that is
-    not; any other shape is left to the caller's shape check.
+    A numpy array needs an integer or float dtype.  Each entry of a flat or
+    ragged sequence must be a real number, and "{what} {i}" names the first
+    that is not; any other shape is left to the caller's shape check.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ValueError(f"need an array of integers or floats, got dtype {values.dtype}")
-    elif np.ndim(values) == 1:
-        for i, value in enumerate(values):
-            _as_number(value, f"{what} {i}", "a real number")
+    else:
+        try:
+            flat = np.ndim(values) == 1
+        except ValueError:  # ragged: numpy cannot stack it
+            flat = True
+        if flat:
+            for i, value in enumerate(values):
+                _as_number(value, f"{what} {i}", "a real number")
     return np.array(values, dtype=float)
 
 

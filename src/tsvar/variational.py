@@ -373,13 +373,9 @@ def classic_el_residuals(
     minus d2Ln, on the doubly lower-truncated set.  Needs at least 4 points.
     """
     _check_boundary(p, y)
-    if len(p.scale) < 4:
-        raise ValueError(f"need at least 4 points for the pointwise residuals, got {len(p.scale)}")
+    upper, lower = kappa_set(p.scale, KappaKind.UPPER_SQUARED), kappa_set(p.scale, KappaKind.LOWER_SQUARED)
     parts = _Partials(p, _slot_args(p, y.values))
     gaps = parts.gaps
     delta_res = (parts.d3d[1:] - parts.d3d[:-1]) / gaps[:-1] - parts.d2d[:-1]
     nabla_res = (parts.d3n[1:] - parts.d3n[:-1]) / gaps[1:] - parts.d2n[1:]
-    return (
-        PartialGridFunction(p.scale, kappa_set(p.scale, KappaKind.UPPER_SQUARED), delta_res),
-        PartialGridFunction(p.scale, kappa_set(p.scale, KappaKind.LOWER_SQUARED), nabla_res),
-    )
+    return PartialGridFunction(p.scale, upper, delta_res), PartialGridFunction(p.scale, lower, nabla_res)

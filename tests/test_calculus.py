@@ -69,7 +69,8 @@ def test_grid_function_validation():
     ([0.0, "1", 2.0], "value at index 1 must be a real number, got '1'"),
     (np.array([False, True, True]), "need an array of integers or floats, got dtype bool"),
     (np.array([0.0, 1.0, None]), "need an array of integers or floats, got dtype object"),
-], ids=["bools", "string", "bool-array", "object-array"])
+    ([0.0, [1.0, 2.0], 3.0], "value at index 1 must be a real number, got [1.0, 2.0]"),
+], ids=["bools", "string", "bool-array", "object-array", "ragged"])
 def test_grid_values_must_be_numbers(values, message):
     # The rule of the time scale's points: a bool or a numeric string is not
     # a value, in a list as in an array, for a grid function, a partial one

@@ -1,8 +1,10 @@
+import ast
 import json
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +234,7 @@ def test_bad_uniform_object(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,change,message", [
     ("solve", {"timescale": {"linear": {}}}, "'timescale' object must contain exactly the key 'uniform'"),
-    ("solve", {"timescale": {"uniform": {"a": 0.0, "b": 1.0, "n": 5.0}}}, "'n' must be an integer"),
+    ("solve", {"timescale": {"uniform": {"a": 0.0, "b": 1.0, "n": 5.0}}}, "n_points must be an integer, got 5.0"),
     ("solve", {"timescale": "0,1,2"}, "'timescale' must be an array or a 'uniform' object"),
     ("solve", {"lagrangian_delta": {"expr": "dy"}},
      "'lagrangian_delta' object must contain exactly a string key 'catalog'"),
@@ -240,18 +242,19 @@ def test_bad_uniform_object(tmp_path, capsys):
     ("solve", None, "top level must be an object"),
     ("solve", {"solver": [1]}, "'solver' must be an object"),
     ("eval", {}, "[Errno 2] No such file or directory"),
-    ("solve", {"timescale": [0, "0.5", 1]}, "'timescale' entry 1 must be a number"),
-    ("solve", {"timescale": [0, True, 2]}, "'timescale' entry 1 must be a number"),
-    ("solve", {"timescale": [0, None, 2]}, "'timescale' entry 1 must be a number"),
-    ("solve", {"timescale": [[0], [0.5], [1]]}, "'timescale' entry 0 must be a number"),
-    ("solve", {"alpha": 10**400}, "key 'alpha' is too large for a float"),
-    ("solve", {"beta": -10**400}, "key 'beta' is too large for a float"),
-    ("solve", {"timescale": {"uniform": {"a": -10**400, "b": 1.0, "n": 5}}}, "key 'a' is too large for a float"),
-    ("solve", {"timescale": {"uniform": {"a": 0.0, "b": 10**400, "n": 5}}}, "key 'b' is too large for a float"),
-    ("solve", {"timescale": [0, 1, 10**400]}, "'timescale' entry 2 is too large for a float"),
+    ("solve", {"timescale": [0, "0.5", 1]}, "point at index 1 must be a real number, got '0.5'"),
+    ("solve", {"timescale": [0, True, 2]}, "point at index 1 must be a real number, got True"),
+    ("solve", {"timescale": [0, None, 2]}, "point at index 1 must be a real number, got None"),
+    ("solve", {"timescale": [0, [0.5, 0.7], 1]}, "point at index 1 must be a real number, got [0.5, 0.7]"),
+    ("solve", {"timescale": [[0], [0.5], [1]]}, "points must form a one-dimensional sequence"),
+    ("solve", {"alpha": 10**400}, "boundary value alpha is too large for a float"),
+    ("solve", {"beta": -10**400}, "boundary value beta is too large for a float"),
+    ("solve", {"timescale": {"uniform": {"a": -10**400, "b": 1.0, "n": 5}}}, "a is too large for a float"),
+    ("solve", {"timescale": {"uniform": {"a": 0.0, "b": 10**400, "n": 5}}}, "b is too large for a float"),
+    ("solve", {"timescale": [0, 1, 10**400]}, "point at index 2 is too large for a float"),
 ], ids=["timescale-object", "n-float", "timescale-string", "lagrangian-object", "lagrangian-number",
         "top-level-array", "solver-array", "eval-missing-y", "point-string", "point-bool", "point-null",
-        "point-array", "alpha-huge-int", "beta-huge-int", "uniform-a-huge-int", "uniform-b-huge-int",
+        "point-ragged", "point-array", "alpha-huge-int", "beta-huge-int", "uniform-a-huge-int", "uniform-b-huge-int",
         "point-huge-int"])
 def test_malformed_input_exits_1(tmp_path, capsys, command, change, message):
     data = [EXAMPLE] if change is None else {**EXAMPLE, **change}
@@ -273,7 +276,7 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, change, message):
     ({"lagrangian_nabla": {"catalog": "nope"}},
      "unknown catalog Lagrangian 'nope'; known entries: const, dy_squared, kinetic_minus_potential"),
     ({"alpha": float("nan")}, "boundary value alpha must be a finite real number, got nan"),
-    ({"timescale": {"uniform": {"a": 1, "b": 0, "n": 5}}}, "need a < b, got a=1.0, b=0.0"),
+    ({"timescale": {"uniform": {"a": 1, "b": 0, "n": 5}}}, "need a < b, got a=1, b=0"),
     ({"solver": {"max_iterations": -1}}, "max_iterations must be non-negative"),
     (None, "non-finite value at index 1"),
 ], ids=["duplicate-point", "parse-error", "unknown-catalog-entry", "alpha-nan", "uniform-a-above-b",
@@ -320,10 +323,10 @@ def test_non_numeric_boundary(tmp_path, capsys):
     data = dict(EXAMPLE)
     data["alpha"] = "zero"
     expect_error(capsys, ["solve", write_problem(tmp_path, data)],
-                 "'alpha' must be a number")
+                 "boundary value alpha must be a finite real number, got 'zero'")
     data["alpha"] = True
     expect_error(capsys, ["solve", write_problem(tmp_path, data)],
-                 "'alpha' must be a number")
+                 "boundary value alpha must be a finite real number, got True")
 
 
 def test_bad_timescale_points(tmp_path, capsys):
@@ -463,6 +466,31 @@ def test_eval_outside_a_density_domain_names_the_first_failure(tmp_path, capsys,
         j_nabla(problem, y)
     assert str(info.value).startswith(failure)
     expect_error(capsys, ["eval", prob, "--y", str(path)], f"error: {info.value}\n")
+
+
+def test_eval_norm_overflow_is_one_error_line(tmp_path, capsys):
+    # The quotient (-1e308 - 1e308) / 1 overflows in c1_diamond_norm, which keeps
+    # the caller's warning settings; eval turns numpy's warnings off around it.
+    data = {**EXAMPLE, "lagrangian_delta": {"catalog": "const(1)"}, "lagrangian_nabla": "1", "beta": -1e308}
+    prob = write_problem(tmp_path, data)
+    path = tmp_path / "y.csv"
+    path.write_text("t,y\n0,0\n1,1e308\n2,-1e308\n")
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        assert cli.main(["eval", prob, "--y", str(path)]) == 1
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_imports_no_private_tsvar_name():
+    # The CLI runs on the public API; a private helper it needs belongs there.
+    tree = ast.parse((ROOT / "src" / "tsvar" / "cli.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               if node.level or (node.module or "").startswith("tsvar")
+               for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 # --- verify-identities ----------------------------------------------------------

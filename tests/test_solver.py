@@ -246,13 +246,13 @@ def test_solve_with_zero_budget_reports_start():
 
 def test_solve_rejects_bad_start():
     p = square_problem()
-    with pytest.raises(ValueError, match="initial guess"):
+    with pytest.raises(ValueError, match="boundary mismatch"):
         solve(p, y0=GridFunction(p.scale, [0.1, 1.0, 2.0]))
     with pytest.raises(ValueError):
         solve(p, y0=GridFunction(make_timescale([0, 1, 2, 3]),
                                  [0.0, 1.0, 1.5, 2.0]))
     # Same length and boundary values, but another scale.
-    with pytest.raises(ValueError, match="initial guess does not live on the problem's scale"):
+    with pytest.raises(ValueError, match="grid function does not live on the problem's scale"):
         solve(p, y0=GridFunction(make_timescale([0, 5, 100]), [0.0, 3.0, 2.0]))
 
 

@@ -100,7 +100,10 @@ def test_rejects_nested_points():
     ((0.0, 1.0, np.False_), "point at index 2 must be a real number, got np.False_"),
     (np.array([False, True, True]), "need an array of integers or floats, got dtype bool"),
     (np.array(["0", "1", "2"]), "need an array of integers or floats, got dtype <U1"),
-], ids=["bool", "strings", "numpy-bool", "bool-array", "string-array"])
+    # Ragged sequences, which numpy cannot stack, are checked entry by entry too.
+    ([0, [1, 2], 2], "point at index 1 must be a real number, got [1, 2]"),
+    ([[0, 1], [2]], "point at index 0 must be a real number, got [0, 1]"),
+], ids=["bool", "strings", "numpy-bool", "bool-array", "string-array", "ragged", "ragged-nested"])
 def test_rejects_points_that_are_not_numbers(points, message):
     # A bool or a numeric string is not a point, in a list as in an array;
     # numpy alone would turn [0, True, 2] into the int64 array [0, 1, 2].

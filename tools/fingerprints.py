@@ -70,16 +70,25 @@ identity checks and ``c1_diamond_norm`` of both grid functions, per case:
 200 cases at each of two seeds, drawn as ``verify-identities`` draws them,
 then 3-point scales, scales with 1e-11 gaps beside gaps of 1 to 1e3, and
 values scaled by 1e150 and 1e300, so that products and then difference
-quotients overflow, each as it comes and with numpy's warnings off.  Uses only the public API and runs from a checkout
-without installing the package.
+quotients overflow, each as it comes and with numpy's warnings off.  CLI:
+``solve``, then ``eval`` and ``check-el`` of the solution it wrote, on each
+shipped problem file and on the benchmark's budget problem (the expression
+pair on a uniform 11-point scale at a budget of 40), run in process in a
+temporary directory: the exit code, standard output and standard error,
+with the directory's name masked.  Uses only the public API and runs from
+a checkout without installing the package.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +97,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import tsvar as T  # noqa: E402
+import tsvar.cli  # noqa: E402
 
 PAIRS = {
     "expr": (T.parse_lagrangian, "dy^2 + y^2 + sin(t)*y", "dy^2 + 1"),
@@ -463,8 +473,34 @@ def identities():
         yield f"identities {label}", lambda f=f, g=g: identity_outcomes(f, g)
 
 
+# The benchmark's budget problem, which stops at its budget without converging.
+CLI_BUDGET = {"schema": "tsvar/1", "timescale": {"uniform": {"a": 0, "b": 1, "n": 11}},
+              "lagrangian_delta": PAIRS["expr"][1], "lagrangian_nabla": PAIRS["expr"][2],
+              "alpha": 0, "beta": 1, "solver": {"max_iterations": 40}}
+
+
+def cli():
+    def run(argv: list[str], tmp: str) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = tsvar.cli.main(argv)
+        return code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")
+
+    files = {path.stem: path.read_text() for path in sorted((ROOT / "problems").glob("*.json"))}
+    files["budget"] = json.dumps(CLI_BUDGET)
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, text in files.items():
+            problem, target = Path(tmp, f"{stem}.json"), Path(tmp, stem)
+            problem.write_text(text)
+            sol = str(target / "solution.csv")
+            for command, more in (("solve", ["--out", str(target)]), ("eval", ["--y", sol]),
+                                  ("check-el", ["--y", sol])):
+                yield f"cli {command} {stem}", lambda argv=[command, str(problem), *more], tmp=tmp: run(argv, tmp)
+
+
 def main() -> int:
-    for group in (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing, repeats, identities):
+    groups = (solves, oracles, probes, points, grids, powers, seeds, hand_built, sharing, repeats, identities, cli)
+    for group in groups:
         for label, fn in group():
             print(f"{label}: {outcome(fn)}", flush=True)
     return 0
