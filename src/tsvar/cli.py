@@ -19,6 +19,10 @@ number goes as written to the model, whose words name a bad value after the
 file's path, and the commands print what the public API returns (``eval``
 alone holds ``np.errstate``, for ``c1_diamond_norm``).  Exit codes:
 0 success, 1 input error, 2 numeric failure (no convergence, or a failed check).
+A ``solve`` that stops on an error of the numbers, not of the file, exits 2
+after one ``error:`` line and writes nothing: a line search that underflows
+(``StepUnderflowError``), or an iterate, the start included, outside a
+density's domain (``EvalDomainError``).
 """
 
 from __future__ import annotations
@@ -175,6 +179,7 @@ def _print_report(report) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .lagrangian import EvalDomainError
     from .solver import StepUnderflowError, solve
 
     problem, config = load_problem_file(args.problem)
@@ -182,7 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         config = config.replace(maximize=True)
     try:
         result = solve(problem, config)
-    except StepUnderflowError as exc:
+    except (StepUnderflowError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -270,11 +275,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     problem, _ = load_problem_file(args.problem)
     y = read_y_csv(args.y, problem.scale)
     jd, jn = j_delta(problem, y), j_nabla(problem, y)
-    print(
-        json.dumps(
-            {"j_delta": jd, "j_nabla": jn, "j": jd * jn, "norm": c1_diamond_norm(y)}
-        )
-    )
+    try:
+        norm = c1_diamond_norm(y)
+    except ValueError as exc:  # a difference quotient of the y table overflows
+        raise ProblemFileError(f"{args.y}: {exc}") from exc
+    print(json.dumps({"j_delta": jd, "j_nabla": jn, "j": jd * jn, "norm": norm}))
     return 0
 
 

@@ -43,6 +43,18 @@ def random_grid(rng: np.random.Generator, ts: TimeScale,
     return GridFunction(ts, rng.standard_normal(len(ts)) * scale)
 
 
+def battery_draws(seed: int, cases: int):
+    """Each case's pair of grid functions, drawn as ``verify-identities`` draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        n = int(rng.integers(5, 51))
+        gaps = 10.0 ** rng.uniform(-3.0, 1.0, n - 1)
+        start = float(rng.uniform(-10.0, 10.0))
+        ts = make_timescale(start + np.concatenate(([0.0], np.cumsum(gaps))))
+        f = GridFunction(ts, rng.standard_normal(n))
+        yield f, GridFunction(ts, rng.standard_normal(n))
+
+
 def hat(ts: TimeScale, k: int) -> GridFunction:
     vals = np.zeros(len(ts))
     vals[k] = 1.0

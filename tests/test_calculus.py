@@ -26,7 +26,7 @@ from tsvar import (
 from tsvar import calculus
 
 import identities as reference
-from conftest import hat, random_grid, random_scale
+from conftest import battery_draws, hat, random_grid, random_scale
 
 
 @st.composite
@@ -323,6 +323,33 @@ def test_integral_conversion_hand_example():
     f = GridFunction(ts, [0.0, 1.0, 9.0])
     shifted = compose_rho(f)
     assert nabla_integral(shifted) == delta_integral(f) == 2.0
+
+
+def test_nabla_parts_residuals_are_the_delta_ones():
+    # The nabla forms are the delta forms re-indexed: on the battery's draws
+    # the object-built reference's third and fourth residuals are its second
+    # and first bit for bit, and the package returns the same four.
+    for f, g in battery_draws(0, 200):
+        res, ref = check_parts_formulas(f, g), reference.check_parts_formulas(f, g)
+        assert [r.hex() for r in ref[2:]] == [ref[1].hex(), ref[0].hex()]
+        assert [r.hex() for r in res] == [r.hex() for r in ref]
+
+
+def test_integral_conversion_is_nan_where_an_integral_overflows():
+    # The delta integral 1e308 + 10*1e308 overflows, the nabla one 1e308 + 0 does not.
+    f = GridFunction(make_timescale([0.0, 1.0, 11.0]), [1e308, 1e308, 0.0])
+    with np.errstate(over="ignore"):
+        res, ref = check_integral_conversion(f), reference.check_integral_conversion(f)
+    assert np.isnan(res[0]) and res[1] == 0.0
+    assert repr(res) == repr(ref) == "(nan, 0.0)"
+
+
+def test_derivative_relation_raises_on_a_non_finite_quotient():
+    # (-1e308 - 1e308) / 1 overflows at domain position 1; the residuals are never reached.
+    f = GridFunction(make_timescale([0.0, 1.0, 2.0]), [0.0, 1e308, -1e308])
+    for check in (check_derivative_relation, reference.check_derivative_relation):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite value at domain position 1$"):
+            check(f)
 
 
 @given(scale_and_values())

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import tsvar
-from tsvar import EvalDomainError, GridFunction, ParseError, cli, j_delta, j_nabla, make_timescale, parse_lagrangian
+from tsvar import EvalDomainError, ParseError, cli, j_delta, j_nabla, parse_lagrangian
 
 import identities as reference
+from conftest import battery_draws
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,6 +103,24 @@ def test_solve_numeric_failure_exits_2_and_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line search step underflowed while the Lagrangian kept raising domain errors; "
         "last trial: non-finite value at (t=0.0, u=-inf, v=-inf)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"timescale": {"uniform": {"a": 0, "b": 1, "n": 101}}, "lagrangian_delta": "sqrt(dy)*log(y) + sqrt(dy)",
+      "lagrangian_nabla": "dy^2 + y^2 + 1", "alpha": 0, "beta": 1,
+      "solver": {"max_iterations": 30, "maximize": True}},
+     "error: square root not differentiable at zero at (t=0.01, u=0.024434482331492507, v=0.0)\n"),
+    ({"timescale": [0, 1, 2, 3], "lagrangian_delta": "log(y)", "lagrangian_nabla": "dy^2", "alpha": 0, "beta": -1},
+     "error: log of non-positive value -0.3333333333333333 at "
+     "(t=0.0, u=-0.3333333333333333, v=-0.3333333333333333)\n"),
+], ids=["accepted-trial-partials", "start-outside-the-domain"])
+def test_solve_domain_error_exits_2_and_writes_nothing(tmp_path, capsys, data, message):
+    # An iterate outside a density's domain is a numeric failure, as a step underflow is.
+    out = tmp_path / "out"
+    rc = cli.main(["solve", write_problem(tmp_path, data), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", message)
     assert not out.exists()
 
 
@@ -453,7 +472,7 @@ def test_eval_prints_functional_values(tmp_path, capsys):
                                             ("dy^2 + y", "square root of negative value")],
                          ids=["delta-fails", "nabla-fails"])
 def test_eval_outside_a_density_domain_names_the_first_failure(tmp_path, capsys, delta, failure):
-    # eval's one pass reports the error that j_delta, then j_nabla, raise for the same y.
+    # eval calls j_delta, then j_nabla, so it reports the error the first of them raises.
     data = {**EXAMPLE, "timescale": [0.0, 0.25, 0.5, 0.75, 1.0], "lagrangian_delta": delta,
             "lagrangian_nabla": "sqrt(y) + 1", "alpha": 1.0, "beta": 1.0}
     prob = write_problem(tmp_path, data)
@@ -470,7 +489,8 @@ def test_eval_outside_a_density_domain_names_the_first_failure(tmp_path, capsys,
 
 def test_eval_norm_overflow_is_one_error_line(tmp_path, capsys):
     # The quotient (-1e308 - 1e308) / 1 overflows in c1_diamond_norm, which keeps
-    # the caller's warning settings; eval turns numpy's warnings off around it.
+    # the caller's warning settings; eval turns numpy's warnings off around it
+    # and names the y table in the error.
     data = {**EXAMPLE, "lagrangian_delta": {"catalog": "const(1)"}, "lagrangian_nabla": "1", "beta": -1e308}
     prob = write_problem(tmp_path, data)
     path = tmp_path / "y.csv"
@@ -479,9 +499,7 @@ def test_eval_norm_overflow_is_one_error_line(tmp_path, capsys):
         warnings.simplefilter("always")
         assert cli.main(["eval", prob, "--y", str(path)]) == 1
     assert caught == []
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"error: {path}: non-finite value at domain position 1\n")
 
 
 def test_cli_imports_no_private_tsvar_name():
@@ -517,14 +535,8 @@ def test_verify_identities_is_deterministic(capsys):
 @pytest.mark.parametrize("seed", [0, 3, 41])
 def test_verify_identities_matches_the_object_built_checks(capsys, seed):
     # The same draws, checked by the reference in tests/identities.py.
-    cases, rng, worst = 200, np.random.default_rng(seed), np.zeros(12)
-    for _ in range(cases):
-        n = int(rng.integers(5, 51))
-        gaps = 10.0 ** rng.uniform(-3.0, 1.0, n - 1)
-        start = float(rng.uniform(-10.0, 10.0))
-        ts = make_timescale(start + np.concatenate(([0.0], np.cumsum(gaps))))
-        f = GridFunction(ts, rng.standard_normal(n))
-        g = GridFunction(ts, rng.standard_normal(n))
+    cases, worst = 200, np.zeros(12)
+    for f, g in battery_draws(seed, cases):
         residuals = (reference.check_parts_formulas(f, g) + reference.check_derivative_relation(f)
                      + reference.check_integral_conversion(f) + reference.check_integral_splitting(f))
         np.maximum(worst, residuals, out=worst)

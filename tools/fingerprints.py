@@ -75,8 +75,10 @@ quotients overflow, each as it comes and with numpy's warnings off.  CLI:
 shipped problem file and on the benchmark's budget problem (the expression
 pair on a uniform 11-point scale at a budget of 40), run in process in a
 temporary directory: the exit code, standard output and standard error,
-with the directory's name masked.  Uses only the public API and runs from
-a checkout without installing the package.
+with the directory's name masked; then ``verify-identities --cases 200
+--seed 41``, so that the battery's printed lines are compared too.  Uses
+only the public API and runs from a checkout without installing the
+package.
 """
 
 from __future__ import annotations
@@ -496,6 +498,8 @@ def cli():
             for command, more in (("solve", ["--out", str(target)]), ("eval", ["--y", sol]),
                                   ("check-el", ["--y", sol])):
                 yield f"cli {command} {stem}", lambda argv=[command, str(problem), *more], tmp=tmp: run(argv, tmp)
+        yield "cli verify-identities cases=200 seed=41", lambda: run(["verify-identities", "--cases", "200",
+                                                                      "--seed", "41"], tmp)
 
 
 def main() -> int:
