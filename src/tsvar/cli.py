@@ -270,16 +270,16 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 @np.errstate(all="ignore")  # for c1_diamond_norm, which keeps the caller's warning settings
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .variational import j_delta, j_nabla
+    from .variational import j_delta, j_nabla, j_product
 
     problem, _ = load_problem_file(args.problem)
     y = read_y_csv(args.y, problem.scale)
-    jd, jn = j_delta(problem, y), j_nabla(problem, y)
+    jd, jn, j = j_delta(problem, y), j_nabla(problem, y), j_product(problem, y)
     try:
         norm = c1_diamond_norm(y)
     except ValueError as exc:  # a difference quotient of the y table overflows
         raise ProblemFileError(f"{args.y}: {exc}") from exc
-    print(json.dumps({"j_delta": jd, "j_nabla": jn, "j": jd * jn, "norm": norm}))
+    print(json.dumps({"j_delta": jd, "j_nabla": jn, "j": j, "norm": norm}))
     return 0
 
 

@@ -76,9 +76,11 @@ from .variational import (
     _el_reports,
     _factor,
     _factors,
+    _objective,
     _Partials,
     _passes,
     _slot_args,
+    _weights,
 )
 
 __all__ = [
@@ -207,15 +209,15 @@ def solve(
     for iterations in range(config.max_iterations + 1):
         # The iterate's one partials pass; every exit leaves it matching ``vals``.
         parts = _Partials(p, args)
-        grad = sign * parts.gradient(jd, jn)
+        grad = sign * parts.gradient(*_weights(jd, jn))
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.gradient_tolerance:
-            converged = bool(np.isfinite(jd * jn))
+            converged = bool(np.isfinite(_objective(jd, jn)))
             break
         if iterations == config.max_iterations:
             break
 
-        f0 = sign * jd * jn
+        f0 = sign * _objective(jd, jn)
         # An exact power-of-two rescale keeps |grad|^2 finite past |grad| ~ 1e154.
         scale = 2.0 ** max(0, math.frexp(grad_norm)[1] - 480)
         slope = float(np.dot(grad / scale, grad / scale))
@@ -228,7 +230,7 @@ def solve(
             np.subtract(vals, trials, out=trials)
             trial_args = _slot_args(p, trials)
             trial_jd, trial_jn = _factors(p, trial_args)  # nan for a trial that leaves the domain
-            f1 = [sign * a * b for a, b in zip(trial_jd.tolist(), trial_jn.tolist())]
+            f1 = (sign * _objective(trial_jd, trial_jn)).tolist()
             passed = [math.isfinite(f) and f < f0 and f <= f0 - _ARMIJO_C * step * slope * scale * scale
                       for f, step in zip(f1, steps.tolist())]
             if any(passed):
@@ -254,7 +256,7 @@ def solve(
     el1, el2 = _el_reports(p, parts, jd, jn)
     return SolveResult(
         y=GridFunction(p.scale, vals),
-        j_value=jd * jn,
+        j_value=_objective(jd, jn),
         gradient_norm=grad_norm,
         iterations=iterations,
         converged=converged,
@@ -293,7 +295,7 @@ def _grid_objectives(p: VariationalProblem, axes: list[np.ndarray]):
         for i in range(0, len(keep), batch):
             f = keep[i:i + batch]
             rows = f[:, None] // div % sizes + offsets
-            j = _factor(gaps, ld[rows]) * _factor(gaps, ln[rows])
+            j = _objective(_factor(gaps, ld[rows]), _factor(gaps, ln[rows]))
             yield f, np.where(np.isfinite(j), j, np.inf)
 
 
@@ -322,7 +324,8 @@ def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarra
     those sums that is finite.  A slab with a first-digit value where one is
     not finite (a term fails or overflows) keeps all.  A candidate stays if
     its A - E is at most the least A + E so far; rounding is monotone, so
-    one left out has a J above some other candidate's.
+    one left out has a J above some other candidate's.  E assumes that J
+    is the product Jd * Jn; a composition H(Jd, Jn) needs its own bound.
     """
     r = len(ld) // len(edge)
     run = max(1, _BLOCK_ELEMENTS // r ** (m - 1))  # first-digit values per slab
@@ -344,12 +347,11 @@ def _survivors(ld: np.ndarray, ln: np.ndarray, gaps: np.ndarray, edge: np.ndarra
         if bound == np.inf or bad[a:a + run].any():
             yield np.arange(a * size, min(a + run, r) * size)
             continue
-        estimate, other = (sum(t[k, a:a + run] for t in edges[:2]) + tail[k] for k in (0, 1))
-        estimate *= other
+        estimate = _objective(*(sum(t[k, a:a + run] for t in edges[:2]) + tail[k] for k in (0, 1)))
         threshold = min(threshold, float(estimate.min()) + bound)
         estimate -= bound
         keep = a * size + np.flatnonzero(estimate <= threshold)
-        del estimate, other  # free the slab before its survivors are summed
+        del estimate  # free the slab before its survivors are summed
         yield keep
 
 
@@ -361,7 +363,9 @@ def _estimate_bound(m: int, pd: float, pn: float) -> float:
     the order or use of fused multiply-adds, and each product rounds once
     more: |A - J| <= 5 gamma (1 + gamma)^2 pd pn / (1 - u)^2.  E is twice
     that, for the rounding of E itself, plus a margin for underflow; it is
-    inf where a sum or the product could overflow.
+    inf where a sum or the product could overflow.  It is the one place
+    besides ``_objective`` that knows J = Jd * Jn: it bounds the rounding of
+    a product of two sums, and a composition H(Jd, Jn) replaces it.
     """
     if not (pd <= 2.0**1020 and pn <= 2.0**1020 and pd * pn <= 2.0**1020):  # nan fails too
         return np.inf
@@ -457,8 +461,7 @@ def perturbation_audit(
         target = radius * float(rng.uniform())
         if norm > 0.0:
             bump *= target / norm
-        jd, jn = _factors(p, _slot_args(p, base + bump))
-        j = jd * jn
+        j = _objective(*_factors(p, _slot_args(p, base + bump)))
         j_min = min(j_min, j)
         j_max = max(j_max, j)
         if j < j_ref - 1e-12:

@@ -18,13 +18,14 @@ With the running integrals
 
     A(t) = sum of mu * d2Ld up to t,      B(t) = sum of nu * d2Ln up to t,
 
-set f = d3Ld - A on upper-kappa and g = d3Ln - B on lower-kappa.  The two
+set f = d3Ld - A on upper-kappa and g = d3Ln - B on lower-kappa.  With the
+weights (wd, wn) = (dJ/dJd, dJ/dJn) = (Jn, Jd) of the product rule, the two
 equivalent conditions state that
 
-    Jn * f(rho(t)) + Jd * g(t)        is one constant over lower-kappa, and
-    Jn * f(t)      + Jd * g(sigma(t)) is one constant over upper-kappa.
+    wd * f(rho(t)) + wn * g(t)        is one constant over lower-kappa, and
+    wd * f(t)      + wn * g(sigma(t)) is one constant over upper-kappa.
 
-Both lines describe one array: its entry j is Jn * f + Jd * g with f taken
+Both lines describe one array: its entry j is wd * f + wn * g with f taken
 at point index j and g at point index j + 1.  The first form attaches it to
 lower-kappa (at index j + 1), the second to upper-kappa (at index j), just as
 the delta and nabla derivative arrays are one array of quotients on two
@@ -36,7 +37,8 @@ alone and the trace collapses (exactly) to the single-calculus condition
 reported by ``el_residual_cor1`` / ``el_residual_cor2``.  Differencing
 those single-calculus traces once recovers the pointwise Euler-Lagrange
 equations, which ``classic_el_residuals`` evaluates directly on the
-doubly-truncated index sets.
+doubly-truncated index sets.  J and its weights are defined once, in
+``_objective`` and ``_weights``, which every other module asks.
 
 Each factor's densities are evaluated over the whole grid at once: one
 value pass per factor for the values, and one partials pass per factor
@@ -234,6 +236,16 @@ def _factors(p: VariationalProblem, args):
     return _factor(gaps, ld), _factor(gaps, ln)
 
 
+def _objective(jd, jn):
+    """The objective J = Jd * Jn from its factors, floats or arrays of them."""
+    return jd * jn
+
+
+def _weights(jd: float, jn: float) -> tuple[float, float]:
+    """The weights (dJ/dJd, dJ/dJn) = (Jn, Jd) of the factors' variations in J's."""
+    return jn, jd
+
+
 class _Partials:
     """One partials pass along y: the gaps and the per-point first partials."""
 
@@ -247,14 +259,14 @@ class _Partials:
     # Entry i of d2d/d3d belongs to point index i (upper-kappa); entry j of
     # d2n/d3n belongs to point index j+1 (lower-kappa).
 
-    def gradient(self, jd: float, jn: float) -> np.ndarray:
+    def gradient(self, wd: float, wn: float) -> np.ndarray:
         gaps = self.gaps
         # Hat variation at interior k survives in the delta sum only through
         # the terms at i = k-1 (both slots) and i = k (derivative slot):
         grad_d = gaps[:-1] * self.d2d[:-1] + self.d3d[:-1] - self.d3d[1:]
         # and in the nabla sum through i = k+1 (both slots) and i = k:
         grad_n = gaps[1:] * self.d2n[1:] - self.d3n[1:] + self.d3n[:-1]
-        return jn * grad_d + jd * grad_n
+        return wd * grad_d + wn * grad_n
 
     def el_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """f over upper-kappa and g over lower-kappa."""
@@ -294,8 +306,7 @@ def j_nabla(p: VariationalProblem, y: GridFunction) -> float:
 def j_product(p: VariationalProblem, y: GridFunction) -> float:
     """The product objective J = Jd * Jn."""
     _check_alignment(p, y)
-    jd, jn = _factors(p, _slot_args(p, y.values))
-    return jd * jn
+    return _objective(*_factors(p, _slot_args(p, y.values)))
 
 
 @np.errstate(all="ignore")
@@ -308,7 +319,7 @@ def first_variation_gradient(p: VariationalProblem, y: GridFunction) -> np.ndarr
     Jn * grad(Jd) + Jd * grad(Jn) exactly.
     """
     parts, jd, jn = _checked_pass(p, y)
-    return parts.gradient(jd, jn)
+    return parts.gradient(*_weights(jd, jn))
 
 
 def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
@@ -320,9 +331,10 @@ def _report(p, which, kind: KappaKind, trace, jd: float, jn: float) -> ELReport:
 
 
 def _el_reports(p, parts: _Partials, jd: float, jn: float) -> tuple[ELReport, ELReport]:
-    """EL1 and EL2 from their one shared, read-only trace Jn * f + Jd * g."""
+    """EL1 and EL2 from their one shared, read-only trace wd * f + wn * g."""
     f, g = parts.el_terms()
-    trace = jn * f + jd * g
+    wd, wn = _weights(jd, jn)
+    trace = wd * f + wn * g
     el1 = _report(p, "EL1", KappaKind.LOWER, trace, jd, jn)
     return el1, el1.replace(which="EL2", domain=kappa_set(p.scale, KappaKind.UPPER))
 

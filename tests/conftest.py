@@ -118,8 +118,8 @@ def hat_gradient_oracle(p: VariationalProblem, y: GridFunction):
 
 
 def fd_gradient_oracle(p: VariationalProblem, y: GridFunction,
-                       h_scale=1e-6) -> np.ndarray:
-    """Central finite differences of the product functional."""
+                       h_scale=1e-6, functional=j_product) -> np.ndarray:
+    """Central finite differences of ``functional``, by default the product."""
     base = y.values
     out = []
     for k in range(1, len(base) - 1):
@@ -128,6 +128,6 @@ def fd_gradient_oracle(p: VariationalProblem, y: GridFunction,
         up[k] += h
         dn = base.copy()
         dn[k] -= h
-        out.append((j_product(p, GridFunction(p.scale, up))
-                    - j_product(p, GridFunction(p.scale, dn))) / (2.0 * h))
+        out.append((functional(p, GridFunction(p.scale, up))
+                    - functional(p, GridFunction(p.scale, dn))) / (2.0 * h))
     return np.array(out)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tsvar
-from tsvar import EvalDomainError, ParseError, cli, j_delta, j_nabla, parse_lagrangian
+from tsvar import EvalDomainError, ParseError, cli, j_delta, j_nabla, j_product, parse_lagrangian
 
 import identities as reference
 from conftest import battery_draws
@@ -466,6 +466,26 @@ def test_eval_prints_functional_values(tmp_path, capsys):
     assert cli.main(["eval", prob, "--y", ycsv]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"j_delta": 2.0, "j_nabla": 2.0, "j": 4.0, "norm": 4.0}
+
+
+# The expression pair on a uniform 11-point scale, which stops at its budget.
+BUDGET_PROBLEM = {"schema": "tsvar/1", "timescale": {"uniform": {"a": 0, "b": 1, "n": 11}},
+                  "lagrangian_delta": "dy^2 + y^2 + sin(t)*y", "lagrangian_nabla": "dy^2 + 1",
+                  "alpha": 0, "beta": 1, "solver": {"max_iterations": 40}}
+
+
+@pytest.mark.parametrize("name", [*sorted(path.stem for path in (ROOT / "problems").glob("*.json")), "budget"])
+def test_eval_prints_the_public_objective(tmp_path, capsys, name):
+    # eval's "j" is j_product's value, bit for bit, at the answer solve wrote.
+    data = BUDGET_PROBLEM if name == "budget" else json.loads((ROOT / "problems" / f"{name}.json").read_text())
+    prob = write_problem(tmp_path, data)
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == (2 if name == "budget" else 0)
+    sol = str(tmp_path / "solution.csv")
+    capsys.readouterr()
+    assert cli.main(["eval", prob, "--y", sol]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    problem, _ = cli.load_problem_file(prob)
+    assert payload["j"].hex() == j_product(problem, cli.read_y_csv(sol, problem.scale)).hex()
 
 
 @pytest.mark.parametrize("delta, failure", [("log(y) + dy^2", "log of non-positive value"),

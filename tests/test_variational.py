@@ -7,6 +7,7 @@ import pytest
 
 import tsvar.lagrangian
 import tsvar.program
+import tsvar.solver
 import tsvar.variational
 from tsvar import (
     EvalDomainError,
@@ -36,7 +37,7 @@ from tsvar import (
 )
 
 from conftest import fd_gradient_oracle, hat_gradient_oracle, random_scale
-from tsvar.variational import _factor, _factors, _Partials, _slot_args
+from tsvar.variational import _factor, _factors, _objective, _Partials, _slot_args, _weights
 
 
 def square_problem(pts, beta):
@@ -208,6 +209,64 @@ def test_gradient_is_product_rule_combination():
     jn = j_nabla(p, y)
     np.testing.assert_allclose(first_variation_gradient(p, y),
                                jn * dt + jd * nt, rtol=1e-10, atol=1e-12)
+
+
+# --- the one definition of J and its weights ------------------------------
+
+
+def test_weights_are_the_partials_of_the_objective():
+    rng = np.random.default_rng(19)
+    h = 1e-6
+    for jd, jn in rng.uniform(-3.0, 3.0, (20, 2)).tolist():
+        fd = ((_objective(jd + h, jn) - _objective(jd - h, jn)) / (2 * h),
+              (_objective(jd, jn + h) - _objective(jd, jn - h)) / (2 * h))
+        np.testing.assert_allclose(_weights(jd, jn), fd, rtol=1e-8)
+
+
+@pytest.mark.parametrize("weights, functional, corollary", [((1.0, 0.0), j_delta, el_residual_cor2),
+                                                            ((0.0, 1.0), j_nabla, el_residual_cor1)],
+                         ids=["delta", "nabla"])
+def test_unit_weights_pick_one_factor(monkeypatch, weights, functional, corollary):
+    # Weights (1, 0) give Jd's gradient and the trace f; weights (0, 1) give
+    # Jn's gradient and the trace g.
+    monkeypatch.setattr(tsvar.variational, "_weights", lambda jd, jn: weights)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        p = random_problem(rng)
+        y = interior_perturbed(rng, p)
+        gradient = _Partials(p, _slot_args(p, y.values)).gradient(*weights)
+        np.testing.assert_allclose(gradient, fd_gradient_oracle(p, y, functional=functional),
+                                   rtol=1e-5, atol=1e-5)
+        term = corollary(p, y).residual_trace
+        for report in (el_residual_1(p, y), el_residual_2(p, y)):
+            assert np.all(report.residual_trace == term)
+
+
+@pytest.fixture
+def sum_objective(monkeypatch):
+    """The one definition patched to J = Jd + Jn, whose weights are (1, 1)."""
+    for module in (tsvar.variational, tsvar.solver):
+        monkeypatch.setattr(module, "_objective", lambda jd, jn: jd + jn)
+        monkeypatch.setattr(module, "_weights", lambda jd, jn: (1.0, 1.0))
+
+
+def test_gradient_follows_the_one_definition_of_the_objective(sum_objective):
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        p = random_problem(rng)
+        y = interior_perturbed(rng, p)
+        assert j_product(p, y) == j_delta(p, y) + j_nabla(p, y)
+        np.testing.assert_allclose(first_variation_gradient(p, y), fd_gradient_oracle(p, y),
+                                   rtol=1e-5, atol=1e-5)
+
+
+def test_solve_follows_the_one_definition_of_the_objective(sum_objective):
+    p = VariationalProblem(uniform_scale(0.0, 1.0, 11), parse_lagrangian("dy^2 + y^2 + sin(t)*y"),
+                           parse_lagrangian("dy^2 + 1"), 0.0, 1.0)
+    r = solve(p, SolverConfig(max_iterations=20))
+    assert r.j_value == j_delta(p, r.y) + j_nabla(p, r.y) < j_product(p, chord(p))
+    assert r.gradient_norm == np.max(np.abs(first_variation_gradient(p, r.y)))
+    np.testing.assert_array_equal(r.el1.residual_trace, el_residual_1(p, r.y).residual_trace)
 
 
 # --- integral Euler-Lagrange reports -------------------------------------

@@ -25,9 +25,10 @@ estimate prunes the grid: one at resolution 41, whose scans span several
 slabs, and one with its densities scaled by 1e150; one at 3 interior
 points and resolution 101, whose slabs are single first-digit values, and
 one at resolution 41 whose delta density fails on some first-digit values
-only.  Probes: the objective, the gradient and the EL1 trace at seeded
-points for densities that fail on part of their domain, so the first
-failing point and its message are compared too.
+only.  Probes: the objective, the gradient and the EL1, EL2 and both
+corollary traces at seeded points for densities that fail on part of
+their domain, so the first failing point and its message are compared
+too, and every consumer of the objective's weights is covered.
 Points: the value and both partials of every probe density and of three
 catalog entries, point by point at seeded and special points (signed
 zeros, infinities, points outside the domain), and the errors of bad
@@ -257,7 +258,9 @@ def probes():
                 tag = f"probe {ld!r} / {ln!r} n={n} k={k}"
                 yield f"{tag} j", lambda p=p, y=y: (T.j_product(p, y),)
                 yield f"{tag} gradient", lambda p=p, y=y: (T.first_variation_gradient(p, y),)
-                yield f"{tag} el1", lambda p=p, y=y: (T.el_residual_1(p, y).residual_trace,)
+                for which, report in (("el1", T.el_residual_1), ("el2", T.el_residual_2),
+                                      ("cor1", T.el_residual_cor1), ("cor2", T.el_residual_cor2)):
+                    yield f"{tag} {which}", lambda p=p, y=y, report=report: (report(p, y).residual_trace,)
 
 
 def point_outcomes(fn, points) -> tuple:
